@@ -16,7 +16,7 @@ from varprec.graph import ExprGraph, execute, topo_stats
 from varprec.optimizer import (
     ComplexityModel,
     UtilityConfig,
-    build_xopt_lut,
+    XoptLut,
     fixed_plan,
     offline_vpc,
     online_vpc,
@@ -43,7 +43,7 @@ cfg = UtilityConfig(alpha=1e-9, x_min=4, x_max=64)
 print()
 print("the lookup table maps sensitivity/cost ratios to integer precisions;")
 print("multiplying the ratio by 4 moves the answer up exactly one bit:")
-lut = build_xopt_lut(cm, cfg)
+lut = XoptLut(cm, cfg)
 rho = lut.thresholds[list(lut.thresholds)[2]][8] * 0.9
 for k in range(3):
     print(f"  rho * 4^{k}: x = {lut.lookup(rho * 4 ** k, 'mul')}")

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BINARY_OPS = ("add", "sub", "mul", "div")
-ALL_OPS = BINARY_OPS + ("sqrt",)
-
 #: limiting variance of the normalized rounding error W (binary storage)
 W_LIMIT_VAR = 1.0 / 6.0
 W_LIMIT_MEAN = 0.0
@@ -59,13 +56,6 @@ class RoundingModel:
 
     def r(self, x) -> float:
         return float(self.eps) ** (-(x + 1))
-
-    def w_var(self, x: int = None) -> float:
-        # the limiting value; per-x estimates come from w_moments
-        return W_LIMIT_VAR
-
-    def w_mean(self, x: int = None) -> float:
-        return W_LIMIT_MEAN
 
 
 DEFAULT_ROUNDING = RoundingModel()
@@ -199,21 +189,6 @@ def speculation_factor(op: str, direction: str, e_b: int) -> float:
     else:
         raise ValueError("direction must be 'forward' or 'backward'")
     raise ValueError(f"unknown op {op!r}")
-
-
-@dataclass(frozen=True)
-class SpeculationTable:
-    """All expectation factors for one exponent width, precomputed."""
-
-    e_b: int
-
-    @property
-    def forward(self):
-        return {op: speculation_factor(op, "forward", self.e_b) for op in ALL_OPS}
-
-    @property
-    def backward(self):
-        return {op: speculation_factor(op, "backward", self.e_b) for op in ALL_OPS}
 
 
 def ops_per_bit(op: str, e_b: int, eps: float = 2.0) -> int:

@@ -5,16 +5,20 @@ An algorithm is recorded once as a DAG of basic arithmetic operations
 times under different precision plans.  Execution produces values through
 the exact-then-round scalar arithmetic and, alongside, propagates
 relative-error variances through the stochastic error model, so every run
-yields both numbers and their predicted error statistics.
+yields both numbers and their predicted error statistics.  One loop,
+:func:`run`, does this for every precision policy: :func:`execute` looks
+each node up in a plan, and the online planner decides while it runs.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .ebfp import EbfpNumber, EbfpParams, DEFAULT_PARAMS, Flag, arith, decode, round_to_precision
 from .errormodel import (
@@ -176,11 +180,19 @@ class ExecutionResult:
         return [decode(self.values[i]) for i in self.output_ids]
 
 
-def _as_float(n: EbfpNumber) -> float:
+def _shadow(node_id: int, n: EbfpNumber) -> float:
+    """``float(decode(n))`` by one ldexp on the stored field.  A value
+    outside float's normal range fails its node: its float would be
+    infinite or would lose bits as a subnormal."""
     if n.flags is Flag.ZERO:
         return 0.0
-    f = decode(n)
-    return f.numerator / f.denominator if abs(f.numerator) < 2 ** 60 and f.denominator < 2 ** 60 else float(f)
+    e2 = (n.block_exp - n.n_blocks) * n.params.block_bits
+    if n.field.bit_length() + e2 >= sys.float_info.min_exp:
+        try:
+            return math.ldexp(n.sign * n.field, e2)
+        except OverflowError:
+            pass
+    raise GraphExecutionError(node_id, "value left float range")
 
 
 def input_precision_of(input_precision, node_id: int) -> int:
@@ -190,61 +202,82 @@ def input_precision_of(input_precision, node_id: int) -> int:
     return input_precision[node_id]
 
 
-def execute(graph: ExprGraph, plan, input_values: Mapping[int, Fraction],
-            input_precision=53, params: EbfpParams = DEFAULT_PARAMS,
-            model: RoundingModel = DEFAULT_ROUNDING) -> ExecutionResult:
-    """Run the graph under a precision plan.
+def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], int],
+        input_values: Mapping[int, Fraction], input_precision=53,
+        params: EbfpParams = DEFAULT_PARAMS,
+        model: RoundingModel = DEFAULT_ROUNDING) -> ExecutionResult:
+    """Run the graph, asking ``choose(node, a, b)`` for each operation's
+    precision, where ``a`` and ``b`` are the float values of its stored
+    operands (``b`` is None for sqrt).
 
     Input values are stored at ``input_precision`` bits (an int, or a
     mapping from input id to bits) and given the corresponding pure-storage
     error variance; every interior node is computed by exact-then-round
-    arithmetic at its planned precision, and its error variance follows the
-    two-stage model.  Singular relative-error frames and saturation are
+    arithmetic at its chosen precision, and its error variance follows the
+    two-stage model.  Division by an eBFP zero, the square root of a
+    negative value, saturation and values outside float's normal range are
     reported with the offending node id.
     """
-    assignment = getattr(plan, "assignment", plan)
     values: Dict[int, EbfpNumber] = {}
+    floats: Dict[int, float] = {}
     errors: Dict[int, RelErrorStats] = {}
     degenerate: List[int] = []
     for node in graph.nodes:
+        nid, operands = node.id, node.operands
         if node.op is OpKind.INPUT:
-            x_in = input_precision_of(input_precision, node.id)
-            v = Fraction(input_values[node.id])
-            values[node.id] = round_to_precision(v, x_in, params)
-            errors[node.id] = RelErrorStats(0.0, input_error_variance(x_in, model))
-            continue
-        try:
-            x = assignment[node.id]
-        except KeyError:
-            raise GraphExecutionError(node.id, "plan does not cover this node")
-        a = values[node.operands[0]]
-        b = values[node.operands[1]] if len(node.operands) > 1 else None
-        try:
-            out = arith(node.op.value, a, b, x)
-        except ZeroDivisionError:
-            raise GraphExecutionError(node.id, "division by zero")
-        except ValueError as e:
-            raise GraphExecutionError(node.id, str(e))
+            x = input_precision_of(input_precision, nid)
+            out = round_to_precision(Fraction(input_values[nid]), x, params)
+        else:
+            a = values[operands[0]]
+            b = values[operands[1]] if len(operands) > 1 else None
+            if node.op is OpKind.DIV and b.flags is Flag.ZERO:
+                raise GraphExecutionError(nid, "division by zero")
+            if node.op is OpKind.SQRT and a.sign < 0:
+                raise GraphExecutionError(nid, "sqrt of a negative value")
+            fa = floats[operands[0]]
+            fb = floats[operands[1]] if b is not None else None
+            x = choose(node, fa, fb)
+            try:
+                out = arith(node.op.value, a, b, x)
+            except ValueError as e:
+                raise GraphExecutionError(nid, str(e))
         if out.is_saturated:
-            raise GraphExecutionError(node.id, out.flags.value)
-        values[node.id] = out
+            raise GraphExecutionError(nid, out.flags.value)
+        values[nid] = out
+        floats[nid] = fc = _shadow(nid, out)
+        if node.op is OpKind.INPUT:
+            errors[nid] = RelErrorStats(0.0, input_error_variance(x, model))
+            continue
         if out.flags is Flag.ZERO:
             # exact zero result: the relative-error frame is singular, but
             # the value itself is exact and inert downstream
-            degenerate.append(node.id)
-            errors[node.id] = RelErrorStats(0.0, 0.0)
+            degenerate.append(nid)
+            errors[nid] = RelErrorStats(0.0, 0.0)
             continue
-        fa = _as_float(a)
-        fb = _as_float(b) if b is not None else None
-        sa2 = errors[node.operands[0]].variance
-        sb2 = errors[node.operands[1]].variance if len(node.operands) > 1 else None
+        sa2 = errors[operands[0]].variance
+        sb2 = errors[operands[1]].variance if b is not None else None
         if node.op in (OpKind.ADD, OpKind.SUB):
             # same formula as propagate_full_precision, but with the exact
             # computed result as the denominator so float-level operand
             # collisions cannot fake a singular frame
-            fc = _as_float(out)
             sc2 = (fa * fa * sa2 + fb * fb * sb2) / (fc * fc)
         else:
             sc2 = propagate_full_precision(node.op.value, fa, fb, sa2, sb2)
-        errors[node.id] = RelErrorStats(0.0, rounding_variance(sc2, x, model))
+        errors[nid] = RelErrorStats(0.0, rounding_variance(sc2, x, model))
     return ExecutionResult(values, errors, graph.outputs, degenerate)
+
+
+def execute(graph: ExprGraph, plan, input_values: Mapping[int, Fraction],
+            input_precision=53, params: EbfpParams = DEFAULT_PARAMS,
+            model: RoundingModel = DEFAULT_ROUNDING) -> ExecutionResult:
+    """Run the graph under a precision plan (a :class:`PrecisionPlan` or a
+    mapping from node id to bits); see :func:`run`."""
+    assignment = getattr(plan, "assignment", plan)
+
+    def planned(node: ExprNode, a: float, b: Optional[float]) -> int:
+        try:
+            return assignment[node.id]
+        except KeyError:
+            raise GraphExecutionError(node.id, "plan does not cover this node")
+
+    return run(graph, planned, input_values, input_precision, params, model)

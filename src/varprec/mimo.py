@@ -37,9 +37,6 @@ from .optimizer import (
 
 REFERENCE_PRECISION = 64
 CONST_PRECISION = 60
-#: published basic-operation count of the 8x8 precoder, for order-of-
-#: magnitude comparison (the decomposition below differs in detail)
-REFERENCE_ZF_OP_COUNT_8X8 = 20168
 
 
 # ---------------------------------------------------------------------------

@@ -22,19 +22,16 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ebfp import EbfpParams, DEFAULT_PARAMS, arith, decode, round_to_precision
+from .ebfp import EbfpParams, DEFAULT_PARAMS
 from .errormodel import (
-    RelErrorStats,
     RoundingModel,
     DEFAULT_ROUNDING,
     W_LIMIT_VAR,
     input_error_variance,
     ops_per_bit,
-    propagate_full_precision,
-    rounding_variance,
     speculation_factor,
 )
-from .graph import ExecutionResult, ExprGraph, GraphExecutionError, OpKind, input_precision_of
+from .graph import ExecutionResult, ExprGraph, OpKind, run
 
 
 DEFAULT_WEIGHTS = {OpKind.ADD: 1.0, OpKind.SUB: 1.0, OpKind.MUL: 30.0,
@@ -134,15 +131,11 @@ class XoptLut:
         return t[x - self.cfg.x_min] / e
 
 
-def build_xopt_lut(cm: ComplexityModel, cfg: UtilityConfig) -> XoptLut:
-    return XoptLut(cm, cfg)
-
-
 def final_step_precision(graph: ExprGraph, cfg: UtilityConfig,
                          cm: ComplexityModel,
                          lut: XoptLut = None) -> Tuple[Dict[int, int], Dict[int, float]]:
     """Optimal precision and G_sigma seed for every output node."""
-    lut = lut or build_xopt_lut(cm, cfg)
+    lut = lut or XoptLut(cm, cfg)
     xs: Dict[int, int] = {}
     gs: Dict[int, float] = {}
     for oid in graph.outputs:
@@ -163,7 +156,7 @@ def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     the plain one-consumer recursion, and on a DAG it avoids double-counting
     reuse whose error contributions are strongly correlated downstream.
     """
-    lut = build_xopt_lut(cm, cfg)
+    lut = XoptLut(cm, cfg)
     consumers = graph.consumers()
     out_set = set(graph.outputs)
     back = {op: speculation_factor(op.value, "backward", e_b)
@@ -226,10 +219,6 @@ def seed_bit_offset(n_add: int, n_sub: int, n_sqrt: int, e_b: int,
     return round(off) if rounded else off
 
 
-def _exponent(v: float, eps: float) -> int:
-    return math.floor(math.log(abs(v), eps))
-
-
 def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
                input_values: Mapping[int, Fraction], e_b: int = 10,
                input_precision=53, params: EbfpParams = DEFAULT_PARAMS,
@@ -241,66 +230,29 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     from the final-step precision plus a path-length bit offset; interior
     routes advance G_sigma by the forward factor of the node's own kind,
     with the add/sub factor taken from the operand exponents when they
-    differ and computed exactly when they coincide.  Each node executes at
-    its decided precision before any consumer is visited.
+    differ and computed exactly when they coincide.  The decisions are a
+    precision policy for :func:`graph.run`, so each node executes at its
+    decided precision before any consumer is visited.
     """
-    lut = build_xopt_lut(cm, cfg)
+    lut = XoptLut(cm, cfg)
     final_x, _ = final_step_precision(graph, cfg, cm, lut)
     paths = _paths_to_outputs(graph)
     eps = cfg.eps
-
-    def seed_x(nid: int) -> int:
-        p = paths[nid]
-        anchor = final_x.get(p.anchor)
-        if anchor is None:  # anchor not an output (isolated chain); rare
-            anchor = (cfg.x_min + cfg.x_max) // 2
-        off = seed_bit_offset(p.n_add, p.n_sub, p.n_sqrt, e_b)
-        return int(min(cfg.x_max, max(cfg.x_min, anchor + off)))
+    gsig: Dict[int, float] = {}
+    assignment: Dict[int, int] = {}
 
     def seed_g(nid: int, op) -> float:
         # anchor rho shifted by the unrounded path offset in G-space
         p = paths[nid]
         anchor = final_x.get(p.anchor)
-        if anchor is None:
+        if anchor is None:  # anchor not an output (isolated chain); rare
             anchor = (cfg.x_min + cfg.x_max) // 2
         off = seed_bit_offset(p.n_add, p.n_sub, p.n_sqrt, e_b, rounded=False)
         rho = lut.reverse(anchor, op) * float(eps) ** (2.0 * off)
         return -cfg.alpha * rho
 
-    if input_precision is None:
-        # store each input at the seed precision of its deepest consumer:
-        # the storage an adaptive pipeline would have produced it at
-        consumers = graph.consumers()
-        input_precision = {
-            nid: max((seed_x(c) for c in consumers[nid]), default=cfg.x_max)
-            for nid in graph.inputs
-        }
-
-    values: Dict[int, object] = {}
-    floats: Dict[int, float] = {}
-    errors: Dict[int, RelErrorStats] = {}
-    gsig: Dict[int, float] = {}
-    assignment: Dict[int, int] = {}
-    degenerate: List[int] = []
-
-    for node in graph.nodes:
-        if node.op is OpKind.INPUT:
-            x_in = input_precision_of(input_precision, node.id)
-            v = Fraction(input_values[node.id])
-            values[node.id] = round_to_precision(v, x_in, params)
-            floats[node.id] = float(v)
-            errors[node.id] = RelErrorStats(0.0, input_error_variance(x_in, model))
-            continue
-
+    def choose(node, va: float, vb: Optional[float]) -> int:
         op = node.op
-        ops_ids = node.operands
-        va = floats[ops_ids[0]]
-        vb = floats[ops_ids[1]] if len(ops_ids) > 1 else None
-
-        if op is OpKind.DIV and vb == 0:
-            raise GraphExecutionError(node.id, "division by zero")
-        if op is OpKind.SQRT and va < 0:
-            raise GraphExecutionError(node.id, "sqrt of negative value")
         if op is OpKind.ADD:
             vc = va + vb
         elif op is OpKind.SUB:
@@ -331,8 +283,7 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
                 return min(1.0, (operand_value / vc) ** 2)
 
             routes: List[Tuple[float, float]] = []  # (proposal, merge weight)
-            for oid in ops_ids:
-                v_op = floats[oid]
+            for oid, v_op in zip(node.operands, (va, vb)):
                 if op in (OpKind.ADD, OpKind.SUB):
                     weight = abs(v_op)
                     if weight == 0:
@@ -361,33 +312,9 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
 
         gsig[node.id] = g_store
         assignment[node.id] = x
+        return x
 
-        a = values[ops_ids[0]]
-        b = values[ops_ids[1]] if len(ops_ids) > 1 else None
-        try:
-            out = arith(op.value, a, b, x)
-        except (ZeroDivisionError, ValueError) as e:
-            raise GraphExecutionError(node.id, str(e))
-        if out.is_saturated:
-            raise GraphExecutionError(node.id, out.flags.value)
-        values[node.id] = out
-        fr = decode(out)
-        fc = fr.numerator / fr.denominator if abs(fr.numerator) < 2 ** 60 and fr.denominator < 2 ** 60 else float(fr)
-        floats[node.id] = fc
-
-        if fc == 0:
-            degenerate.append(node.id)
-            errors[node.id] = RelErrorStats(0.0, 0.0)
-            continue
-        sa2 = errors[ops_ids[0]].variance
-        sb2 = errors[ops_ids[1]].variance if len(ops_ids) > 1 else None
-        if op in (OpKind.ADD, OpKind.SUB):
-            sc2 = (va * va * sa2 + vb * vb * sb2) / (fc * fc)
-        else:
-            sc2 = propagate_full_precision(op.value, va, vb, sa2, sb2)
-        errors[node.id] = RelErrorStats(0.0, rounding_variance(sc2, x, model))
-
-    result = ExecutionResult(values, errors, graph.outputs, degenerate)
+    result = run(graph, choose, input_values, input_precision, params, model)
     return result, PrecisionPlan(assignment, "online", gsig)
 
 
@@ -422,38 +349,12 @@ def plan_metrics(graph: ExprGraph, plan, cm: ComplexityModel) -> Tuple[float, fl
     return (total / wsum if wsum else 0.0), total
 
 
-def modeled_utility(graph: ExprGraph, plan, cfg: UtilityConfig,
-                    cm: ComplexityModel, e_b: int = 10,
-                    input_precision: int = 53) -> float:
-    """Expected-utility objective the offline planner optimizes: output
-    error variances propagated with expectation backward factors, plus the
-    weighted complexity total."""
-    assignment = getattr(plan, "assignment", plan)
-    back = {op: speculation_factor(op.value, "backward", e_b)
-            for op in DEFAULT_WEIGHTS}
-    var: Dict[int, float] = {}
-    cost = 0.0
-    in_var = input_error_variance(input_precision)
-    for node in graph.nodes:
-        if node.op is OpKind.INPUT:
-            var[node.id] = in_var
-            continue
-        x = assignment[node.id]
-        f = back[node.op]
-        if node.op is OpKind.SQRT:
-            sc2 = f * var[node.operands[0]]
-        else:
-            sc2 = f * (var[node.operands[0]] + var[node.operands[1]])
-        var[node.id] = rounding_variance(sc2, x, RoundingModel(cfg.eps))
-        cost += cm.cost(node.op, x)
-    err = sum(cfg.beta(oid) * var[oid] for oid in graph.outputs)
-    return err + cfg.alpha * cost
-
-
 def modeled_utility_batch(graph: ExprGraph, plans: np.ndarray, node_order: Sequence[int],
                           cfg: UtilityConfig, cm: ComplexityModel, e_b: int = 10,
                           input_precision: int = 53) -> np.ndarray:
-    """Vectorized :func:`modeled_utility` over many plans at once.
+    """Expected-utility objective the offline planner optimizes, for many
+    plans at once: output error variances propagated with expectation
+    backward factors, plus the weighted complexity total.
 
     ``plans`` has shape (n_plans, len(node_order)); column j is the
     precision of node ``node_order[j]``.

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from varprec.errormodel import (
     REFERENCE_OPS_PER_BIT,
     SingularOperationError,
-    SpeculationTable,
     W_LIMIT_VAR,
     input_error_variance,
     montecarlo_arith_variance,
@@ -158,9 +157,10 @@ class TestSpeculation:
 
     def test_forward_backward_straddle(self):
         for e_b in (5, 8, 11):
-            t = SpeculationTable(e_b)
-            assert t.forward["add"] > 1 > t.backward["add"]
-            assert t.forward["sub"] < 1 < t.backward["sub"]
+            assert speculation_factor("add", "forward", e_b) > 1 > \
+                speculation_factor("add", "backward", e_b)
+            assert speculation_factor("sub", "forward", e_b) < 1 < \
+                speculation_factor("sub", "backward", e_b)
 
     def test_sqrt_forward_inverse(self):
         assert speculation_factor("sqrt", "forward", 10) == 4.0

@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from varprec.ebfp import decode, encode
+from varprec.ebfp import EbfpParams, decode, encode, round_to_precision
 from varprec.graph import (
     ExprGraph,
     GraphExecutionError,
     OpKind,
     execute,
+    run,
     topo_stats,
 )
 from varprec.errormodel import input_error_variance, propagate_full_precision, rounding_variance
@@ -254,3 +256,49 @@ class TestProperties:
         # per-instance operands differ from the model's expectations for
         # add/sub, so a statistical envelope: most graphs must fall inside
         assert hits >= 0.6 * total
+
+
+class _Shadow(Exception):
+    """Carries the operand float that run hands to a precision policy."""
+
+
+def _report_shadow(node, a, b):
+    raise _Shadow(a)
+
+
+class TestRun:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_shadow_is_float_of_stored_value(self, data):
+        # the float run hands a policy equals float(decode(v)) on float's
+        # normal range; a stored value outside it fails the input node
+        f = data.draw(st.sampled_from((1, 4, 8)), "F")
+        e = data.draw(st.integers(4, 16), "E")
+        x = data.draw(st.integers(1, 64), "x")
+        params = EbfpParams(f, e, 80)
+        lo, hi = params.min_block_exp * f, params.max_block_exp * f
+        # binades on either side of float's smallest normal and its overflow
+        edges = [t for t in (-1022, -1021, 1024, 1025) if lo <= t <= hi]
+        top = data.draw(st.integers(lo, hi) | st.sampled_from(edges or [0]), "top")
+        m = data.draw(st.integers(1, 2 ** 70), "m")
+        sign = data.draw(st.sampled_from((1, -1)), "sign")
+        v = sign * Fraction(m) * Fraction(2) ** (top - m.bit_length())
+        stored = round_to_precision(v, x, params)
+        assume(not stored.is_saturated)
+        exact = decode(stored)
+        try:
+            want = float(exact)
+        except OverflowError:
+            want = None
+        g = ExprGraph()
+        a = g.add_input()
+        g.record("mul", [a, a])
+        if want is not None and abs(exact) >= Fraction(2) ** -1022:
+            with pytest.raises(_Shadow) as got:
+                run(g, _report_shadow, {a: v}, x, params)
+            assert got.value.args[0] == want
+        else:
+            with pytest.raises(GraphExecutionError) as err:
+                run(g, _report_shadow, {a: v}, x, params)
+            assert err.value.node_id == a
+            assert "float range" in err.value.reason

@@ -8,15 +8,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from varprec.graph import ExprGraph, OpKind
+from varprec.ebfp import EbfpParams
+from varprec.graph import ExprGraph, GraphExecutionError, OpKind, execute
+from varprec.mimo import ChannelMatrix, build_zf_graph, gen_channel
 from varprec.optimizer import (
     ComplexityModel,
     PrecisionPlan,
     UtilityConfig,
-    build_xopt_lut,
+    XoptLut,
     final_step_precision,
     fixed_plan,
-    modeled_utility,
     modeled_utility_batch,
     offline_vpc,
     online_vpc,
@@ -63,12 +64,12 @@ def random_tree_graph(rng, n_ops):
 
 class TestLut:
     def test_clamps(self):
-        lut = build_xopt_lut(CM, CFG)
+        lut = XoptLut(CM, CFG)
         assert lut.lookup(0.0, "mul") == CFG.x_min
         assert lut.lookup(1e300, "mul") == CFG.x_max
 
     def test_monotone_and_unit_step(self):
-        lut = build_xopt_lut(CM, CFG)
+        lut = XoptLut(CM, CFG)
         for op in ("add", "mul", "sqrt"):
             rhos = np.geomspace(1e-2, 1e30, 200)
             xs = [lut.lookup(r, op) for r in rhos]
@@ -78,7 +79,7 @@ class TestLut:
             assert lut.lookup(base * CFG.eps ** 2, op) == x0 + 1
 
     def test_reverse_is_consistent(self):
-        lut = build_xopt_lut(CM, CFG)
+        lut = XoptLut(CM, CFG)
         for op in ("add", "sub", "mul", "div", "sqrt"):
             for x in (CFG.x_min, 11, 37, CFG.x_max):
                 assert lut.lookup(lut.reverse(x, op), op) == x
@@ -86,7 +87,7 @@ class TestLut:
     def test_threshold_tracks_continuous_stationary_point(self):
         # scanning the discrete per-node utility confirms the tabulated
         # transition: U(x) = rho * eps^(-2x) / (2 ln eps) + w * x
-        lut = build_xopt_lut(CM, CFG)
+        lut = XoptLut(CM, CFG)
         e = CFG.eps
         for op, w in ((OpKind.ADD, 1.0), (OpKind.MUL, 30.0)):
             for xt in (9, 20):
@@ -121,13 +122,13 @@ class TestFinalStep:
         g = ExprGraph()
         a, b = g.add_input(), g.add_input()
         m = g.record("mul", [a, b])
-        lut = build_xopt_lut(CM, CFG)
+        lut = XoptLut(CM, CFG)
         rho12 = lut.reverse(12, "mul")
         cfg = UtilityConfig(alpha=CFG.gsigma_unit / rho12)
         xs, _ = final_step_precision(g, cfg, CM)
         assert xs[m] == 12
-        best = min(range(4, 65), key=lambda x: modeled_utility(
-            g, {m: x}, cfg, CM))
+        xs = np.arange(4, 65)
+        best = xs[int(np.argmin(modeled_utility_batch(g, xs[:, None], [m], cfg, CM)))]
         assert abs(best - 12) <= 1
 
 
@@ -210,14 +211,14 @@ class TestOffline:
             g = random_tree_graph(rng, int(rng.integers(2, 7)))
             cfg = UtilityConfig(alpha=10.0 ** rng.uniform(-9, -4), x_min=4, x_max=12)
             off = offline_vpc(g, cfg, CM)
-            u_off = modeled_utility(g, off, cfg, CM)
             nids = g.non_input_ids()
+            x_off = np.array([off.assignment[nid] for nid in nids])
+            u_off = modeled_utility_batch(g, x_off[None, :], nids, cfg, CM)[0]
             grid = np.array(list(itertools.product(range(4, 13), repeat=len(nids))))
             u_best = modeled_utility_batch(g, grid, nids, cfg, CM).min()
-            dq = max(abs(modeled_utility(
-                g, {**off.assignment, nid: min(12, max(4, off.assignment[nid] + d))},
-                cfg, CM) - u_off)
-                for nid in nids for d in (-1, 1))
+            steps = np.array([np.clip(x_off + d * (np.arange(len(nids)) == j), 4, 12)
+                              for j in range(len(nids)) for d in (-1, 1)])
+            dq = np.abs(modeled_utility_batch(g, steps, nids, cfg, CM) - u_off).max()
             assert u_off - u_best <= dq + 1e-18
 
 
@@ -260,7 +261,7 @@ class TestOnline:
         m2 = g.record("mul", [small, small])
         s = g.record("add", [m1, m2])
         _, on = online_vpc(g, CFG, CM, {big: Fraction(2 ** 12), small: Fraction(1, 2 ** 12)})
-        lut = build_xopt_lut(CM, CFG)
+        lut = XoptLut(CM, CFG)
         dominant_route_x = lut.lookup(-on.gsigma[m1] / CFG.alpha, "add")
         assert abs(on.assignment[s] - dominant_route_x) <= 1
 
@@ -283,6 +284,55 @@ class TestOnline:
         d = g.record("mul", [s, s])
         _, on = online_vpc(g, CFG, CM, {xs[0]: Fraction(3, 2), xs[1]: Fraction(5, 4)})
         assert on.assignment[s] >= on.assignment[m1]
+
+
+class TestOneExecutor:
+    """The offline and online policies share one executor: replaying an
+    online plan through execute reproduces the online run exactly."""
+
+    def test_online_plan_replays_bit_for_bit(self):
+        zfg = build_zf_graph(4, 4)
+        ip = zfg.input_precisions()
+        for seed in range(3):
+            vals = zfg.input_values(gen_channel(np.random.default_rng(seed), 4, 4))
+            for alpha in (1e-13, 1e-9, 1e-5):
+                res, plan = online_vpc(zfg.graph, UtilityConfig(alpha=alpha), CM,
+                                       vals, 10, ip)
+                again = execute(zfg.graph, plan, vals, ip)
+                assert again.values == res.values
+                assert again.errors == res.errors
+                assert again.degenerate_zero == res.degenerate_zero
+
+    def test_replay_with_input_rounded_at_storage(self):
+        # 1/3 is not representable at 20 bits: both policies see the
+        # stored value, not the exact input
+        g = ExprGraph()
+        a, b = g.add_input(), g.add_input()
+        g.record("add", [a, b])
+        vals = {a: Fraction(1, 3), b: Fraction(3, 4)}
+        res, plan = online_vpc(g, CFG, CM, vals, 10, 20)
+        again = execute(g, plan, vals, 20)
+        assert again.values == res.values
+        assert again.errors == res.errors
+
+    @pytest.mark.parametrize("shift", [600, -600])
+    def test_float_range_failure_names_node(self, shift):
+        # the 4x4 Gram entries of a channel scaled by 2**shift sit at
+        # 2**(2*shift): inside the eBFP range of E=13, outside float's
+        zfg = build_zf_graph(4, 4)
+        h = gen_channel(np.random.default_rng(600), 4, 4)
+        c = Fraction(2) ** shift
+        scaled = ChannelMatrix(tuple(tuple(v * c for v in row) for row in h.re),
+                               tuple(tuple(v * c for v in row) for row in h.im))
+        vals, ip, wide = zfg.input_values(scaled), zfg.input_precisions(), EbfpParams(1, 13, 80)
+        with pytest.raises(GraphExecutionError) as ex:
+            execute(zfg.graph, fixed_plan(zfg.graph, 24), vals, ip, wide)
+        with pytest.raises(GraphExecutionError) as on:
+            online_vpc(zfg.graph, CFG, CM, vals, 10, ip, wide)
+        assert ex.value.node_id == on.value.node_id
+        assert zfg.graph.nodes[ex.value.node_id].op is not OpKind.INPUT
+        assert "float range" in ex.value.reason
+        assert "float range" in on.value.reason
 
 
 class TestPlans:
