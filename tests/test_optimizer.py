@@ -127,8 +127,8 @@ class TestFinalStep:
         cfg = UtilityConfig(alpha=CFG.gsigma_unit / rho12)
         xs, _ = final_step_precision(g, cfg, CM)
         assert xs[m] == 12
-        xs = np.arange(4, 65)
-        best = xs[int(np.argmin(modeled_utility_batch(g, xs[:, None], [m], cfg, CM)))]
+        scan = np.arange(4, 65)
+        best = scan[int(np.argmin(modeled_utility_batch(g, scan[:, None], [m], cfg, CM)))]
         assert abs(best - 12) <= 1
 
 
