@@ -26,7 +26,16 @@ from .errormodel import (
     propagate_full_precision,
     w_moments,
 )
-from .mimo import SimConfig, build_zf_graph, calibrate_alpha, gen_channel, pareto_sweep, precision_histogram
+from .mimo import (
+    SimConfig,
+    build_zf_graph,
+    calibrate_alpha,
+    gen_channel,
+    pareto_sweep,
+    precision_histogram,
+    sweep_cell,
+    sweep_inputs,
+)
 from .optimizer import ComplexityModel, UtilityConfig, online_vpc, plan_metrics, plan_to_csv
 
 #: printed storage-format reference rows: (label, n_blocks, total, exponent,
@@ -181,9 +190,12 @@ def sim_config_from_args(args) -> SimConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _run_cell(cfg_dict: dict) -> list:
+def _run_cell(cell: tuple) -> list:
+    """One (config, scheme, target index) cell of the sweep, in a pool
+    worker: the same point the serial sweep computes for it."""
+    cfg_dict, scheme, ti = cell
     cfg = SimConfig(**cfg_dict)
-    return pareto_sweep(cfg)
+    return [sweep_cell(cfg, ComplexityModel(), sweep_inputs(cfg), scheme, ti)]
 
 
 def cmd_pareto(args) -> int:
@@ -192,8 +204,8 @@ def cmd_pareto(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     threads = int(os.environ.get("VARPREC_THREADS", "1"))
     if threads > 1:
-        cells = [asdict(replace(cfg, schemes=(s,), sweep=(t,)))
-                 for s in cfg.schemes for t in cfg.sweep]
+        cells = [(asdict(cfg), s, ti)
+                 for s in cfg.schemes for ti in range(len(cfg.sweep))]
         points = []
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             for res in pool.map(_run_cell, cells):

@@ -95,7 +95,7 @@ class EbfpNumber:
 
     def to_fraction(self) -> Fraction:
         """Exact decoded value; saturated numbers have none."""
-        return decode(self, self.params)
+        return decode(self)
 
     def __repr__(self):
         if self.flags is Flag.ZERO:
@@ -221,15 +221,13 @@ def encode(value, params: EbfpParams = DEFAULT_PARAMS, n_blocks: int = None) -> 
     return _build(sign, m, e_sci, params, n_blocks)
 
 
-def decode(n: EbfpNumber, params: EbfpParams = None) -> Fraction:
+def decode(n: EbfpNumber) -> Fraction:
     """Exact rational value of a normal or zero eBFP number."""
-    params = params or n.params
     if n.flags is Flag.ZERO:
         return Fraction(0)
     if n.is_saturated:
         raise ValueError(f"cannot decode a {n.flags.value} value")
-    f = params.block_bits
-    e2 = (n.block_exp - n.n_blocks) * f
+    e2 = (n.block_exp - n.n_blocks) * n.params.block_bits
     return Fraction(n.sign * n.field, 1) * Fraction(2) ** e2
 
 

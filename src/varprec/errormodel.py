@@ -4,7 +4,7 @@ Two stages make up the error of one finite-precision operation: the
 full-precision stage transforms the operands' relative-error variances into
 the result's pre-rounding variance, and the rounding stage adds the error of
 storing at x fraction bits.  The rounding error is written E = r(x)·W with
-r(x) = eps**(-x-1), so everything about rounding reduces to the moments of
+r(x) = EPS**(-x-1), so everything about rounding reduces to the moments of
 the normalized variable W.
 """
 
@@ -14,6 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+#: storage base of the rounding law: eBFP is binary, and every rounding
+#: variance and planner threshold is derived from this one constant
+EPS = 2.0
 
 #: limiting variance of the normalized rounding error W (binary storage)
 W_LIMIT_VAR = 1.0 / 6.0
@@ -48,19 +52,6 @@ class RelErrorStats:
             raise ValueError("variance must be nonnegative")
 
 
-@dataclass(frozen=True)
-class RoundingModel:
-    """Rounding-error law E = r(x)*W for storage base eps."""
-
-    eps: float = 2.0
-
-    def r(self, x) -> float:
-        return float(self.eps) ** (-(x + 1))
-
-
-DEFAULT_ROUNDING = RoundingModel()
-
-
 def propagate_full_precision(op: str, a: float, b: float = None,
                              sa2: float = 0.0, sb2: float = None) -> float:
     """Variance of the relative error after the exact (pre-rounding) stage.
@@ -85,15 +76,14 @@ def propagate_full_precision(op: str, a: float, b: float = None,
     raise ValueError(f"unknown op {op!r}")
 
 
-def rounding_variance(sc2: float, x, model: RoundingModel = DEFAULT_ROUNDING,
-                      exact: bool = False, w_var: float = None,
+def rounding_variance(sc2: float, x, exact: bool = False, w_var: float = None,
                       w_mean: float = None) -> float:
     """Post-rounding relative-error variance at precision x.
 
     The exact form keeps the E[W] cross terms; the default approximation
     drops them, which is tight once the precision is more than a few bits.
     """
-    r = model.r(x)
+    r = EPS ** (-(x + 1))
     wv = W_LIMIT_VAR if w_var is None else w_var
     if exact:
         wm = W_LIMIT_MEAN if w_mean is None else w_mean
@@ -101,20 +91,19 @@ def rounding_variance(sc2: float, x, model: RoundingModel = DEFAULT_ROUNDING,
     return (1.0 + r * r * wv) * sc2 + r * r * wv
 
 
-def input_error_variance(x_in: int, model: RoundingModel = DEFAULT_ROUNDING,
-                         w_var: float = None) -> float:
+def input_error_variance(x_in: int, w_var: float = None) -> float:
     """Pure-storage error variance of an initial operand held at x_in bits."""
     if x_in < 1:
         raise ValueError("x_in must be >= 1")
-    return rounding_variance(0.0, x_in, model, w_var=w_var)
+    return rounding_variance(0.0, x_in, w_var=w_var)
 
 
-def w_pdf(w, x: int = None) -> float:
+def w_pdf(w) -> float:
     """Density of the normalized rounding error W.
 
-    Closed form is the high-precision limit (independent of x): a plateau of
-    3/4 on |w| <= 1/2 and algebraic tails on 1/2 < |w| <= 1, symmetric in w.
-    For finite x use :func:`w_moments` (Monte Carlo) instead.
+    Closed form is the high-precision limit, the same at every precision:
+    a plateau of 3/4 on |w| <= 1/2 and algebraic tails on 1/2 < |w| <= 1,
+    symmetric in w.  For finite x use :func:`w_moments` (Monte Carlo) instead.
     """
     a = abs(w)
     if a > 1.0:
@@ -139,8 +128,7 @@ def w_pdf_second_moment() -> float:
     return plateau + tails
 
 
-def w_moments(x: int, eps: float = 2.0, samples: int = 1_000_000,
-              seed: int = 2024) -> RelErrorStats:
+def w_moments(x: int, samples: int = 1_000_000, seed: int = 2024) -> RelErrorStats:
     """Monte Carlo moments of W at finite precision x.
 
     Significands are drawn uniformly over one binade and rounded to the
@@ -149,10 +137,10 @@ def w_moments(x: int, eps: float = 2.0, samples: int = 1_000_000,
     if x < 1:
         raise ValueError("x must be >= 1")
     rng = np.random.default_rng(seed)
-    step = float(eps) ** (-x)
-    X = rng.uniform(1.0, eps, samples)
+    step = EPS ** (-x)
+    X = rng.uniform(1.0, EPS, samples)
     R = np.round(X / step) * step
-    W = (X - R) / X / (float(eps) ** (-(x + 1)))
+    W = (X - R) / X / (EPS ** (-(x + 1)))
     return RelErrorStats(float(W.mean()), float(W.var()))
 
 
@@ -163,7 +151,7 @@ def speculation_factor(op: str, direction: str, e_b: int) -> float:
     operand to its consumer; ``backward`` factors apply on the reverse sweep
     from a result to its operands.  Addition and subtraction straddle 1 in
     opposite directions; mul/div are neutral and sqrt is exactly one
-    eps**2-step.
+    EPS**2-step.
     """
     if e_b < 2:
         raise ValueError("e_b must be >= 2")
@@ -191,9 +179,9 @@ def speculation_factor(op: str, direction: str, e_b: int) -> float:
     raise ValueError(f"unknown op {op!r}")
 
 
-def ops_per_bit(op: str, e_b: int, eps: float = 2.0) -> int:
+def ops_per_bit(op: str, e_b: int) -> int:
     """Expected number of add/sub hops per one-bit change of the optimal
-    precision: ln(eps^2) / |ln(factor)|, rounded to nearest.
+    precision: ln(EPS^2) / |ln(factor)|, rounded to nearest.
 
     Addition uses its forward expectation and subtraction its backward one;
     that pairing is the one consistent with the published counts.
@@ -204,7 +192,7 @@ def ops_per_bit(op: str, e_b: int, eps: float = 2.0) -> int:
         f = speculation_factor("sub", "backward", e_b)
     else:
         raise ValueError("ops_per_bit is defined for add and sub")
-    return round(math.log(eps * eps) / abs(math.log(f)))
+    return round(math.log(EPS * EPS) / abs(math.log(f)))
 
 
 def montecarlo_arith_variance(op: str, a: float, b: float = None,

@@ -23,8 +23,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from .ebfp import EbfpNumber, EbfpParams, DEFAULT_PARAMS, Flag, arith, decode, round_to_precision
 from .errormodel import (
     RelErrorStats,
-    RoundingModel,
-    DEFAULT_ROUNDING,
     input_error_variance,
     propagate_full_precision,
     rounding_variance,
@@ -166,15 +164,14 @@ def topo_stats(graph: ExprGraph) -> TopoStats:
 @dataclass
 class ExecutionResult:
     values: Dict[int, EbfpNumber]
+    #: each node's value as a float, equal to ``float(decode(values[i]))``
+    floats: Dict[int, float]
     errors: Dict[int, RelErrorStats]
     output_ids: List[int]
     #: nodes whose value is exactly zero, where the relative-error frame is
     #: degenerate (variance recorded as 0; the exact zero value contributes
     #: nothing to any downstream variance)
     degenerate_zero: List[int] = field(default_factory=list)
-
-    def output_values(self) -> List[EbfpNumber]:
-        return [self.values[i] for i in self.output_ids]
 
     def output_fractions(self) -> List[Fraction]:
         return [decode(self.values[i]) for i in self.output_ids]
@@ -204,8 +201,7 @@ def input_precision_of(input_precision, node_id: int) -> int:
 
 def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], int],
         input_values: Mapping[int, Fraction], input_precision=53,
-        params: EbfpParams = DEFAULT_PARAMS,
-        model: RoundingModel = DEFAULT_ROUNDING) -> ExecutionResult:
+        params: EbfpParams = DEFAULT_PARAMS) -> ExecutionResult:
     """Run the graph, asking ``choose(node, a, b)`` for each operation's
     precision, where ``a`` and ``b`` are the float values of its stored
     operands (``b`` is None for sqrt).
@@ -214,9 +210,10 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
     mapping from input id to bits) and given the corresponding pure-storage
     error variance; every interior node is computed by exact-then-round
     arithmetic at its chosen precision, and its error variance follows the
-    two-stage model.  Division by an eBFP zero, the square root of a
-    negative value, saturation and values outside float's normal range are
-    reported with the offending node id.
+    two-stage model.  An input precision the geometry cannot hold, division
+    by an eBFP zero, the square root of a negative value, saturation and
+    values outside float's normal range are reported with the offending node
+    id.
     """
     values: Dict[int, EbfpNumber] = {}
     floats: Dict[int, float] = {}
@@ -226,7 +223,10 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
         nid, operands = node.id, node.operands
         if node.op is OpKind.INPUT:
             x = input_precision_of(input_precision, nid)
-            out = round_to_precision(Fraction(input_values[nid]), x, params)
+            try:
+                out = round_to_precision(Fraction(input_values[nid]), x, params)
+            except ValueError as e:
+                raise GraphExecutionError(nid, str(e))
         else:
             a = values[operands[0]]
             b = values[operands[1]] if len(operands) > 1 else None
@@ -246,7 +246,7 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
         values[nid] = out
         floats[nid] = fc = _shadow(nid, out)
         if node.op is OpKind.INPUT:
-            errors[nid] = RelErrorStats(0.0, input_error_variance(x, model))
+            errors[nid] = RelErrorStats(0.0, input_error_variance(x))
             continue
         if out.flags is Flag.ZERO:
             # exact zero result: the relative-error frame is singular, but
@@ -259,17 +259,17 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
         if node.op in (OpKind.ADD, OpKind.SUB):
             # same formula as propagate_full_precision, but with the exact
             # computed result as the denominator so float-level operand
-            # collisions cannot fake a singular frame
-            sc2 = (fa * fa * sa2 + fb * fb * sb2) / (fc * fc)
+            # collisions cannot fake a singular frame, and with each operand
+            # divided by it before squaring so that no square overflows
+            sc2 = (fa / fc) ** 2 * sa2 + (fb / fc) ** 2 * sb2
         else:
             sc2 = propagate_full_precision(node.op.value, fa, fb, sa2, sb2)
-        errors[nid] = RelErrorStats(0.0, rounding_variance(sc2, x, model))
-    return ExecutionResult(values, errors, graph.outputs, degenerate)
+        errors[nid] = RelErrorStats(0.0, rounding_variance(sc2, x))
+    return ExecutionResult(values, floats, errors, graph.outputs, degenerate)
 
 
 def execute(graph: ExprGraph, plan, input_values: Mapping[int, Fraction],
-            input_precision=53, params: EbfpParams = DEFAULT_PARAMS,
-            model: RoundingModel = DEFAULT_ROUNDING) -> ExecutionResult:
+            input_precision=53, params: EbfpParams = DEFAULT_PARAMS) -> ExecutionResult:
     """Run the graph under a precision plan (a :class:`PrecisionPlan` or a
     mapping from node id to bits); see :func:`run`."""
     assignment = getattr(plan, "assignment", plan)
@@ -280,4 +280,4 @@ def execute(graph: ExprGraph, plan, input_values: Mapping[int, Fraction],
         except KeyError:
             raise GraphExecutionError(node.id, "plan does not cover this node")
 
-    return run(graph, planned, input_values, input_precision, params, model)
+    return run(graph, planned, input_values, input_precision, params)

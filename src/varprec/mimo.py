@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ebfp import EbfpParams, DEFAULT_PARAMS, decode
 from .graph import ExecutionResult, ExprGraph, GraphExecutionError, execute
 from .optimizer import (
     ComplexityModel,
@@ -213,7 +212,7 @@ class ZfGraph:
         def val(r: Ref) -> float:
             if r.is_zero:
                 return 0.0
-            return r.sign * float(decode(result.values[r.node]))
+            return r.sign * result.floats[r.node]
         return complex(val(ref.re), val(ref.im))
 
     def matrix(self, result: ExecutionResult, refs: List[List[CRef]]) -> np.ndarray:
@@ -303,8 +302,7 @@ def build_zf_graph(k_users: int, n_t: int) -> ZfGraph:
     return ZfGraph(g, k_users, n_t, h, [list(r) for r in gram], ginv, w, em._one)
 
 
-def zf_reference(h: ChannelMatrix, zfg: ZfGraph = None,
-                 params: EbfpParams = DEFAULT_PARAMS) -> Tuple[np.ndarray, ExecutionResult, ZfGraph]:
+def zf_reference(h: ChannelMatrix, zfg: ZfGraph = None) -> Tuple[np.ndarray, ExecutionResult, ZfGraph]:
     """Precoder at reference precision (fixed 64-bit plan); warns on badly
     conditioned channels."""
     zfg = zfg or build_zf_graph(h.k_users, h.n_t)
@@ -313,7 +311,7 @@ def zf_reference(h: ChannelMatrix, zfg: ZfGraph = None,
     if cond > 1e9:
         warnings.warn(f"Gram condition number {cond:.3e}; reference precoder may be inaccurate")
     plan = fixed_plan(zfg.graph, REFERENCE_PRECISION)
-    res = execute(zfg.graph, plan, zfg.input_values(h), zfg.input_precisions(), params)
+    res = execute(zfg.graph, plan, zfg.input_values(h), zfg.input_precisions())
     return zfg.w_matrix(res), res, zfg
 
 
@@ -337,18 +335,19 @@ def _normalize_columns(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def sum_rate(h: np.ndarray, w: np.ndarray, snr_db: float, total_power: float = 1.0) -> float:
-    """Sum rate with unit-norm precoder columns and an equal power split.
+def sum_rate(h: np.ndarray, w: np.ndarray, snr_db: float) -> float:
+    """Sum rate with unit-norm precoder columns and an equal split of unit
+    total transmit power P.
 
     SINR_k = (P/K)|h_k w_k|^2 / (sum_{j!=k} (P/K)|h_k w_j|^2 + noise), with
-    the noise power set by the total-transmit-power to noise ratio.
+    the noise power set by the signal-to-noise ratio P/noise.
     """
     k_users = h.shape[0]
     wn = _normalize_columns(w)
     if not np.isfinite(wn).all():
         return 0.0
-    noise = total_power * 10.0 ** (-snr_db / 10.0)
-    p_user = total_power / k_users
+    noise = 10.0 ** (-snr_db / 10.0)
+    p_user = 1.0 / k_users
     gains = np.abs(h @ wn) ** 2  # [k_user, k_stream]
     rate = 0.0
     for k in range(k_users):
@@ -358,22 +357,19 @@ def sum_rate(h: np.ndarray, w: np.ndarray, snr_db: float, total_power: float = 1
     return rate
 
 
-QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
-
-
 def ber_sim(h: np.ndarray, w: np.ndarray, snr_db: float, n_symbols: int,
-            rng: np.random.Generator, w_ref: np.ndarray = None,
-            total_power: float = 1.0) -> float:
-    """QPSK bit error rate of precoding with ``w``.
+            rng: np.random.Generator, w_ref: np.ndarray = None) -> float:
+    """QPSK bit error rate of precoding with ``w`` at unit total transmit
+    power.
 
     Precoded transmission uses the computed (variable-precision) precoder;
     the channel and detection run at reference precision, with each user
     equalized by the reference effective gain.
     """
     k_users = h.shape[0]
-    wn = _normalize_columns(w) * math.sqrt(total_power / k_users)
-    wr = _normalize_columns(w_ref if w_ref is not None else w) * math.sqrt(total_power / k_users)
-    noise_var = total_power * 10.0 ** (-snr_db / 10.0)
+    wn = _normalize_columns(w) * math.sqrt(1.0 / k_users)
+    wr = _normalize_columns(w_ref if w_ref is not None else w) * math.sqrt(1.0 / k_users)
+    noise_var = 10.0 ** (-snr_db / 10.0)
 
     bits = rng.integers(0, 2, (2 * k_users, n_symbols))
     sym = ((1 - 2 * bits[0::2]) + 1j * (1 - 2 * bits[1::2])) / math.sqrt(2.0)
@@ -415,7 +411,6 @@ class SimConfig:
     x_max: int = 64
     e_b: int = 10
     storage_bits: int = 53
-    alpha_tol_bits: float = 0.25
     ber_symbols: int = 0
 
     def __post_init__(self):
@@ -445,21 +440,22 @@ class SweepPoint:
 
 
 def calibrate_alpha(avg_of_alpha: Callable[[float], float], target: float,
-                    tol: float = 0.25, lo: float = 1e-20, hi: float = 1e4,
-                    max_iter: int = 60) -> float:
-    """Bisection on log(alpha): the average precision falls as alpha grows.
+                    tol: float = 0.25) -> float:
+    """Bisection on log(alpha) over [1e-20, 1e4], at most 60 steps: the
+    average precision falls as alpha grows.
 
     Matches from above: accepts a realized average in [target, target+tol],
     so an adaptive plan is never cheaper than the fixed plan it is paired
     with at the same nominal point.
     """
+    lo, hi = 1e-20, 1e4
     f_lo, f_hi = avg_of_alpha(lo), avg_of_alpha(hi)
     if target >= f_lo:
         return lo
     if target <= f_hi:
         return hi
     best = None
-    for _ in range(max_iter):
+    for _ in range(60):
         mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
         f_mid = avg_of_alpha(mid)
         if target <= f_mid <= target + tol:
@@ -476,6 +472,116 @@ def _plan_cfg(cfg: SimConfig, alpha: float) -> UtilityConfig:
     return UtilityConfig(alpha=alpha, x_min=cfg.x_min, x_max=cfg.x_max)
 
 
+SweepInputs = Tuple[ZfGraph, List[ChannelMatrix], List[np.ndarray]]
+
+
+def sweep_inputs(cfg: SimConfig) -> SweepInputs:
+    """What every cell of a sweep shares: the recorded precoder, the paired
+    channels generated from the seed, and their reference precoders."""
+    zfg = build_zf_graph(cfg.k_users, cfg.n_t)
+    rng = np.random.default_rng(cfg.seed)
+    channels = [gen_channel(rng, cfg.k_users, cfg.n_t) for _ in range(cfg.trials)]
+    return zfg, channels, [zf_reference(h, zfg)[0] for h in channels]
+
+
+def sweep_cell(cfg: SimConfig, cm: ComplexityModel, inputs: SweepInputs,
+               scheme: str, ti: int) -> SweepPoint:
+    """The cell of scheme ``scheme`` at target ``cfg.sweep[ti]``, over all
+    of the sweep's channels.  It depends on nothing but its arguments, so a
+    cell run on its own equals the same cell of :func:`pareto_sweep`."""
+    zfg, channels, refs = inputs
+    h_cx = [h.as_complex() for h in channels]
+    target = cfg.sweep[ti]
+    if scheme == "fixed":
+        x = int(min(cfg.x_max, max(cfg.x_min, round(target))))
+        plan = fixed_plan(zfg.graph, x)
+        cells = [(plan, None) for _ in range(cfg.trials)]
+    elif scheme == "offline":
+        def avg_off(alpha):
+            return plan_metrics(zfg.graph, offline_vpc(
+                zfg.graph, _plan_cfg(cfg, alpha), cm, cfg.e_b), cm)[0]
+        alpha = calibrate_alpha(avg_off, target)
+        plan = offline_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm, cfg.e_b)
+        cells = [(plan, None) for _ in range(cfg.trials)]
+    elif scheme == "online":
+        probe = channels[: min(cfg.trials, 4)]
+        ip = zfg.input_precisions(cfg.storage_bits)
+
+        def avg_on(alpha):
+            vals = []
+            for h in probe:
+                try:
+                    _, p = online_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm,
+                                      zfg.input_values(h), cfg.e_b, ip)
+                    vals.append(plan_metrics(zfg.graph, p, cm)[0])
+                except GraphExecutionError:
+                    continue
+            return float(np.mean(vals)) if vals else cfg.x_min
+        alpha = calibrate_alpha(avg_on, target)
+        cells = []
+        for h in channels:
+            try:
+                res, p = online_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm,
+                                    zfg.input_values(h), cfg.e_b, ip)
+                cells.append((p, res))
+            except GraphExecutionError:
+                cells.append((None, None))
+    else:  # random-blockwise
+        draw_rng = np.random.default_rng((cfg.seed, 31, ti))
+        hi = int(min(cfg.x_max, max(cfg.x_min + 1, round(max(cfg.sweep)))))
+        cells = [(random_blockwise_plan(zfg.graph, draw_rng, cfg.x_min, hi), None)
+                 for _ in range(cfg.trials)]
+
+    rates, avgs, totals = [], [], []
+    bers: List[Tuple[int, int]] = []
+    failures = 0
+    for t, (plan, result) in enumerate(cells):
+        if result is None and plan is not None:
+            try:
+                result = execute(zfg.graph, plan, zfg.input_values(channels[t]),
+                                 zfg.input_precisions(cfg.storage_bits))
+            except GraphExecutionError:
+                result = None
+        if result is None:
+            failures += 1
+            rates.append(0.0)
+            if cfg.ber_symbols:
+                bers.append((2 * cfg.k_users * cfg.ber_symbols,
+                             2 * cfg.k_users * cfg.ber_symbols))
+            if plan is not None:
+                a, tot = plan_metrics(zfg.graph, plan, cm)
+                avgs.append(a)
+                totals.append(tot)
+            continue
+        w = zfg.w_matrix(result)
+        rates.append(sum_rate(h_cx[t], w, cfg.snr_db))
+        a, tot = plan_metrics(zfg.graph, plan, cm)
+        avgs.append(a)
+        totals.append(tot)
+        if cfg.ber_symbols:
+            ber_rng = np.random.default_rng((cfg.seed, 77, t))
+            b = ber_sim(h_cx[t], w, cfg.snr_db, cfg.ber_symbols, ber_rng, refs[t])
+            bers.append((int(round(b * 2 * cfg.k_users * cfg.ber_symbols)),
+                         2 * cfg.k_users * cfg.ber_symbols))
+    ber = (sum(e for e, _ in bers) / sum(n for _, n in bers)) if bers else float("nan")
+
+    n = len(rates)
+    stderr = float(np.std(rates, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return SweepPoint(
+        scheme=scheme,
+        target_avg_bits=float(target),
+        realized_avg_bits=float(np.mean(avgs)) if avgs else float("nan"),
+        total_complexity=float(np.mean(totals)) if totals else float("nan"),
+        sum_rate_mean=float(np.mean(rates)),
+        sum_rate_stderr=stderr,
+        ber=ber,
+        trials=cfg.trials,
+        failures=failures,
+        seed=cfg.seed,
+        rates=[float(r) for r in rates],
+    )
+
+
 def pareto_sweep(cfg: SimConfig, cm: ComplexityModel = None,
                  progress: Callable[[str], None] = None) -> List[SweepPoint]:
     """Run every (scheme, target average precision) cell over paired channels.
@@ -489,126 +595,21 @@ def pareto_sweep(cfg: SimConfig, cm: ComplexityModel = None,
     """
     cm = cm or ComplexityModel()
     say = progress or (lambda s: None)
-    zfg = build_zf_graph(cfg.k_users, cfg.n_t)
-    rng = np.random.default_rng(cfg.seed)
-    channels = [gen_channel(rng, cfg.k_users, cfg.n_t) for _ in range(cfg.trials)]
-    h_cx = [h.as_complex() for h in channels]
-    refs = []
     say(f"reference precoders for {cfg.trials} channels")
-    for h in channels:
-        w_ref, _, _ = zf_reference(h, zfg)
-        refs.append(w_ref)
-
-    def run_trials(plans_or_results) -> Tuple[List[float], List[float], List[float], float, int]:
-        rates, avgs, totals = [], [], []
-        bers: List[Tuple[int, int]] = []
-        failures = 0
-        for t, item in enumerate(plans_or_results):
-            plan, result = item
-            if result is None and plan is not None:
-                try:
-                    result = execute(zfg.graph, plan, zfg.input_values(channels[t]),
-                                     zfg.input_precisions(cfg.storage_bits))
-                except GraphExecutionError:
-                    result = None
-            if result is None:
-                failures += 1
-                rates.append(0.0)
-                if cfg.ber_symbols:
-                    bers.append((2 * cfg.k_users * cfg.ber_symbols,
-                                 2 * cfg.k_users * cfg.ber_symbols))
-                if plan is not None:
-                    a, tot = plan_metrics(zfg.graph, plan, cm)
-                    avgs.append(a)
-                    totals.append(tot)
-                continue
-            w = zfg.w_matrix(result)
-            rates.append(sum_rate(h_cx[t], w, cfg.snr_db))
-            a, tot = plan_metrics(zfg.graph, plan, cm)
-            avgs.append(a)
-            totals.append(tot)
-            if cfg.ber_symbols:
-                ber_rng = np.random.default_rng((cfg.seed, 77, t))
-                b = ber_sim(h_cx[t], w, cfg.snr_db, cfg.ber_symbols, ber_rng, refs[t])
-                bers.append((int(round(b * 2 * cfg.k_users * cfg.ber_symbols)),
-                             2 * cfg.k_users * cfg.ber_symbols))
-        ber = (sum(e for e, _ in bers) / sum(n for _, n in bers)) if bers else float("nan")
-        return rates, avgs, totals, ber, failures
-
+    inputs = sweep_inputs(cfg)
     points: List[SweepPoint] = []
     for scheme in cfg.schemes:
         for ti, target in enumerate(cfg.sweep):
             say(f"{scheme} @ {target} bits")
-            if scheme == "fixed":
-                x = int(min(cfg.x_max, max(cfg.x_min, round(target))))
-                plan = fixed_plan(zfg.graph, x)
-                cells = [(plan, None) for _ in range(cfg.trials)]
-            elif scheme == "offline":
-                def avg_off(alpha):
-                    return plan_metrics(zfg.graph, offline_vpc(
-                        zfg.graph, _plan_cfg(cfg, alpha), cm, cfg.e_b), cm)[0]
-                alpha = calibrate_alpha(avg_off, target, cfg.alpha_tol_bits)
-                plan = offline_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm, cfg.e_b)
-                cells = [(plan, None) for _ in range(cfg.trials)]
-            elif scheme == "online":
-                probe = channels[: min(cfg.trials, 4)]
-
-                ip = zfg.input_precisions(cfg.storage_bits)
-
-                def avg_on(alpha):
-                    vals = []
-                    for h in probe:
-                        try:
-                            _, p = online_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm,
-                                              zfg.input_values(h), cfg.e_b, ip)
-                            vals.append(plan_metrics(zfg.graph, p, cm)[0])
-                        except GraphExecutionError:
-                            continue
-                    return float(np.mean(vals)) if vals else cfg.x_min
-                alpha = calibrate_alpha(avg_on, target, cfg.alpha_tol_bits)
-                cells = []
-                for h in channels:
-                    try:
-                        res, p = online_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm,
-                                            zfg.input_values(h), cfg.e_b, ip)
-                        cells.append((p, res))
-                    except GraphExecutionError:
-                        cells.append((None, None))
-            else:  # random-blockwise
-                draw_rng = np.random.default_rng((cfg.seed, 31, ti))
-                hi = int(min(cfg.x_max, max(cfg.x_min + 1, round(max(cfg.sweep)))))
-                cells = [(random_blockwise_plan(zfg.graph, draw_rng, cfg.x_min, hi), None)
-                         for _ in range(cfg.trials)]
-
-            rates, avgs, totals, ber, failures = run_trials(cells)
-            n = len(rates)
-            stderr = float(np.std(rates, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-            points.append(SweepPoint(
-                scheme=scheme,
-                target_avg_bits=float(target),
-                realized_avg_bits=float(np.mean(avgs)) if avgs else float("nan"),
-                total_complexity=float(np.mean(totals)) if totals else float("nan"),
-                sum_rate_mean=float(np.mean(rates)),
-                sum_rate_stderr=stderr,
-                ber=ber,
-                trials=cfg.trials,
-                failures=failures,
-                seed=cfg.seed,
-                rates=[float(r) for r in rates],
-            ))
+            points.append(sweep_cell(cfg, cm, inputs, scheme, ti))
     return points
 
 
 def reference_rate(cfg: SimConfig) -> float:
     """Mean reference-precision sum rate over the sweep's channel set."""
-    zfg = build_zf_graph(cfg.k_users, cfg.n_t)
-    rng = np.random.default_rng(cfg.seed)
-    rates = []
-    for _ in range(cfg.trials):
-        h = gen_channel(rng, cfg.k_users, cfg.n_t)
-        w, _, _ = zf_reference(h, zfg)
-        rates.append(sum_rate(h.as_complex(), w, cfg.snr_db))
-    return float(np.mean(rates))
+    _, channels, refs = sweep_inputs(cfg)
+    return float(np.mean([sum_rate(h.as_complex(), w, cfg.snr_db)
+                          for h, w in zip(channels, refs)]))
 
 
 def precision_histogram(zfg: ZfGraph, plan) -> Dict[Tuple[int, str], int]:

@@ -24,8 +24,7 @@ import numpy as np
 
 from .ebfp import EbfpParams, DEFAULT_PARAMS
 from .errormodel import (
-    RoundingModel,
-    DEFAULT_ROUNDING,
+    EPS,
     W_LIMIT_VAR,
     input_error_variance,
     ops_per_bit,
@@ -50,16 +49,12 @@ class ComplexityModel:
             raise ValueError("complexity weights must be positive")
         return w
 
-    def cost(self, op, x: float) -> float:
-        return self.weight(op) * x
-
 
 @dataclass(frozen=True)
 class UtilityConfig:
-    """Trade-off weight, storage base, precision bounds, output sensitivities."""
+    """Trade-off weight, precision bounds, output sensitivities."""
 
     alpha: float = 1e-9
-    eps: float = 2.0
     x_min: int = 4
     x_max: int = 64
     out_weights: Optional[Mapping[int, float]] = None
@@ -78,42 +73,31 @@ class UtilityConfig:
     #: folded rounding-law constant appearing in every G_sigma seed
     @property
     def gsigma_unit(self) -> float:
-        e = self.eps
-        return 2.0 * math.log(e) * e ** -2 * W_LIMIT_VAR
+        return 2.0 * math.log(EPS) * EPS ** -2 * W_LIMIT_VAR
 
 
 @dataclass
 class PrecisionPlan:
     assignment: Dict[int, int]
-    provenance: str = "fixed"
     gsigma: Optional[Dict[int, float]] = None
-
-    def validate(self, graph: ExprGraph, cfg: UtilityConfig) -> None:
-        for nid in graph.non_input_ids():
-            x = self.assignment.get(nid)
-            if x is None:
-                raise ValueError(f"plan misses node {nid}")
-            if not cfg.x_min <= x <= cfg.x_max:
-                raise ValueError(f"node {nid} precision {x} out of bounds")
 
 
 class XoptLut:
     """Monotone map from rho = -G_sigma/G_o to the optimal integer precision.
 
     Thresholds are where the discrete utility's forward difference changes
-    sign; they form a geometric ladder with ratio eps**2, so multiplying rho
-    by eps**2 moves the answer up exactly one bit inside the open range.
+    sign; they form a geometric ladder with ratio EPS**2, so multiplying rho
+    by EPS**2 moves the answer up exactly one bit inside the open range.
     """
 
     def __init__(self, cm: ComplexityModel, cfg: UtilityConfig):
         self.cm = cm
         self.cfg = cfg
-        e = cfg.eps
-        scale = 2.0 * math.log(e) / (1.0 - e ** -2)
+        scale = 2.0 * math.log(EPS) / (1.0 - EPS ** -2)
         self.thresholds: Dict[OpKind, List[float]] = {}
         for op in DEFAULT_WEIGHTS:
             w = cm.weight(op)
-            self.thresholds[op] = [scale * w * e ** (2 * x)
+            self.thresholds[op] = [scale * w * EPS ** (2 * x)
                                    for x in range(cfg.x_min, cfg.x_max)]
 
     def lookup(self, rho: float, op) -> int:
@@ -123,12 +107,11 @@ class XoptLut:
 
     def reverse(self, x: int, op) -> float:
         """Representative rho for a precision: the geometric midpoint of the
-        bin that maps to x (bins have ratio eps**2, so midpoint = top/eps)."""
+        bin that maps to x (bins have ratio EPS**2, so midpoint = top/EPS)."""
         t = self.thresholds[OpKind(op)]
-        e = self.cfg.eps
         if x >= self.cfg.x_max:
-            return t[-1] * e
-        return t[x - self.cfg.x_min] / e
+            return t[-1] * EPS
+        return t[x - self.cfg.x_min] / EPS
 
 
 def final_step_precision(graph: ExprGraph, cfg: UtilityConfig,
@@ -173,7 +156,7 @@ def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
         gsig[node.id] = g
         if node.op is not OpKind.INPUT:
             assignment[node.id] = lut.lookup(-g / cfg.alpha, node.op)
-    return PrecisionPlan(assignment, "offline", gsig)
+    return PrecisionPlan(assignment, gsig)
 
 
 @dataclass
@@ -207,22 +190,19 @@ def _paths_to_outputs(graph: ExprGraph) -> Dict[int, _PathInfo]:
     return info
 
 
-def seed_bit_offset(n_add: int, n_sub: int, n_sqrt: int, e_b: int,
-                    rounded: bool = True) -> float:
+def seed_bit_offset(n_add: int, n_sub: int, n_sqrt: int, e_b: int) -> float:
     """Precision offset between a first-step node and its anchoring output,
     from the per-op change rates (sqrt moves exactly one bit per crossing).
 
-    The unrounded value carries the sub-bit sensitivity gradient that the
-    seeding applies in G-space before quantization.
+    The value is not rounded: it carries the sub-bit sensitivity gradient
+    that the seeding applies in G-space before quantization.
     """
-    off = -n_add / ops_per_bit("add", e_b) + n_sub / ops_per_bit("sub", e_b) - n_sqrt
-    return round(off) if rounded else off
+    return -n_add / ops_per_bit("add", e_b) + n_sub / ops_per_bit("sub", e_b) - n_sqrt
 
 
 def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
                input_values: Mapping[int, Fraction], e_b: int = 10,
-               input_precision=53, params: EbfpParams = DEFAULT_PARAMS,
-               model: RoundingModel = DEFAULT_ROUNDING
+               input_precision=53, params: EbfpParams = DEFAULT_PARAMS
                ) -> Tuple[ExecutionResult, PrecisionPlan]:
     """Plan-while-executing assignment using actual operand values.
 
@@ -237,7 +217,6 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     lut = XoptLut(cm, cfg)
     final_x, _ = final_step_precision(graph, cfg, cm, lut)
     paths = _paths_to_outputs(graph)
-    eps = cfg.eps
     gsig: Dict[int, float] = {}
     assignment: Dict[int, int] = {}
 
@@ -247,8 +226,8 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
         anchor = final_x.get(p.anchor)
         if anchor is None:  # anchor not an output (isolated chain); rare
             anchor = (cfg.x_min + cfg.x_max) // 2
-        off = seed_bit_offset(p.n_add, p.n_sub, p.n_sqrt, e_b, rounded=False)
-        rho = lut.reverse(anchor, op) * float(eps) ** (2.0 * off)
+        off = seed_bit_offset(p.n_add, p.n_sub, p.n_sqrt, e_b)
+        rho = lut.reverse(anchor, op) * EPS ** (2.0 * off)
         return -cfg.alpha * rho
 
     def choose(node, va: float, vb: Optional[float]) -> int:
@@ -314,12 +293,12 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
         assignment[node.id] = x
         return x
 
-    result = run(graph, choose, input_values, input_precision, params, model)
-    return result, PrecisionPlan(assignment, "online", gsig)
+    result = run(graph, choose, input_values, input_precision, params)
+    return result, PrecisionPlan(assignment, gsig)
 
 
 def fixed_plan(graph: ExprGraph, x: int) -> PrecisionPlan:
-    return PrecisionPlan({nid: x for nid in graph.non_input_ids()}, "fixed")
+    return PrecisionPlan({nid: x for nid in graph.non_input_ids()})
 
 
 def random_blockwise_plan(graph: ExprGraph, rng: np.random.Generator,
@@ -334,7 +313,7 @@ def random_blockwise_plan(graph: ExprGraph, rng: np.random.Generator,
             parts.append(part)
     draw = {p: int(rng.integers(x_min, x_max + 1)) for p in sorted(parts)}
     return PrecisionPlan({nid: draw[graph.nodes[nid].part]
-                          for nid in graph.non_input_ids()}, "random-blockwise")
+                          for nid in graph.non_input_ids()})
 
 
 def plan_metrics(graph: ExprGraph, plan, cm: ComplexityModel) -> Tuple[float, float]:
@@ -362,7 +341,6 @@ def modeled_utility_batch(graph: ExprGraph, plans: np.ndarray, node_order: Seque
     col = {nid: j for j, nid in enumerate(node_order)}
     back = {op: speculation_factor(op.value, "backward", e_b)
             for op in DEFAULT_WEIGHTS}
-    eps = cfg.eps
     in_var = input_error_variance(input_precision)
     var: Dict[int, np.ndarray] = {}
     cost = np.zeros(plans.shape[0])
@@ -376,7 +354,7 @@ def modeled_utility_batch(graph: ExprGraph, plans: np.ndarray, node_order: Seque
             sc2 = f * var[node.operands[0]]
         else:
             sc2 = f * (var[node.operands[0]] + var[node.operands[1]])
-        r2 = float(eps) ** (-2 * (x + 1))
+        r2 = EPS ** (-2 * (x + 1))
         var[node.id] = (1.0 + r2 * W_LIMIT_VAR) * sc2 + r2 * W_LIMIT_VAR
         cost += cm.weight(node.op) * x
     err = sum(cfg.beta(oid) * var[oid] for oid in graph.outputs)
@@ -393,7 +371,7 @@ def plan_to_csv(graph: ExprGraph, plan: PrecisionPlan, fh) -> None:
                     plan.assignment[nid], repr(gs.get(nid, ""))])
 
 
-def plan_from_csv(fh, provenance: str = "fixed") -> PrecisionPlan:
+def plan_from_csv(fh) -> PrecisionPlan:
     rd = csv.reader(fh)
     header = next(rd)
     assignment: Dict[int, int] = {}
@@ -406,4 +384,4 @@ def plan_from_csv(fh, provenance: str = "fixed") -> PrecisionPlan:
                 gs[nid] = float(row[5].strip("'"))
             except ValueError:
                 pass
-    return PrecisionPlan(assignment, provenance, gs or None)
+    return PrecisionPlan(assignment, gs or None)

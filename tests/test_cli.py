@@ -126,6 +126,17 @@ class TestPareto:
             assert main(["--out-dir", str(d)] + args) == 0
         assert (a / "pareto.csv").read_bytes() == (b / "pareto.csv").read_bytes()
 
+    def test_workers_match_serial(self, tmp_path, monkeypatch):
+        # every scheme, two targets: random-blockwise draws depend on the
+        # target's index and on the largest target of the whole sweep
+        serial, two = tmp_path / "serial", tmp_path / "two"
+        args = ["pareto", "--nt", "2", "--k", "2", "--trials", "3", "--sweep", "4,8"]
+        monkeypatch.delenv("VARPREC_THREADS", raising=False)
+        assert main(["--out-dir", str(serial)] + args) == 0
+        monkeypatch.setenv("VARPREC_THREADS", "2")
+        assert main(["--out-dir", str(two)] + args) == 0
+        assert (serial / "pareto.csv").read_bytes() == (two / "pareto.csv").read_bytes()
+
 
 class TestHistogram:
     def test_small_histogram(self, tmp_path):

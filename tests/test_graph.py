@@ -147,6 +147,7 @@ class TestExecute:
                       input_precision=30)
         assert decode(res.values[t]) == 2
         assert set(res.degenerate_zero) == {s, m}
+        assert res.floats == {i: float(decode(v)) for i, v in res.values.items()}
 
     def test_division_by_zero_reports_node(self):
         g = ExprGraph()
@@ -171,6 +172,29 @@ class TestExecute:
         s = g.record("add", [a, b])
         with pytest.raises(GraphExecutionError):
             execute(g, {}, {a: Fraction(1), b: Fraction(2)})
+
+    def test_input_precision_beyond_geometry_reports_input(self):
+        # 53 bits need more blocks than EbfpParams(1, 10, 20) holds
+        g = ExprGraph()
+        a, b = g.add_input(), g.add_input()
+        s = g.record("add", [a, b])
+        with pytest.raises(GraphExecutionError) as ei:
+            execute(g, {s: 10}, {a: Fraction(1), b: Fraction(2)}, 53, EbfpParams(1, 10, 20))
+        assert ei.value.node_id == a
+
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_addsub_variance_is_scale_free(self, op):
+        # squares of operands beyond 2**512 overflow a float: scaling both
+        # operands by 2**600 must leave the variance exactly as it was
+        g = ExprGraph()
+        a, b = g.add_input(), g.add_input()
+        s = g.record(op, [a, b])
+        params = EbfpParams(1, 13, 80)
+        c = Fraction(2) ** 600
+        plain = execute(g, {s: 20}, {a: Fraction(3), b: Fraction(1)}, 53, params)
+        scaled = execute(g, {s: 20}, {a: 3 * c, b: c}, 53, params)
+        assert plain.errors[s].variance > 0
+        assert scaled.errors[s] == plain.errors[s]
 
 
 def _random_graph(rng, n_ops=10, n_inputs=3):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from varprec.ebfp import EbfpParams
+from varprec.errormodel import EPS
 from varprec.graph import ExprGraph, GraphExecutionError, OpKind, execute
 from varprec.mimo import ChannelMatrix, build_zf_graph, gen_channel
 from varprec.optimizer import (
@@ -76,7 +77,7 @@ class TestLut:
             assert all(b >= a for a, b in zip(xs, xs[1:]))
             base = lut.thresholds[OpKind(op)][12] * 0.9
             x0 = lut.lookup(base, op)
-            assert lut.lookup(base * CFG.eps ** 2, op) == x0 + 1
+            assert lut.lookup(base * EPS ** 2, op) == x0 + 1
 
     def test_reverse_is_consistent(self):
         lut = XoptLut(CM, CFG)
@@ -88,7 +89,7 @@ class TestLut:
         # scanning the discrete per-node utility confirms the tabulated
         # transition: U(x) = rho * eps^(-2x) / (2 ln eps) + w * x
         lut = XoptLut(CM, CFG)
-        e = CFG.eps
+        e = EPS
         for op, w in ((OpKind.ADD, 1.0), (OpKind.MUL, 30.0)):
             for xt in (9, 20):
                 rho = lut.thresholds[op][xt - CFG.x_min] * 0.999
@@ -167,7 +168,7 @@ class TestOffline:
         g, _ = chain("sqrt", "sqrt", "sqrt", "sqrt", "sqrt", "sqrt")
         cfg = UtilityConfig(alpha=1e-6, x_min=4, x_max=10)
         plan = offline_vpc(g, cfg, CM)
-        plan.validate(g, cfg)
+        assert set(plan.assignment) == set(g.non_input_ids())
         assert min(plan.assignment.values()) >= 4
         assert max(plan.assignment.values()) <= 10
 
@@ -377,7 +378,7 @@ class TestPlans:
         buf = io.StringIO()
         plan_to_csv(g, plan, buf)
         buf.seek(0)
-        back = plan_from_csv(buf, "offline")
+        back = plan_from_csv(buf)
         assert back.assignment == plan.assignment
 
 
@@ -389,4 +390,4 @@ class TestSeedOffset:
         # many additions lower the seed, subtractions raise it
         assert seed_bit_offset(200, 0, 0, 8) < 0
         assert seed_bit_offset(0, 200, 0, 8) > 0
-        assert seed_bit_offset(1, 1, 0, 8) == 0
+        assert round(seed_bit_offset(1, 1, 0, 8)) == 0
