@@ -12,6 +12,7 @@ import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .errormodel import (
 )
 from .mimo import (
     SimConfig,
+    SweepInputs,
     build_zf_graph,
     calibrate_alpha,
     gen_channel,
@@ -190,19 +192,35 @@ def sim_config_from_args(args) -> SimConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
+#: (config, its sweep inputs) of the cells this process ran last: a pool
+#: worker runs many cells of one config, and they all share the graph, the
+#: channels and the reference precoders.  The pool sends ``_run_cell`` one
+#: picklable cell, so the inputs are kept here, not passed in.
+_cell_inputs: Optional[Tuple[SimConfig, SweepInputs]] = None
+
+
 def _run_cell(cell: tuple) -> list:
     """One (config, scheme, target index) cell of the sweep, in a pool
     worker: the same point the serial sweep computes for it."""
+    global _cell_inputs
     cfg_dict, scheme, ti = cell
     cfg = SimConfig(**cfg_dict)
-    return [sweep_cell(cfg, ComplexityModel(), sweep_inputs(cfg), scheme, ti)]
+    if _cell_inputs is None or _cell_inputs[0] != cfg:
+        _cell_inputs = (cfg, sweep_inputs(cfg))
+    return [sweep_cell(cfg, ComplexityModel(), _cell_inputs[1], scheme, ti)]
 
 
 def cmd_pareto(args) -> int:
+    raw_threads = os.environ.get("VARPREC_THREADS", "1")
+    try:
+        threads = int(raw_threads)
+    except ValueError:
+        print(f"error: VARPREC_THREADS must be an integer, got {raw_threads!r}",
+              file=sys.stderr)
+        return 2
     cfg = sim_config_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = int(os.environ.get("VARPREC_THREADS", "1"))
     if threads > 1:
         cells = [(asdict(cfg), s, ti)
                  for s in cfg.schemes for ti in range(len(cfg.sweep))]

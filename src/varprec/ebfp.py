@@ -4,9 +4,11 @@ A value is stored as a sign, a block-index exponent, and a run of F-bit
 fraction blocks.  The block exponent is encoded with an offset so the
 representable range is fixed by the exponent width E alone; precision is
 chosen per value through the number of fraction blocks.  All arithmetic is
-performed exact-then-round: the exact result is formed in integer/rational
-arithmetic and a single round-to-nearest-even brings it back to the target
-precision, so the only error of an operation is the final rounding step.
+performed exact-then-round: a stored value is an integer field times a
+power of two, so the exact result of an operation is formed in integer
+arithmetic (a ratio of two integers for division), and a single
+round-to-nearest-even brings it back to the target precision; the only
+error of an operation is that final rounding step.
 """
 
 from __future__ import annotations
@@ -93,16 +95,12 @@ class EbfpNumber:
     def is_saturated(self) -> bool:
         return self.flags in (Flag.OVERFLOW, Flag.UNDERFLOW)
 
-    def to_fraction(self) -> Fraction:
-        """Exact decoded value; saturated numbers have none."""
-        return decode(self)
-
     def __repr__(self):
         if self.flags is Flag.ZERO:
             return "EbfpNumber(0)"
         if self.is_saturated:
             return f"EbfpNumber({self.flags.value})"
-        v = self.to_fraction()
+        v = decode(self)
         return f"EbfpNumber({'+' if self.sign > 0 else '-'}|e={self.block_exp}|{float(v):.6g})"
 
 
@@ -228,7 +226,8 @@ def decode(n: EbfpNumber) -> Fraction:
     if n.is_saturated:
         raise ValueError(f"cannot decode a {n.flags.value} value")
     e2 = (n.block_exp - n.n_blocks) * n.params.block_bits
-    return Fraction(n.sign * n.field, 1) * Fraction(2) ** e2
+    v = n.sign * n.field
+    return Fraction(v << e2) if e2 >= 0 else Fraction(v, 1 << -e2)
 
 
 def blocks_for_precision(x: int, params: EbfpParams, e_sci: int = None) -> int:
@@ -246,6 +245,28 @@ def blocks_for_precision(x: int, params: EbfpParams, e_sci: int = None) -> int:
     return -(-(x + 1 + z) // f)
 
 
+def _store(sign: int, m: int, e_sci: int, x: int, params: EbfpParams) -> EbfpNumber:
+    """The tail every rounding ends in: ``sign * m * 2**(e_sci - x - 1)``,
+    m of x+1 significant bits (0 for an exact zero), stored in the fewest
+    blocks that hold x+1 bits."""
+    if m == 0:
+        return _zero(params, min(params.max_blocks, blocks_for_precision(x, params)))
+    n_blocks = blocks_for_precision(x, params, e_sci)
+    if n_blocks > params.max_blocks:
+        raise ValueError("precision exceeds max_blocks for these parameters")
+    return _build(sign, m, e_sci, params, n_blocks)
+
+
+def _round_exact(sign: int, num: int, den: int, e2: int, x: int,
+                 params: EbfpParams) -> EbfpNumber:
+    """Round the exact value ``sign * num/den * 2**e2`` (num >= 0, den > 0)
+    to precision x."""
+    if num == 0:
+        return _store(1, 0, 0, x, params)
+    m, e_sci = _round_sig_rational(num, den, x + 1)
+    return _store(sign, m, e_sci + e2, x, params)
+
+
 def round_to_precision(value, x: int, params: EbfpParams = DEFAULT_PARAMS) -> EbfpNumber:
     """Round an exact rational to precision x (relative error <= 2**(-x-1)).
 
@@ -255,71 +276,71 @@ def round_to_precision(value, x: int, params: EbfpParams = DEFAULT_PARAMS) -> Eb
     if x < 1:
         raise ValueError("precision x must be >= 1")
     v = Fraction(value)
-    if v == 0:
-        return _zero(params, min(params.max_blocks, blocks_for_precision(x, params)))
-    sign = 1 if v > 0 else -1
-    num, den = abs(v.numerator), v.denominator
-    m, e_sci = _round_sig_rational(num, den, x + 1)
-    n_blocks = blocks_for_precision(x, params, e_sci)
-    if n_blocks > params.max_blocks:
-        raise ValueError("precision exceeds max_blocks for these parameters")
-    return _build(sign, m, e_sci, params, n_blocks)
+    return _round_exact(1 if v > 0 else -1, abs(v.numerator), v.denominator, 0, x, params)
 
 
-_BINARY = {"add", "sub", "mul", "div"}
-_OPS = _BINARY | {"sqrt"}
+_OPS = {"add", "sub", "mul", "div", "sqrt"}
 
 
 def arith(op: str, a: EbfpNumber, b: Optional[EbfpNumber] = None,
           x_target: int = 24) -> EbfpNumber:
     """One exact-then-round arithmetic operation at precision ``x_target``.
 
-    add/sub/mul/div form the exact rational result before the single final
-    rounding; sqrt is rounded correctly to x_target+1 significant bits with
-    exact tie handling.  Saturation in any operand poisons the result.
+    Each operand is the integer ``sign * field`` times ``2**e`` with
+    ``e = (block_exp - n_blocks) * F`` (an eBFP zero has field 0), so the
+    exact result is formed in integers: mul multiplies the fields at
+    ``e_a + e_b``; add and sub shift the operand of larger exponent left by
+    the exponent difference and add the signed fields at the smaller one;
+    div keeps the field ratio at ``e_a - e_b``; sqrt takes an exact
+    correctly-rounded integer square root.  One round-to-nearest-even to
+    x_target+1 significant bits then stores it.  Saturation in any operand
+    poisons the result.
     """
     if op not in _OPS:
         raise ValueError(f"unknown op {op!r}")
+    if x_target < 1:
+        raise ValueError("precision x must be >= 1")
     params = a.params
-    operands = (a,) if op == "sqrt" else (a, b)
-    if op != "sqrt" and b is None:
-        raise ValueError(f"{op} needs two operands")
-    for o in operands:
-        if o.is_saturated:
-            flag = Flag.OVERFLOW if any(
-                q.flags is Flag.OVERFLOW for q in operands if q.is_saturated
-            ) else Flag.UNDERFLOW
-            return _saturated(o.sign, flag, params, o.n_blocks)
-
+    f = params.block_bits
     if op == "sqrt":
-        if a.flags is Flag.ZERO:
-            return _zero(params, blocks_for_precision(x_target, params))
+        if a.is_saturated:
+            return _saturated(a.sign, a.flags, params, a.n_blocks)
+        M = a.field
+        if M == 0:
+            return _store(1, 0, 0, x_target, params)
         if a.sign < 0:
             raise ValueError("sqrt of a negative value")
-        # a = field * 2**e2; make the exponent even and take an exact
+        # a = M * 2**e2; make the exponent even and take an exact
         # correctly-rounded integer square root
-        e2 = (a.block_exp - a.n_blocks) * params.block_bits
-        M = a.field
+        e2 = (a.block_exp - a.n_blocks) * f
         if e2 & 1:
             M <<= 1
             e2 -= 1
         m, e_sci = _round_sqrt_sig(M, x_target + 1)
-        e_sci += e2 // 2
-        n_blocks = blocks_for_precision(x_target, params, e_sci)
-        return _build(1, m, e_sci, params, n_blocks)
+        return _store(1, m, e_sci + e2 // 2, x_target, params)
 
-    va, vb = a.to_fraction(), b.to_fraction()
-    if op == "add":
-        res = va + vb
-    elif op == "sub":
-        res = va - vb
-    elif op == "mul":
-        res = va * vb
-    else:
-        if vb == 0:
+    if b is None:
+        raise ValueError(f"{op} needs two operands")
+    if a.is_saturated or b.is_saturated:
+        o = a if a.is_saturated else b
+        flag = Flag.OVERFLOW if Flag.OVERFLOW in (a.flags, b.flags) else Flag.UNDERFLOW
+        return _saturated(o.sign, flag, params, o.n_blocks)
+    ma, mb = a.field, b.field
+    ea = (a.block_exp - a.n_blocks) * f
+    eb = (b.block_exp - b.n_blocks) * f
+    if op == "mul":
+        return _round_exact(a.sign * b.sign, ma * mb, 1, ea + eb, x_target, params)
+    if op == "div":
+        if mb == 0:
             raise ZeroDivisionError("division by an eBFP zero")
-        res = va / vb
-    return round_to_precision(res, x_target, params)
+        return _round_exact(a.sign * b.sign, ma, mb, ea - eb, x_target, params)
+    va = a.sign * ma
+    vb = b.sign * mb if op == "add" else -b.sign * mb
+    if ea >= eb:
+        n, e2 = (va << (ea - eb)) + vb, eb
+    else:
+        n, e2 = va + (vb << (eb - ea)), ea
+    return _round_exact(1 if n > 0 else -1, abs(n), 1, e2, x_target, params)
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,7 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
         else:
             a = values[operands[0]]
             b = values[operands[1]] if len(operands) > 1 else None
-            if node.op is OpKind.DIV and b.flags is Flag.ZERO:
+            if node.op is OpKind.DIV and b.field == 0:
                 raise GraphExecutionError(nid, "division by zero")
             if node.op is OpKind.SQRT and a.sign < 0:
                 raise GraphExecutionError(nid, "sqrt of a negative value")

@@ -102,13 +102,13 @@ class XoptLut:
 
     def lookup(self, rho: float, op) -> int:
         """Smallest x whose threshold is >= rho, clamped to the bounds."""
-        t = self.thresholds[OpKind(op)]
+        t = self.thresholds[op]
         return self.cfg.x_min + bisect_left(t, rho)
 
     def reverse(self, x: int, op) -> float:
         """Representative rho for a precision: the geometric midpoint of the
         bin that maps to x (bins have ratio EPS**2, so midpoint = top/EPS)."""
-        t = self.thresholds[OpKind(op)]
+        t = self.thresholds[op]
         if x >= self.cfg.x_max:
             return t[-1] * EPS
         return t[x - self.cfg.x_min] / EPS
@@ -190,14 +190,16 @@ def _paths_to_outputs(graph: ExprGraph) -> Dict[int, _PathInfo]:
     return info
 
 
-def seed_bit_offset(n_add: int, n_sub: int, n_sqrt: int, e_b: int) -> float:
+def seed_bit_offset(n_add: int, n_sub: int, n_sqrt: int, add_rate: int,
+                    sub_rate: int) -> float:
     """Precision offset between a first-step node and its anchoring output,
-    from the per-op change rates (sqrt moves exactly one bit per crossing).
+    from the per-op change rates ``ops_per_bit("add"/"sub", e_b)`` (sqrt
+    moves exactly one bit per crossing).
 
     The value is not rounded: it carries the sub-bit sensitivity gradient
     that the seeding applies in G-space before quantization.
     """
-    return -n_add / ops_per_bit("add", e_b) + n_sub / ops_per_bit("sub", e_b) - n_sqrt
+    return -n_add / add_rate + n_sub / sub_rate - n_sqrt
 
 
 def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
@@ -217,6 +219,7 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     lut = XoptLut(cm, cfg)
     final_x, _ = final_step_precision(graph, cfg, cm, lut)
     paths = _paths_to_outputs(graph)
+    add_rate, sub_rate = ops_per_bit("add", e_b), ops_per_bit("sub", e_b)
     gsig: Dict[int, float] = {}
     assignment: Dict[int, int] = {}
 
@@ -226,7 +229,7 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
         anchor = final_x.get(p.anchor)
         if anchor is None:  # anchor not an output (isolated chain); rare
             anchor = (cfg.x_min + cfg.x_max) // 2
-        off = seed_bit_offset(p.n_add, p.n_sub, p.n_sqrt, e_b)
+        off = seed_bit_offset(p.n_add, p.n_sub, p.n_sqrt, add_rate, sub_rate)
         rho = lut.reverse(anchor, op) * EPS ** (2.0 * off)
         return -cfg.alpha * rho
 

@@ -2,10 +2,12 @@
 
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from varprec import cli, mimo
 from varprec.cli import main, parse_config, sim_config_from_args
 
 
@@ -136,6 +138,34 @@ class TestPareto:
         monkeypatch.setenv("VARPREC_THREADS", "2")
         assert main(["--out-dir", str(two)] + args) == 0
         assert (serial / "pareto.csv").read_bytes() == (two / "pareto.csv").read_bytes()
+
+    def test_bad_thread_count_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("VARPREC_THREADS", "two")
+        rc = main(["--out-dir", str(tmp_path), "pareto", "--nt", "2", "--k", "2",
+                   "--trials", "1", "--sweep", "8", "--scheme", "fixed"])
+        assert rc == 2
+        assert "VARPREC_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "pareto.csv").exists()
+
+    def test_cells_share_references(self, monkeypatch):
+        # the cells a pool worker runs on one config build the channels and
+        # the reference precoders once, and give the serial sweep's points
+        calls = []
+        zf_reference = mimo.zf_reference
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return zf_reference(*args, **kwargs)
+
+        monkeypatch.setattr(mimo, "zf_reference", counted)
+        monkeypatch.setattr(cli, "_cell_inputs", None)
+        cfg = mimo.SimConfig(n_t=2, k_users=2, trials=3, sweep=(4.0, 8.0),
+                             schemes=("fixed", "offline"))
+        cells = [(asdict(cfg), "fixed", 1), (asdict(cfg), "offline", 0)]
+        points = [p for cell in cells for p in cli._run_cell(cell)]
+        assert len(calls) == cfg.trials
+        serial = mimo.pareto_sweep(cfg)
+        assert repr(points) == repr([serial[1], serial[2]])  # ber is NaN
 
 
 class TestHistogram:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from varprec import ebfp
 from varprec.ebfp import (
     DEFAULT_PARAMS,
     EbfpNumber,
@@ -168,8 +169,13 @@ class TestArith:
         assert decode(d) == oracle_round(Fraction(1, 3), 11)
 
     def test_div_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            arith("div", encode(1, P1, 5), encode(0, P1, 5), 10)
+        # zero divisors are decided by value: a parsed vector can be a
+        # normal number with an all-zero field
+        parsed = parse_vector("+|300|0.0.0", P1)
+        assert parsed.flags is Flag.NORMAL
+        for divisor in (encode(0, P1, 5), parsed):
+            with pytest.raises(ZeroDivisionError, match="division by an eBFP zero"):
+                arith("div", encode(1, P1, 5), divisor, 10)
 
     def test_sqrt_negative(self):
         with pytest.raises(ValueError):
@@ -240,6 +246,151 @@ class TestArith:
                     assert (hi + lo) ** 2 >= 4 * m
             else:
                 assert abs(hi - exact) <= abs(lo - exact)
+
+
+def stored(n: EbfpNumber):
+    return (n.sign, n.block_exp, n.field, n.n_blocks, n.flags)
+
+
+def sqrt_rounded(q: Fraction, s: int) -> Fraction:
+    """sqrt(q) rounded to s significant bits, ties to even, from its
+    definition: m = sqrt(q) * 2**(s-e) with 2**(e-1) <= sqrt(q) < 2**e."""
+    if q == 0:
+        return Fraction(0)
+    e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    while Fraction(4) ** e <= q:
+        e += 1
+    while Fraction(4) ** (e - 1) > q:
+        e -= 1
+    t = q * Fraction(4) ** (s - e)
+    m = math.isqrt(t.numerator // t.denominator)  # floor(sqrt(t))
+    mid = (m + Fraction(1, 2)) ** 2
+    if t > mid or (t == mid and m & 1):
+        m += 1
+    return m * Fraction(2) ** (e - s)
+
+
+def reference_arith(op, a, b, x):
+    """The stored tuple of ``round_to_precision(decode(a) op decode(b), x)``:
+    the exact result formed in rationals, then one rounding."""
+    operands = (a,) if op == "sqrt" else (a, b)
+    saturated = [o for o in operands if o.is_saturated]
+    if saturated:
+        flag = Flag.OVERFLOW if any(o.flags is Flag.OVERFLOW for o in saturated) \
+            else Flag.UNDERFLOW
+        return (saturated[0].sign, 0, 0, saturated[0].n_blocks, flag)
+    va = decode(a)
+    if op == "sqrt":
+        if va < 0:
+            raise ValueError("sqrt of a negative value")
+        exact = sqrt_rounded(va, x + 1)
+    elif op == "add":
+        exact = va + decode(b)
+    elif op == "sub":
+        exact = va - decode(b)
+    elif op == "mul":
+        exact = va * decode(b)
+    else:
+        exact = va / decode(b)
+    return stored(round_to_precision(exact, x, a.params))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    except ValueError as e:
+        return ValueError, str(e)
+
+
+GEOMETRIES = st.builds(EbfpParams, st.sampled_from([1, 4, 8]), st.integers(4, 16),
+                       st.integers(2, 80))
+
+
+@st.composite
+def operands(draw, params: EbfpParams):
+    """Stored values over the whole exponent range and a little past it:
+    rounded rationals (saturating past the ends), zeros, saturated values,
+    and parsed bit vectors, which may have leading zero blocks or an
+    all-zero field under a nonzero exponent code."""
+    f = params.block_bits
+    sign = draw(st.sampled_from([1, -1]))
+    kind = draw(st.sampled_from(["rounded", "rounded", "zero", "saturated", "parsed"]))
+    if kind == "zero":
+        return encode(0, params, draw(st.integers(1, params.max_blocks)))
+    if kind == "saturated":
+        flag = draw(st.sampled_from([Flag.OVERFLOW, Flag.UNDERFLOW]))
+        return EbfpNumber(sign, 0, 0, draw(st.integers(1, params.max_blocks)), params, flag)
+    if kind == "parsed":
+        n = draw(st.integers(1, min(params.max_blocks, 12)))
+        blocks = draw(st.one_of(st.just([0] * n),
+                                st.lists(st.integers(0, (1 << f) - 1), min_size=n, max_size=n)))
+        code = draw(st.integers(0, (1 << (params.exponent_bits - 1)) - 1))
+        text = f"{'+' if sign > 0 else '-'}|{code}|" + ".".join(f"{b:x}" for b in blocks)
+        return parse_vector(text, params)
+    span = params.max_block_exp * f
+    e = draw(st.integers(-span - 2 * f, span + 2 * f))
+    m = draw(st.integers(1, 2 ** 64))
+    x_in = draw(st.integers(1, params.max_blocks * f - f))
+    return round_to_precision(sign * m * Fraction(2) ** e, x_in, params)
+
+
+class TestIntegerKernel:
+    """arith forms the exact result from integer fields and exponents; it
+    must store exactly what rounding the rational result once would."""
+
+    @given(data=st.data(), params=GEOMETRIES,
+           op=st.sampled_from(["add", "sub", "mul", "div", "sqrt"]),
+           x=st.integers(1, 60), twin=st.sampled_from(["none", "same", "negated"]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_rational_reference(self, data, params, op, x, twin):
+        a = data.draw(operands(params))
+        b = None
+        if op != "sqrt":
+            # a twin operand gives exact cancellation (a - a, a + -a)
+            b = {"none": lambda: data.draw(operands(params)), "same": lambda: a,
+                 "negated": lambda: EbfpNumber(-a.sign, a.block_exp, a.field,
+                                               a.n_blocks, params, a.flags)}[twin]()
+        want = outcome(reference_arith, op, a, b, x)
+        got = outcome(lambda: stored(arith(op, a, b, x)))
+        assert got == want
+
+    @pytest.mark.parametrize("f", [1, 4, 8])
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_tie_broken_across_a_wide_gap(self, f, op):
+        # a sits exactly halfway between two values of x+1 bits; an operand
+        # tens of thousands of bits smaller decides which way it rounds
+        p, x = EbfpParams(f, 16, 80), 20
+        a = round_to_precision(1 + Fraction(1, 2 ** (x + 1)), x + 1, p)
+        for sign in (1, -1):
+            tiny = round_to_precision(sign * Fraction(2) ** -(2000 * f), 8, p)
+            got = arith(op, a, tiny, x)
+            assert stored(got) == reference_arith(op, a, tiny, x)
+            up = (sign > 0) == (op == "add")
+            assert decode(got) == (1 + Fraction(1, 2 ** x) if up else 1)
+
+    def test_zero_results_share_block_count(self):
+        # every exact-zero result at x=40 needs 41 blocks and gets max_blocks
+        p = EbfpParams(1, 10, 20)
+        zero, one = round_to_precision(0, 4, p), round_to_precision(1, 4, p)
+        results = [arith("sqrt", zero, x_target=40), arith("mul", zero, one, 40),
+                   arith("div", zero, one, 40), arith("sub", one, one, 40),
+                   arith("add", zero, zero, 40), round_to_precision(0, 40, p)]
+        assert [(r.flags, r.n_blocks) for r in results] == [(Flag.ZERO, 20)] * 6
+
+    def test_no_fraction_on_the_hot_path(self, monkeypatch):
+        a = round_to_precision(Fraction(355, 113), 30, P8)
+        b = round_to_precision(Fraction(-7, 3), 20, P8)
+
+        class NoFraction:
+            def __init__(self, *args):
+                raise AssertionError("Fraction used")
+
+        monkeypatch.setattr(ebfp, "Fraction", NoFraction)
+        for op in ("add", "sub", "mul", "div"):
+            arith(op, a, b, 24)
+        arith("sqrt", a, None, 24)
 
 
 class TestSpecTable:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from varprec.ebfp import EbfpParams
-from varprec.errormodel import EPS
+from varprec.errormodel import EPS, ops_per_bit
 from varprec.graph import ExprGraph, GraphExecutionError, OpKind, execute
 from varprec.mimo import ChannelMatrix, build_zf_graph, gen_channel
 from varprec.optimizer import (
@@ -382,12 +382,16 @@ class TestPlans:
         assert back.assignment == plan.assignment
 
 
+def rates(e_b):
+    return ops_per_bit("add", e_b), ops_per_bit("sub", e_b)
+
+
 class TestSeedOffset:
     def test_sqrt_counts_one_bit(self):
-        assert seed_bit_offset(0, 0, 3, 10) == -3
+        assert seed_bit_offset(0, 0, 3, *rates(10)) == -3
 
     def test_addsub_rates(self):
         # many additions lower the seed, subtractions raise it
-        assert seed_bit_offset(200, 0, 0, 8) < 0
-        assert seed_bit_offset(0, 200, 0, 8) > 0
-        assert round(seed_bit_offset(1, 1, 0, 8)) == 0
+        assert seed_bit_offset(200, 0, 0, *rates(8)) < 0
+        assert seed_bit_offset(0, 200, 0, *rates(8)) > 0
+        assert round(seed_bit_offset(1, 1, 0, *rates(8))) == 0
