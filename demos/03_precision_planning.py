@@ -70,6 +70,6 @@ for name, plan in plans.items():
     res = res_on if name == "online" else execute(g, plan, vals, input_precision=53)
     got = decode(res.values[r1])
     err = abs(got - ref_val) / ref_val
-    pred = res.errors[r1].variance ** 0.5
+    pred = res.errors[r1] ** 0.5
     print(f"{name:>10}: result {float(got):.10f}, rel err {float(err):.2e}, "
           f"predicted sigma {pred:.2e}")

@@ -206,16 +206,14 @@ def encode(value, params: EbfpParams = DEFAULT_PARAMS, n_blocks: int = None) -> 
     sign = 1 if v > 0 else -1
     num, den = abs(v.numerator), v.denominator
     f = params.block_bits
-    # block alignment depends on e_sci, which rounding may bump; iterate once
     e_sci0 = _sci_exponent(num, den)
-    for _ in range(2):
-        e = -(-e_sci0 // f)
-        z = e * f - e_sci0
-        s = n_blocks * f - z
-        m, e_sci = _round_sig_rational(num, den, s)
-        if e_sci == e_sci0:
-            break
-        e_sci0 = e_sci  # carry crossed a power of two; realign and redo
+    e = -(-e_sci0 // f)
+    z = e * f - e_sci0
+    m, e_sci = _round_sig_rational(num, den, n_blocks * f - z)
+    if e_sci != e_sci0:
+        # the carry made a power of two: one significant bit, which _build
+        # stores at the realigned block exponent
+        m = 1
     return _build(sign, m, e_sci, params, n_blocks)
 
 

@@ -21,7 +21,6 @@ EPS = 2.0
 
 #: limiting variance of the normalized rounding error W (binary storage)
 W_LIMIT_VAR = 1.0 / 6.0
-W_LIMIT_MEAN = 0.0
 
 #: published reference values for the moments of W at small precisions,
 #: shown beside our Monte Carlo estimates by the `tables` command
@@ -52,6 +51,15 @@ class RelErrorStats:
             raise ValueError("variance must be nonnegative")
 
 
+def addsub_variance(a: float, b: float, c: float, sa2: float, sb2: float) -> float:
+    """Pre-rounding variance of the relative error of c = a + b or a - b.
+
+    Each operand is divided by c before squaring, so only a/c and b/c
+    matter and no operand's square can over- or underflow.
+    """
+    return (a / c) ** 2 * sa2 + (b / c) ** 2 * sb2
+
+
 def propagate_full_precision(op: str, a: float, b: float = None,
                              sa2: float = 0.0, sb2: float = None) -> float:
     """Variance of the relative error after the exact (pre-rounding) stage.
@@ -59,14 +67,11 @@ def propagate_full_precision(op: str, a: float, b: float = None,
     add/sub depend on the operand values; mul/div/sqrt do not.  The means
     stay at zero for zero-mean operand errors.
     """
-    if op == "add":
-        if a + b == 0:
-            raise SingularOperationError("a + b = 0: relative error undefined")
-        return (a * a * sa2 + b * b * sb2) / (a + b) ** 2
-    if op == "sub":
-        if a - b == 0:
-            raise SingularOperationError("a - b = 0: relative error undefined")
-        return (a * a * sa2 + b * b * sb2) / (a - b) ** 2
+    if op in ("add", "sub"):
+        c = a + b if op == "add" else a - b
+        if c == 0:
+            raise SingularOperationError(f"{op} result is 0: relative error undefined")
+        return addsub_variance(a, b, c, sa2, sb2)
     if op == "mul":
         return sa2 + sb2 + sa2 * sb2
     if op == "div":
@@ -76,26 +81,21 @@ def propagate_full_precision(op: str, a: float, b: float = None,
     raise ValueError(f"unknown op {op!r}")
 
 
-def rounding_variance(sc2: float, x, exact: bool = False, w_var: float = None,
-                      w_mean: float = None) -> float:
+def rounding_variance(sc2, x):
     """Post-rounding relative-error variance at precision x.
 
-    The exact form keeps the E[W] cross terms; the default approximation
-    drops them, which is tight once the precision is more than a few bits.
+    The E[W] cross terms are dropped, which is tight once the precision is
+    more than a few bits.  Works elementwise on numpy arrays.
     """
     r = EPS ** (-(x + 1))
-    wv = W_LIMIT_VAR if w_var is None else w_var
-    if exact:
-        wm = W_LIMIT_MEAN if w_mean is None else w_mean
-        return (1.0 + r * r * wv + 2.0 * r * wm + (r * wm) ** 2) * sc2 + r * r * wv
-    return (1.0 + r * r * wv) * sc2 + r * r * wv
+    return (1.0 + r * r * W_LIMIT_VAR) * sc2 + r * r * W_LIMIT_VAR
 
 
-def input_error_variance(x_in: int, w_var: float = None) -> float:
+def input_error_variance(x_in: int) -> float:
     """Pure-storage error variance of an initial operand held at x_in bits."""
     if x_in < 1:
         raise ValueError("x_in must be >= 1")
-    return rounding_variance(0.0, x_in, w_var=w_var)
+    return rounding_variance(0.0, x_in)
 
 
 def w_pdf(w) -> float:

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .ebfp import EbfpNumber, EbfpParams, DEFAULT_PARAMS, Flag, arith, decode, round_to_precision
 from .errormodel import (
-    RelErrorStats,
+    addsub_variance,
     input_error_variance,
     propagate_full_precision,
     rounding_variance,
@@ -166,7 +166,8 @@ class ExecutionResult:
     values: Dict[int, EbfpNumber]
     #: each node's value as a float, equal to ``float(decode(values[i]))``
     floats: Dict[int, float]
-    errors: Dict[int, RelErrorStats]
+    #: each node's predicted relative-error variance (the mean is zero)
+    errors: Dict[int, float]
     output_ids: List[int]
     #: nodes whose value is exactly zero, where the relative-error frame is
     #: degenerate (variance recorded as 0; the exact zero value contributes
@@ -217,7 +218,7 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
     """
     values: Dict[int, EbfpNumber] = {}
     floats: Dict[int, float] = {}
-    errors: Dict[int, RelErrorStats] = {}
+    errors: Dict[int, float] = {}
     degenerate: List[int] = []
     for node in graph.nodes:
         nid, operands = node.id, node.operands
@@ -246,25 +247,23 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
         values[nid] = out
         floats[nid] = fc = _shadow(nid, out)
         if node.op is OpKind.INPUT:
-            errors[nid] = RelErrorStats(0.0, input_error_variance(x))
+            errors[nid] = input_error_variance(x)
             continue
         if out.flags is Flag.ZERO:
             # exact zero result: the relative-error frame is singular, but
             # the value itself is exact and inert downstream
             degenerate.append(nid)
-            errors[nid] = RelErrorStats(0.0, 0.0)
+            errors[nid] = 0.0
             continue
-        sa2 = errors[operands[0]].variance
-        sb2 = errors[operands[1]].variance if b is not None else None
+        sa2 = errors[operands[0]]
+        sb2 = errors[operands[1]] if b is not None else None
         if node.op in (OpKind.ADD, OpKind.SUB):
-            # same formula as propagate_full_precision, but with the exact
-            # computed result as the denominator so float-level operand
-            # collisions cannot fake a singular frame, and with each operand
-            # divided by it before squaring so that no square overflows
-            sc2 = (fa / fc) ** 2 * sa2 + (fb / fc) ** 2 * sb2
+            # the frame is the stored result, not fa ± fb: operands wider
+            # than 53 bits can collide in float while their exact sum is not 0
+            sc2 = addsub_variance(fa, fb, fc, sa2, sb2)
         else:
             sc2 = propagate_full_precision(node.op.value, fa, fb, sa2, sb2)
-        errors[nid] = RelErrorStats(0.0, rounding_variance(sc2, x))
+        errors[nid] = rounding_variance(sc2, x)
     return ExecutionResult(values, floats, errors, graph.outputs, degenerate)
 
 

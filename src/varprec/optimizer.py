@@ -28,6 +28,7 @@ from .errormodel import (
     W_LIMIT_VAR,
     input_error_variance,
     ops_per_bit,
+    rounding_variance,
     speculation_factor,
 )
 from .graph import ExecutionResult, ExprGraph, OpKind, run
@@ -129,6 +130,13 @@ def final_step_precision(graph: ExprGraph, cfg: UtilityConfig,
     return xs, gs
 
 
+def _backward_factors(e_b: int) -> Dict[OpKind, float]:
+    """Expectation factor of each op kind on the reverse sweep, as used by
+    the offline planner and by the objective it optimizes."""
+    return {op: speculation_factor(op.value, "backward", e_b)
+            for op in DEFAULT_WEIGHTS}
+
+
 def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
                 e_b: int = 10) -> PrecisionPlan:
     """Value-free precision assignment by a reverse sweep of expectation
@@ -142,8 +150,7 @@ def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     lut = XoptLut(cm, cfg)
     consumers = graph.consumers()
     out_set = set(graph.outputs)
-    back = {op: speculation_factor(op.value, "backward", e_b)
-            for op in DEFAULT_WEIGHTS}
+    back = _backward_factors(e_b)
     gsig: Dict[int, float] = {}
     assignment: Dict[int, int] = {}
     for node in reversed(graph.nodes):
@@ -220,6 +227,9 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     final_x, _ = final_step_precision(graph, cfg, cm, lut)
     paths = _paths_to_outputs(graph)
     add_rate, sub_rate = ops_per_bit("add", e_b), ops_per_bit("sub", e_b)
+    # mul/div/sqrt move G_sigma by a constant; add/sub by the operand values
+    fixed_forward = {op: speculation_factor(op.value, "forward", e_b)
+                     for op in (OpKind.MUL, OpKind.DIV, OpKind.SQRT)}
     gsig: Dict[int, float] = {}
     assignment: Dict[int, int] = {}
 
@@ -252,30 +262,22 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
             x = cfg.x_min
             g_store = 0.0
         else:
-            def forward_factor(operand_value: float) -> float:
-                if op in (OpKind.MUL, OpKind.DIV):
-                    return 1.0
-                if op is OpKind.SQRT:
-                    return 4.0
-                if va == 0 or vb == 0:
-                    return 1.0  # adding an exact zero changes nothing
-                # add/sub: operand^2/result^2, clipped at 1 so the recursion
-                # stays bounded where the relative frame shrinks (the regime
-                # where the cheap exponent approximation is invalid)
-                return min(1.0, (operand_value / vc) ** 2)
-
             routes: List[Tuple[float, float]] = []  # (proposal, merge weight)
             for oid, v_op in zip(node.operands, (va, vb)):
                 if op in (OpKind.ADD, OpKind.SUB):
                     weight = abs(v_op)
                     if weight == 0:
                         continue
+                    # operand^2/result^2 (exactly 1 beside an exact zero),
+                    # clipped at 1 so the recursion stays bounded where the
+                    # frame shrinks and the cheap exponent rule is invalid
+                    factor = min(1.0, (v_op / vc) ** 2)
                 else:
-                    weight = 1.0
+                    weight, factor = 1.0, fixed_forward[op]
                 if graph.nodes[oid].op is OpKind.INPUT:
                     proposal = seed_g(node.id, op)
                 else:
-                    proposal = gsig[oid] * forward_factor(v_op)
+                    proposal = gsig[oid] * factor
                 routes.append((proposal, weight))
 
             if not routes:
@@ -342,8 +344,7 @@ def modeled_utility_batch(graph: ExprGraph, plans: np.ndarray, node_order: Seque
     precision of node ``node_order[j]``.
     """
     col = {nid: j for j, nid in enumerate(node_order)}
-    back = {op: speculation_factor(op.value, "backward", e_b)
-            for op in DEFAULT_WEIGHTS}
+    back = _backward_factors(e_b)
     in_var = input_error_variance(input_precision)
     var: Dict[int, np.ndarray] = {}
     cost = np.zeros(plans.shape[0])
@@ -357,8 +358,7 @@ def modeled_utility_batch(graph: ExprGraph, plans: np.ndarray, node_order: Seque
             sc2 = f * var[node.operands[0]]
         else:
             sc2 = f * (var[node.operands[0]] + var[node.operands[1]])
-        r2 = EPS ** (-2 * (x + 1))
-        var[node.id] = (1.0 + r2 * W_LIMIT_VAR) * sc2 + r2 * W_LIMIT_VAR
+        var[node.id] = rounding_variance(sc2, x)
         cost += cm.weight(node.op) * x
     err = sum(cfg.beta(oid) * var[oid] for oid in graph.outputs)
     return err + cfg.alpha * cost

@@ -1,6 +1,7 @@
 """Tests for the command-line runner."""
 
 import csv
+import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -166,6 +167,40 @@ class TestPareto:
         assert len(calls) == cfg.trials
         serial = mimo.pareto_sweep(cfg)
         assert repr(points) == repr([serial[1], serial[2]])  # ber is NaN
+
+
+class TestPinnedOutputs:
+    """Digests of the desk sweep and of a 4x4 histogram: a change that
+    means to keep every output must keep these bytes."""
+
+    # the desk configuration of perfbench/README.md
+    DESK = ("nt = 4\nk = 4\nsnr_db = 10.0\ntrials = 1\nseed = 2\n"
+            "schemes = fixed,offline,online,random-blockwise\nsweep = 4,32\n"
+            "x_min = 2\nx_max = 64\ne_b = 10\nstorage_bits = 53\nber_symbols = 256\n")
+
+    @staticmethod
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_desk_pareto(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("VARPREC_THREADS", raising=False)
+        cfgf = tmp_path / "desk.cfg"
+        cfgf.write_text(self.DESK)
+        assert main(["--out-dir", str(tmp_path), "pareto", "--config", str(cfgf)]) == 0
+        assert self.digest(tmp_path / "pareto.csv") == \
+            "493bd9036e2f28068146479f8b6d893a6f5fd2d2814c8265e8292eb5f1bd5f2b"
+
+    def test_histogram_4x4(self, tmp_path):
+        assert main(["--out-dir", str(tmp_path), "histogram", "--nt", "4", "--k", "4",
+                     "--seed", "3"]) == 0
+        assert {name: self.digest(tmp_path / name) for name in
+                ("histogram.csv", "histogram_plan.csv", "histogram_graph.jsonl")} == {
+            "histogram.csv":
+                "400e8f9ae0025af589628c3fa9166b1e17f2d6db0d4721084beb137ac2d0cae1",
+            "histogram_plan.csv":
+                "9847c40258841106d0c5d2d6ee0496129d26bb40a9932b7e4e78d74facd287a7",
+            "histogram_graph.jsonl":
+                "7f9762d1b7a4d41e8ae4b6f35d51f4abcc2710601b09fb910090a18fa0248225"}
 
 
 class TestHistogram:

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from varprec import ebfp
 from varprec.ebfp import (
@@ -107,6 +107,34 @@ class TestEncodeDecode:
         assert encode(Fraction(2) ** -300, P1, 5).flags is Flag.UNDERFLOW
         with pytest.raises(ValueError):
             decode(encode(Fraction(2) ** 300, P1, 5))
+
+    @given(num=st.integers(1, 2 ** 40), shift=st.integers(-60, 60),
+           sign=st.sampled_from([1, -1]), f=st.sampled_from([1, 4, 8]),
+           e_bits=st.sampled_from([4, 10]), n_blocks=st.integers(1, 3))
+    @example(num=25, shift=0, sign=1, f=4, e_bits=10, n_blocks=1)
+    @settings(max_examples=300, deadline=None)
+    def test_nearest_on_the_aligned_grid(self, num, shift, sign, f, e_bits, n_blocks):
+        # the grid is n_blocks*F bits below the block exponent of the
+        # value's leading bit; a carry to the next power of two stores it at
+        # the next block exponent
+        params = EbfpParams(f, e_bits, 80)
+        q = num * Fraction(2) ** shift
+        e_sci = 0
+        while Fraction(2) ** e_sci <= q:
+            e_sci += 1
+        while Fraction(2) ** (e_sci - 1) > q:
+            e_sci -= 1
+        e = -(-e_sci // f)
+        field = round(q / Fraction(2) ** ((e - n_blocks) * f))  # half to even
+        if field == 1 << (n_blocks * f):
+            e, field = e + 1, field >> f
+        if e > params.max_block_exp:
+            want = EbfpNumber(sign, 0, 0, n_blocks, params, Flag.OVERFLOW)
+        elif e < params.min_block_exp:
+            want = EbfpNumber(sign, 0, 0, n_blocks, params, Flag.UNDERFLOW)
+        else:
+            want = EbfpNumber(sign, e, field, n_blocks, params)
+        assert encode(sign * q, params, n_blocks) == want
 
     @given(num=st.integers(1, 10 ** 12), den=st.integers(1, 10 ** 12),
            sign=st.sampled_from([1, -1]))

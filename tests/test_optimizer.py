@@ -272,7 +272,7 @@ class TestOnline:
         m = g.record("mul", [a, b])
         res, plan = online_vpc(g, CFG, CM, {a: Fraction(3, 2), b: Fraction(5, 2)})
         assert res.output_fractions()[0] == Fraction(15, 4)
-        assert res.errors[m].variance > 0
+        assert res.errors[m] > 0
 
     def test_balanced_addition_raises_consumer_precision(self):
         # equal exponents take the exact-path factor (c/a)^2 = 4 for a
