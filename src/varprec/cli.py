@@ -218,7 +218,11 @@ def cmd_pareto(args) -> int:
         print(f"error: VARPREC_THREADS must be an integer, got {raw_threads!r}",
               file=sys.stderr)
         return 2
-    cfg = sim_config_from_args(args)
+    try:
+        cfg = sim_config_from_args(args)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if threads > 1:

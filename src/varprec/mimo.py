@@ -414,10 +414,12 @@ class SimConfig:
     ber_symbols: int = 0
 
     def __post_init__(self):
-        if self.k_users > self.n_t:
-            raise ValueError("k_users must not exceed n_t")
+        if not 1 <= self.k_users <= self.n_t:
+            raise ValueError("need 1 <= k_users <= n_t")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 1 <= self.x_min <= self.x_max:
+            raise ValueError("need 1 <= x_min <= x_max")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")

@@ -53,23 +53,17 @@ class ComplexityModel:
 
 @dataclass(frozen=True)
 class UtilityConfig:
-    """Trade-off weight, precision bounds, output sensitivities."""
+    """Trade-off weight and precision bounds."""
 
     alpha: float = 1e-9
     x_min: int = 4
     x_max: int = 64
-    out_weights: Optional[Mapping[int, float]] = None
 
     def __post_init__(self):
         if not (1 <= self.x_min <= self.x_max):
             raise ValueError("need 1 <= x_min <= x_max")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-
-    def beta(self, output_id: int) -> float:
-        if self.out_weights is None:
-            return 1.0
-        return float(self.out_weights.get(output_id, 0.0))
 
     #: folded rounding-law constant appearing in every G_sigma seed
     @property
@@ -92,7 +86,6 @@ class XoptLut:
     """
 
     def __init__(self, cm: ComplexityModel, cfg: UtilityConfig):
-        self.cm = cm
         self.cfg = cfg
         scale = 2.0 * math.log(EPS) / (1.0 - EPS ** -2)
         self.thresholds: Dict[OpKind, List[float]] = {}
@@ -117,17 +110,12 @@ class XoptLut:
 
 def final_step_precision(graph: ExprGraph, cfg: UtilityConfig,
                          cm: ComplexityModel,
-                         lut: XoptLut = None) -> Tuple[Dict[int, int], Dict[int, float]]:
-    """Optimal precision and G_sigma seed for every output node."""
+                         lut: XoptLut = None) -> Dict[int, int]:
+    """Optimal precision of every output node, whose G_sigma seed is
+    ``-cfg.gsigma_unit``: the anchors of the online plan."""
     lut = lut or XoptLut(cm, cfg)
-    xs: Dict[int, int] = {}
-    gs: Dict[int, float] = {}
-    for oid in graph.outputs:
-        node = graph.nodes[oid]
-        g = -cfg.beta(oid) * cfg.gsigma_unit
-        gs[oid] = g
-        xs[oid] = lut.lookup(-g / cfg.alpha, node.op)
-    return xs, gs
+    rho = cfg.gsigma_unit / cfg.alpha
+    return {oid: lut.lookup(rho, graph.nodes[oid].op) for oid in graph.outputs}
 
 
 def _backward_factors(e_b: int) -> Dict[OpKind, float]:
@@ -156,7 +144,7 @@ def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     for node in reversed(graph.nodes):
         terms = []
         if node.id in out_set:
-            terms.append(-cfg.beta(node.id) * cfg.gsigma_unit)
+            terms.append(-cfg.gsigma_unit)
         terms.extend(gsig[cid] * back[graph.nodes[cid].op]
                      for cid in consumers[node.id])
         g = min(terms, default=0.0)  # sensitivities are negative: min = most demanding
@@ -164,37 +152,6 @@ def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
         if node.op is not OpKind.INPUT:
             assignment[node.id] = lut.lookup(-g / cfg.alpha, node.op)
     return PrecisionPlan(assignment, gsig)
-
-
-@dataclass
-class _PathInfo:
-    length: int
-    n_add: int
-    n_sub: int
-    n_sqrt: int
-    anchor: int
-
-
-def _paths_to_outputs(graph: ExprGraph) -> Dict[int, _PathInfo]:
-    """Longest consumer path per node with add/sub/sqrt crossing counts."""
-    consumers = graph.consumers()
-    info: Dict[int, _PathInfo] = {}
-    for node in reversed(graph.nodes):
-        best: Optional[_PathInfo] = None
-        if not consumers[node.id]:
-            best = _PathInfo(0, 0, 0, 0, node.id)
-        for cid in consumers[node.id]:
-            c = graph.nodes[cid]
-            up = info[cid]
-            cand = _PathInfo(up.length + 1,
-                             up.n_add + (c.op is OpKind.ADD),
-                             up.n_sub + (c.op is OpKind.SUB),
-                             up.n_sqrt + (c.op is OpKind.SQRT),
-                             up.anchor)
-            if best is None or cand.length > best.length:
-                best = cand
-        info[node.id] = best
-    return info
 
 
 def seed_bit_offset(n_add: int, n_sub: int, n_sqrt: int, add_rate: int,
@@ -215,33 +172,45 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
                ) -> Tuple[ExecutionResult, PrecisionPlan]:
     """Plan-while-executing assignment using actual operand values.
 
-    First-step nodes (and input-fed operand routes generally) are seeded
-    from the final-step precision plus a path-length bit offset; interior
-    routes advance G_sigma by the forward factor of the node's own kind,
-    with the add/sub factor taken from the operand exponents when they
-    differ and computed exactly when they coincide.  The decisions are a
-    precision policy for :func:`graph.run`, so each node executes at its
-    decided precision before any consumer is visited.
+    The policy runs in rho = -G_sigma/alpha: alpha enters only through the
+    output nodes' final-step precision (the anchors), so the plan is a
+    function of the anchors and the operand values.  Input-fed operand
+    routes are seeded from the anchor plus a path-length bit offset;
+    interior routes advance rho by the forward factor of the node's own
+    kind, with the add/sub factor taken from the operand exponents when
+    they differ and computed exactly when they coincide.  The decisions
+    are a precision policy for :func:`graph.run`, so each node executes at
+    its decided precision before any consumer is visited.  The reported
+    G_sigma is ``-alpha * rho`` (0.0 at exact-zero results).
     """
     lut = XoptLut(cm, cfg)
-    final_x, _ = final_step_precision(graph, cfg, cm, lut)
-    paths = _paths_to_outputs(graph)
+    final_x = final_step_precision(graph, cfg, cm, lut)
     add_rate, sub_rate = ops_per_bit("add", e_b), ops_per_bit("sub", e_b)
-    # mul/div/sqrt move G_sigma by a constant; add/sub by the operand values
+    # rho seed of each node's input-fed routes: its anchor's rho shifted by
+    # the unrounded bit offset of its longest path to a sink, a path given
+    # as (length, add, sub and sqrt crossings, sink id)
+    consumers = graph.consumers()
+    longest: Dict[int, Tuple[int, int, int, int, int]] = {}
+    seed: Dict[int, float] = {}
+    for node in reversed(graph.nodes):
+        best = None if consumers[node.id] else (0, 0, 0, 0, node.id)
+        for cid in consumers[node.id]:
+            n, n_add, n_sub, n_sqrt, sink = longest[cid]
+            c = graph.nodes[cid].op
+            if best is None or n + 1 > best[0]:
+                best = (n + 1, n_add + (c is OpKind.ADD), n_sub + (c is OpKind.SUB),
+                        n_sqrt + (c is OpKind.SQRT), sink)
+        longest[node.id] = best
+        if node.op is not OpKind.INPUT:
+            # a sink that is not an output (isolated chain) anchors mid-range
+            anchor = final_x.get(best[4], (cfg.x_min + cfg.x_max) // 2)
+            off = seed_bit_offset(*best[1:4], add_rate, sub_rate)
+            seed[node.id] = lut.reverse(anchor, node.op) * EPS ** (2.0 * off)
+    # mul/div/sqrt move rho by a constant; add/sub by the operand values
     fixed_forward = {op: speculation_factor(op.value, "forward", e_b)
                      for op in (OpKind.MUL, OpKind.DIV, OpKind.SQRT)}
-    gsig: Dict[int, float] = {}
+    rho: Dict[int, float] = {}
     assignment: Dict[int, int] = {}
-
-    def seed_g(nid: int, op) -> float:
-        # anchor rho shifted by the unrounded path offset in G-space
-        p = paths[nid]
-        anchor = final_x.get(p.anchor)
-        if anchor is None:  # anchor not an output (isolated chain); rare
-            anchor = (cfg.x_min + cfg.x_max) // 2
-        off = seed_bit_offset(p.n_add, p.n_sub, p.n_sqrt, add_rate, sub_rate)
-        rho = lut.reverse(anchor, op) * EPS ** (2.0 * off)
-        return -cfg.alpha * rho
 
     def choose(node, va: float, vb: Optional[float]) -> int:
         op = node.op
@@ -260,14 +229,16 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
             # exact-zero result: no relative-error frame, nothing to plan;
             # compute at the floor and mark the node degenerate
             x = cfg.x_min
-            g_store = 0.0
+            rho[node.id] = 0.0
         else:
-            routes: List[Tuple[float, float]] = []  # (proposal, merge weight)
+            # merge-weighted mean of the operand routes; for add/sub the
+            # weight is the operand magnitude, so the dominant operand's
+            # route wins when the exponents differ greatly and the
+            # attenuated non-dominant route fades out
+            total = wsum = 0.0
             for oid, v_op in zip(node.operands, (va, vb)):
                 if op in (OpKind.ADD, OpKind.SUB):
                     weight = abs(v_op)
-                    if weight == 0:
-                        continue
                     # operand^2/result^2 (exactly 1 beside an exact zero),
                     # clipped at 1 so the recursion stays bounded where the
                     # frame shrinks and the cheap exponent rule is invalid
@@ -275,31 +246,18 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
                 else:
                     weight, factor = 1.0, fixed_forward[op]
                 if graph.nodes[oid].op is OpKind.INPUT:
-                    proposal = seed_g(node.id, op)
+                    total += seed[node.id] * weight
                 else:
-                    proposal = gsig[oid] * factor
-                routes.append((proposal, weight))
-
-            if not routes:
-                g = 0.0
-            elif op in (OpKind.ADD, OpKind.SUB):
-                # magnitude-weighted sum: the dominant operand's route wins
-                # when the exponents differ greatly, and the attenuated
-                # non-dominant proposal fades out
-                wsum = sum(w for _, w in routes)
-                g = sum(p * w for p, w in routes) / wsum
-            else:
-                g = sum(p for p, _ in routes) / len(routes)
-
-            x = lut.lookup(-g / cfg.alpha, op)
-            g_store = -cfg.alpha * lut.reverse(x, op)
-
-        gsig[node.id] = g_store
+                    total += rho[oid] * factor * weight
+                wsum += weight
+            x = lut.lookup(total / wsum, op)
+            rho[node.id] = lut.reverse(x, op)
         assignment[node.id] = x
         return x
 
     result = run(graph, choose, input_values, input_precision, params)
-    return result, PrecisionPlan(assignment, gsig)
+    gsigma = {nid: -cfg.alpha * r if r else 0.0 for nid, r in rho.items()}
+    return result, PrecisionPlan(assignment, gsigma)
 
 
 def fixed_plan(graph: ExprGraph, x: int) -> PrecisionPlan:
@@ -360,7 +318,7 @@ def modeled_utility_batch(graph: ExprGraph, plans: np.ndarray, node_order: Seque
             sc2 = f * (var[node.operands[0]] + var[node.operands[1]])
         var[node.id] = rounding_variance(sc2, x)
         cost += cm.weight(node.op) * x
-    err = sum(cfg.beta(oid) * var[oid] for oid in graph.outputs)
+    err = sum(var[oid] for oid in graph.outputs)
     return err + cfg.alpha * cost
 
 

@@ -6,10 +6,13 @@ one of them would break ``perfbench/run.py --trace 1`` or the fan-out
 timing without any other test failing.
 """
 
+import dataclasses
 import inspect
 from pathlib import Path
 
-from varprec import cli, mimo
+import pytest
+
+from varprec import cli, ebfp, errormodel, graph, mimo, optimizer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,3 +37,56 @@ def test_pool_cell_takes_one_argument():
     # perfbench/fanout_cli.py replaces cli._run_cell with a one-argument
     # wrapper that logs one cell per call
     assert len(inspect.signature(cli._run_cell).parameters) == 1
+
+
+_ = object()  # any argument
+
+#: every call shape perfbench/slices.py makes into varprec:
+#: (function, positional arguments, keyword arguments)
+SLICE_CALLS = [
+    (mimo.SimConfig, (), dict(n_t=_, k_users=_, trials=_, seed=_, sweep=_, ber_symbols=_)),
+    (mimo.SimConfig, (), dict(n_t=_, k_users=_, trials=_, seed=_, sweep=_, schemes=_)),
+    (mimo.build_zf_graph, (_, _), {}),
+    (mimo.gen_channel, (_, _, _), {}),
+    (mimo.ChannelMatrix, (_, _), {}),
+    (mimo.ZfGraph.input_values, (_, _), {}),    # zfg.input_values(h)
+    (mimo.ZfGraph.input_precisions, (_,), {}),
+    (mimo.ZfGraph.w_matrix, (_, _), {}),
+    (mimo.pareto_sweep, (_,), {}),
+    (optimizer.UtilityConfig, (), dict(alpha=_, x_min=_)),
+    (optimizer.ComplexityModel, (), {}),
+    (optimizer.offline_vpc, (_, _, _), {}),
+    (optimizer.online_vpc, (_, _, _, _, _, _), {}),
+    (optimizer.plan_metrics, (_, _, _), {}),
+    (optimizer.fixed_plan, (_, _), {}),
+    (graph.execute, (_, _, _, _), {}),
+    (graph.execute, (_, _, _, _, _), {}),
+    (graph.ExecutionResult.output_fractions, (_,), {}),
+    (ebfp.EbfpParams, (_, _, _), {}),
+    (ebfp.EbfpNumber, (_, _, _, _, _), {}),
+    (ebfp.arith, (_, _, _, _), {}),
+    (errormodel.w_moments, (_,), dict(samples=_, seed=_)),
+    (errormodel.montecarlo_arith_variance, (_, _, _, _, _, _), {}),
+]
+
+#: the fields perfbench/slices.py reads off varprec's configs and results
+SLICE_FIELDS = [
+    (mimo.SimConfig, {"n_t", "k_users", "snr_db", "trials", "seed", "sweep", "schemes",
+                      "x_min", "x_max", "e_b", "storage_bits", "ber_symbols"}),
+    (mimo.SweepPoint, {"scheme", "target_avg_bits", "realized_avg_bits", "total_complexity",
+                       "sum_rate_mean", "sum_rate_stderr", "ber", "trials", "seed",
+                       "failures", "rates"}),
+    (ebfp.EbfpNumber, {"sign", "block_exp", "field", "n_blocks", "flags", "params"}),
+    (ebfp.EbfpParams, {"block_bits", "exponent_bits"}),
+]
+
+
+@pytest.mark.parametrize("fn, args, kwargs", SLICE_CALLS,
+                         ids=[f"{i}-{c[0].__qualname__}" for i, c in enumerate(SLICE_CALLS)])
+def test_slice_call_shapes_bind(fn, args, kwargs):
+    inspect.signature(fn).bind(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cls, names", SLICE_FIELDS, ids=[c.__name__ for c, _ in SLICE_FIELDS])
+def test_slice_fields_exist(cls, names):
+    assert names <= {f.name for f in dataclasses.fields(cls)}

@@ -148,6 +148,26 @@ class TestPareto:
         assert "VARPREC_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "pareto.csv").exists()
 
+    @pytest.mark.parametrize("config, flags", [
+        ("bogus = 1\n", []),
+        ("", ["--nt", "2", "--k", "3"]),
+        ("", ["--nt", "0", "--k", "0"]),
+        ("", ["--scheme", "bogus"]),
+        ("", ["--trials", "0"]),
+        ("nt 2\n", []),
+        ("x_min = 10\nx_max = 4\n", []),
+        ("x_min = 0\n", []),
+    ], ids=["unknown-key", "k-above-nt", "no-users", "unknown-scheme", "zero-trials",
+            "line-without-equals", "x-min-above-x-max", "x-min-below-1"])
+    def test_bad_config_usage_error(self, tmp_path, monkeypatch, capsys, config, flags):
+        monkeypatch.delenv("VARPREC_THREADS", raising=False)
+        cfgf = tmp_path / "sim.cfg"
+        cfgf.write_text("nt = 2\nk = 2\ntrials = 1\nsweep = 8\nschemes = fixed\n" + config)
+        rc = main(["--out-dir", str(tmp_path), "pareto", "--config", str(cfgf)] + flags)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "pareto.csv").exists()
+
     def test_cells_share_references(self, monkeypatch):
         # the cells a pool worker runs on one config build the channels and
         # the reference precoders once, and give the serial sweep's points

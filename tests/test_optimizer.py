@@ -99,22 +99,11 @@ class TestLut:
 
 
 class TestFinalStep:
-    def test_zero_weight_output_floors(self):
-        g = ExprGraph()
-        a, b = g.add_input(), g.add_input()
-        m1 = g.record("mul", [a, b])
-        m2 = g.record("add", [a, b])
-        cfg = UtilityConfig(alpha=1e-9, out_weights={m1: 1.0, m2: 0.0})
-        xs, gs = final_step_precision(g, cfg, CM)
-        assert xs[m2] == cfg.x_min
-        assert xs[m1] > cfg.x_min
-        assert gs[m1] < 0
-
     def test_large_alpha_floors_everything(self):
         g = ExprGraph()
         a, b = g.add_input(), g.add_input()
         m = g.record("mul", [a, b])
-        xs, _ = final_step_precision(g, UtilityConfig(alpha=1e6), CM)
+        xs = final_step_precision(g, UtilityConfig(alpha=1e6), CM)
         assert xs[m] == 4
 
     def test_integer_scan_picks_stationary_bit(self):
@@ -126,7 +115,7 @@ class TestFinalStep:
         lut = XoptLut(CM, CFG)
         rho12 = lut.reverse(12, "mul")
         cfg = UtilityConfig(alpha=CFG.gsigma_unit / rho12)
-        xs, _ = final_step_precision(g, cfg, CM)
+        xs = final_step_precision(g, cfg, CM)
         assert xs[m] == 12
         scan = np.arange(4, 65)
         best = scan[int(np.argmin(modeled_utility_batch(g, scan[:, None], [m], cfg, CM)))]
@@ -139,7 +128,7 @@ class TestOffline:
         a, b = g.add_input(), g.add_input()
         m = g.record("div", [a, b])
         assert offline_vpc(g, CFG, CM).assignment[m] == \
-            final_step_precision(g, CFG, CM)[0][m]
+            final_step_precision(g, CFG, CM)[m]
 
     def test_sqrt_chain_steps_down(self):
         g, _ = ExprGraph(), None
@@ -285,6 +274,22 @@ class TestOnline:
         d = g.record("mul", [s, s])
         _, on = online_vpc(g, CFG, CM, {xs[0]: Fraction(3, 2), xs[1]: Fraction(5, 4)})
         assert on.assignment[s] >= on.assignment[m1]
+
+    def test_alpha_acts_only_through_the_anchor(self):
+        # five alphas that give every output the same final-step precision
+        # give one plan: alpha moves no interior decision, not even where a
+        # merged rho lands exactly on a threshold
+        zfg = build_zf_graph(4, 4)
+        ip = zfg.input_precisions()
+        vals = zfg.input_values(gen_channel(np.random.default_rng(0), 4, 4))
+        anchors, plans = set(), set()
+        for a in np.geomspace(1e-20, 1e-3, 150)[10:15]:
+            cfg = UtilityConfig(alpha=float(a), x_min=2)
+            anchors.add(tuple(final_step_precision(zfg.graph, cfg, CM).values()))
+            _, plan = online_vpc(zfg.graph, cfg, CM, vals, 10, ip)
+            plans.add(tuple(sorted(plan.assignment.items())))
+        assert len(anchors) == 1 and set(next(iter(anchors))) == {29}
+        assert len(plans) == 1
 
 
 class TestOneExecutor:
