@@ -10,7 +10,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -31,8 +31,8 @@ from .mimo import (
     SimConfig,
     SweepInputs,
     build_zf_graph,
-    calibrate_alpha,
     gen_channel,
+    online_alpha,
     pareto_sweep,
     precision_histogram,
     sweep_cell,
@@ -153,43 +153,32 @@ def parse_config(path: Path) -> dict:
     return out
 
 
+#: config key -> (SimConfig field, parser of its text); a pareto flag sets
+#: the key of its name (``--scheme`` sets ``schemes``)
+CONFIG_KEYS = {
+    "nt": ("n_t", int), "n_t": ("n_t", int), "k": ("k_users", int),
+    "k_users": ("k_users", int), "snr_db": ("snr_db", float),
+    "trials": ("trials", int), "seed": ("seed", int),
+    "x_min": ("x_min", int), "x_max": ("x_max", int),
+    "e_b": ("e_b", int), "storage_bits": ("storage_bits", int),
+    "ber_symbols": ("ber_symbols", int),
+    "sweep": ("sweep", lambda v: tuple(float(t) for t in v.split(","))),
+    "schemes": ("schemes", lambda v: tuple(s.strip() for s in v.split(","))),
+}
+
+
 def sim_config_from_args(args) -> SimConfig:
-    cfg = SimConfig()
-    if args.config:
-        raw = parse_config(Path(args.config))
-        conv = {
-            "nt": ("n_t", int), "n_t": ("n_t", int), "k": ("k_users", int),
-            "k_users": ("k_users", int), "snr_db": ("snr_db", float),
-            "trials": ("trials", int), "seed": ("seed", int),
-            "x_min": ("x_min", int), "x_max": ("x_max", int),
-            "e_b": ("e_b", int), "storage_bits": ("storage_bits", int),
-            "ber_symbols": ("ber_symbols", int),
-            "sweep": ("sweep", lambda v: tuple(float(t) for t in v.split(","))),
-            "schemes": ("schemes", lambda v: tuple(s.strip() for s in v.split(","))),
-        }
-        updates = {}
-        for key, val in raw.items():
-            if key not in conv:
-                raise ValueError(f"unknown config key {key!r}")
-            field_name, f = conv[key]
-            updates[field_name] = f(val)
-        cfg = replace(cfg, **updates)
-    overrides = {}
-    if args.nt is not None:
-        overrides["n_t"] = args.nt
-    if args.k is not None:
-        overrides["k_users"] = args.k
-    if args.snr_db is not None:
-        overrides["snr_db"] = args.snr_db
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.sweep is not None:
-        overrides["sweep"] = tuple(float(t) for t in args.sweep.split(","))
-    if args.scheme is not None:
-        overrides["schemes"] = tuple(s.strip() for s in args.scheme.split(","))
-    return replace(cfg, **overrides) if overrides else cfg
+    pairs = list(parse_config(Path(args.config)).items()) if args.config else []
+    flags = {"nt": args.nt, "k": args.k, "snr_db": args.snr_db, "trials": args.trials,
+             "seed": args.seed, "sweep": args.sweep, "schemes": args.scheme}
+    pairs += [(key, val) for key, val in flags.items() if val is not None]
+    updates = {}
+    for key, val in pairs:  # flags come last, so they override the file
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        field_name, parse = CONFIG_KEYS[key]
+        updates[field_name] = parse(val)
+    return SimConfig(**updates)
 
 
 #: (config, its sweep inputs) of the cells this process ran last: a pool
@@ -257,25 +246,21 @@ def cmd_histogram(args) -> int:
     if args.nt is None or args.k is None:
         print("error: --nt and --k are required", file=sys.stderr)
         return 2
-    if not 1 <= args.k <= args.nt:
-        print("error: need 1 <= k <= nt", file=sys.stderr)
+    seed = args.seed if args.seed is not None else 1
+    try:  # x_min = 4: the floor the histogram has always planned with
+        cfg = SimConfig(n_t=args.nt, k_users=args.k, seed=seed, x_min=4,
+                        sweep=(args.target_avg,))
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else 1
-    zfg = build_zf_graph(args.k, args.nt)
-    h = gen_channel(np.random.default_rng(seed), args.k, args.nt)
+    zfg = build_zf_graph(cfg.k_users, cfg.n_t)
+    h = gen_channel(np.random.default_rng(seed), cfg.k_users, cfg.n_t)
     cm = ComplexityModel()
-    ip = zfg.input_precisions()
-
-    def avg_on(alpha):
-        _, p = online_vpc(zfg.graph, UtilityConfig(alpha=alpha), cm,
-                          zfg.input_values(h), 10, ip)
-        return plan_metrics(zfg.graph, p, cm)[0]
-
-    alpha = calibrate_alpha(avg_on, args.target_avg, 0.25)
-    res, plan = online_vpc(zfg.graph, UtilityConfig(alpha=alpha), cm,
-                           zfg.input_values(h), 10, ip)
+    alpha = online_alpha(zfg, cfg, cm, [h], args.target_avg)
+    res, plan = online_vpc(zfg.graph, UtilityConfig(alpha, cfg.x_min, cfg.x_max), cm,
+                           zfg.input_values(h), cfg.e_b, zfg.input_precisions())
     degenerate = set(res.degenerate_zero)
     live = {nid: x for nid, x in plan.assignment.items() if nid not in degenerate}
     bins = precision_histogram(zfg, live)

@@ -420,6 +420,10 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if not 1 <= self.x_min <= self.x_max:
             raise ValueError("need 1 <= x_min <= x_max")
+        bad = [t for t in self.sweep if not self.x_min <= t <= self.x_max]
+        if bad:
+            raise ValueError(f"target {bad[0]:g} outside [x_min, x_max] = "
+                             f"[{self.x_min}, {self.x_max}]")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
@@ -486,86 +490,81 @@ def sweep_inputs(cfg: SimConfig) -> SweepInputs:
     return zfg, channels, [zf_reference(h, zfg)[0] for h in channels]
 
 
+def online_alpha(zfg: ZfGraph, cfg: SimConfig, cm: ComplexityModel,
+                 probe: Sequence[ChannelMatrix], target: float) -> float:
+    """Calibrated alpha of the online planner: its plans on the ``probe``
+    channels average ``target`` bits.  A channel whose plan fails to execute
+    is left out of the average; if every one fails, it reads ``cfg.x_min``."""
+    ip = zfg.input_precisions(cfg.storage_bits)
+
+    def avg_on(alpha):
+        vals = []
+        for h in probe:
+            try:
+                _, p = online_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm,
+                                  zfg.input_values(h), cfg.e_b, ip)
+                vals.append(plan_metrics(zfg.graph, p, cm)[0])
+            except GraphExecutionError:
+                continue
+        return float(np.mean(vals)) if vals else cfg.x_min
+    return calibrate_alpha(avg_on, target)
+
+
 def sweep_cell(cfg: SimConfig, cm: ComplexityModel, inputs: SweepInputs,
                scheme: str, ti: int) -> SweepPoint:
     """The cell of scheme ``scheme`` at target ``cfg.sweep[ti]``, over all
     of the sweep's channels.  It depends on nothing but its arguments, so a
-    cell run on its own equals the same cell of :func:`pareto_sweep`."""
-    zfg, channels, refs = inputs
-    h_cx = [h.as_complex() for h in channels]
-    target = cfg.sweep[ti]
-    if scheme == "fixed":
-        x = int(min(cfg.x_max, max(cfg.x_min, round(target))))
-        plan = fixed_plan(zfg.graph, x)
-        cells = [(plan, None) for _ in range(cfg.trials)]
-    elif scheme == "offline":
-        def avg_off(alpha):
-            return plan_metrics(zfg.graph, offline_vpc(
-                zfg.graph, _plan_cfg(cfg, alpha), cm, cfg.e_b), cm)[0]
-        alpha = calibrate_alpha(avg_off, target)
-        plan = offline_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm, cfg.e_b)
-        cells = [(plan, None) for _ in range(cfg.trials)]
-    elif scheme == "online":
-        probe = channels[: min(cfg.trials, 4)]
-        ip = zfg.input_precisions(cfg.storage_bits)
+    cell run on its own equals the same cell of :func:`pareto_sweep`.
 
-        def avg_on(alpha):
-            vals = []
-            for h in probe:
-                try:
-                    _, p = online_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm,
-                                      zfg.input_values(h), cfg.e_b, ip)
-                    vals.append(plan_metrics(zfg.graph, p, cm)[0])
-                except GraphExecutionError:
-                    continue
-            return float(np.mean(vals)) if vals else cfg.x_min
-        alpha = calibrate_alpha(avg_on, target)
-        cells = []
-        for h in channels:
-            try:
-                res, p = online_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm,
-                                    zfg.input_values(h), cfg.e_b, ip)
-                cells.append((p, res))
-            except GraphExecutionError:
-                cells.append((None, None))
+    A trial that fails to execute scores zero rate and every BER bit wrong;
+    its plan still counts in the realized average, but a failed online run
+    has no plan."""
+    zfg, channels, refs = inputs
+    target = cfg.sweep[ti]
+    ip = zfg.input_precisions(cfg.storage_bits)
+    if scheme == "fixed":
+        plan = fixed_plan(zfg.graph, round(target))
+    elif scheme == "offline":
+        def off(alpha):
+            return offline_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm, cfg.e_b)
+        plan = off(calibrate_alpha(lambda a: plan_metrics(zfg.graph, off(a), cm)[0], target))
+    elif scheme == "online":
+        ucfg = _plan_cfg(cfg, online_alpha(zfg, cfg, cm, channels[:4], target))
     else:  # random-blockwise
         draw_rng = np.random.default_rng((cfg.seed, 31, ti))
         hi = int(min(cfg.x_max, max(cfg.x_min + 1, round(max(cfg.sweep)))))
-        cells = [(random_blockwise_plan(zfg.graph, draw_rng, cfg.x_min, hi), None)
-                 for _ in range(cfg.trials)]
 
+    n_bits = 2 * cfg.k_users * cfg.ber_symbols
     rates, avgs, totals = [], [], []
-    bers: List[Tuple[int, int]] = []
-    failures = 0
-    for t, (plan, result) in enumerate(cells):
-        if result is None and plan is not None:
-            try:
-                result = execute(zfg.graph, plan, zfg.input_values(channels[t]),
-                                 zfg.input_precisions(cfg.storage_bits))
-            except GraphExecutionError:
-                result = None
+    errors = failures = 0
+    for t, h in enumerate(channels):
+        if scheme == "random-blockwise":
+            plan = random_blockwise_plan(zfg.graph, draw_rng, cfg.x_min, hi)
+        try:
+            if scheme == "online":
+                plan = None  # a failed online run has no plan
+                result, plan = online_vpc(zfg.graph, ucfg, cm, zfg.input_values(h),
+                                          cfg.e_b, ip)
+            else:
+                result = execute(zfg.graph, plan, zfg.input_values(h), ip)
+        except GraphExecutionError:
+            result = None
+        if plan is not None:
+            a, tot = plan_metrics(zfg.graph, plan, cm)
+            avgs.append(a)
+            totals.append(tot)
         if result is None:
             failures += 1
             rates.append(0.0)
-            if cfg.ber_symbols:
-                bers.append((2 * cfg.k_users * cfg.ber_symbols,
-                             2 * cfg.k_users * cfg.ber_symbols))
-            if plan is not None:
-                a, tot = plan_metrics(zfg.graph, plan, cm)
-                avgs.append(a)
-                totals.append(tot)
+            errors += n_bits
             continue
+        h_cx = h.as_complex()
         w = zfg.w_matrix(result)
-        rates.append(sum_rate(h_cx[t], w, cfg.snr_db))
-        a, tot = plan_metrics(zfg.graph, plan, cm)
-        avgs.append(a)
-        totals.append(tot)
+        rates.append(sum_rate(h_cx, w, cfg.snr_db))
         if cfg.ber_symbols:
             ber_rng = np.random.default_rng((cfg.seed, 77, t))
-            b = ber_sim(h_cx[t], w, cfg.snr_db, cfg.ber_symbols, ber_rng, refs[t])
-            bers.append((int(round(b * 2 * cfg.k_users * cfg.ber_symbols)),
-                         2 * cfg.k_users * cfg.ber_symbols))
-    ber = (sum(e for e, _ in bers) / sum(n for _, n in bers)) if bers else float("nan")
+            b = ber_sim(h_cx, w, cfg.snr_db, cfg.ber_symbols, ber_rng, refs[t])
+            errors += int(round(b * n_bits))
 
     n = len(rates)
     stderr = float(np.std(rates, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -576,7 +575,7 @@ def sweep_cell(cfg: SimConfig, cm: ComplexityModel, inputs: SweepInputs,
         total_complexity=float(np.mean(totals)) if totals else float("nan"),
         sum_rate_mean=float(np.mean(rates)),
         sum_rate_stderr=stderr,
-        ber=ber,
+        ber=errors / (cfg.trials * n_bits) if n_bits else float("nan"),
         trials=cfg.trials,
         failures=failures,
         seed=cfg.seed,
@@ -591,9 +590,8 @@ def pareto_sweep(cfg: SimConfig, cm: ComplexityModel = None,
     Channel matrices are generated once from the seed and reused across all
     schemes and targets.  Offline/online trade-off weights are calibrated by
     bisection to hit each target average precision; fixed-length uses the
-    matching integer precision directly.  Trials that fail to compute (zero
-    pivot, exact cancellation at very low precision) score zero rate and
-    chance-level BER.
+    matching integer precision directly.  :func:`sweep_cell` says how a
+    trial that fails to compute is scored.
     """
     cm = cm or ComplexityModel()
     say = progress or (lambda s: None)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -40,15 +40,11 @@ DEFAULT_WEIGHTS = {OpKind.ADD: 1.0, OpKind.SUB: 1.0, OpKind.MUL: 30.0,
 
 @dataclass(frozen=True)
 class ComplexityModel:
-    """Linear per-bit cost o_u(x) = w_u * x with per-op weights."""
+    """Linear per-bit cost o_u(x) = w_u * x with the weights of
+    ``DEFAULT_WEIGHTS``."""
 
-    weights: Mapping[OpKind, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
-
-    def weight(self, op) -> float:
-        w = self.weights[OpKind(op)]
-        if w <= 0:
-            raise ValueError("complexity weights must be positive")
-        return w
+    def weight(self, op: OpKind) -> float:
+        return DEFAULT_WEIGHTS[op]
 
 
 @dataclass(frozen=True)

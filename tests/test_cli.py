@@ -157,8 +157,11 @@ class TestPareto:
         ("nt 2\n", []),
         ("x_min = 10\nx_max = 4\n", []),
         ("x_min = 0\n", []),
+        ("x_min = 10\n", []),
+        ("", ["--sweep", "8,200"]),
     ], ids=["unknown-key", "k-above-nt", "no-users", "unknown-scheme", "zero-trials",
-            "line-without-equals", "x-min-above-x-max", "x-min-below-1"])
+            "line-without-equals", "x-min-above-x-max", "x-min-below-1",
+            "target-below-x-min", "target-above-x-max"])
     def test_bad_config_usage_error(self, tmp_path, monkeypatch, capsys, config, flags):
         monkeypatch.delenv("VARPREC_THREADS", raising=False)
         cfgf = tmp_path / "sim.cfg"
@@ -222,6 +225,20 @@ class TestPinnedOutputs:
             "histogram_graph.jsonl":
                 "7f9762d1b7a4d41e8ae4b6f35d51f4abcc2710601b09fb910090a18fa0248225"}
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_trials(self, tmp_path, monkeypatch, threads):
+        # every scheme fails at least one trial (online at 1 bit included),
+        # with BER on: pins how a failed trial is scored
+        monkeypatch.setenv("VARPREC_THREADS", threads)
+        cfgf = tmp_path / "fail.cfg"
+        cfgf.write_text("nt = 2\nk = 2\ntrials = 3\nseed = 4\nsweep = 1,2,6\n"
+                        "x_min = 1\nx_max = 40\nber_symbols = 32\n")
+        assert main(["--out-dir", str(tmp_path), "pareto", "--config", str(cfgf)]) == 0
+        rows = read_csv(tmp_path / "pareto.csv")[1:]
+        assert {r[0] for r in rows if int(r[-1]) > 0} == set(mimo.SCHEMES)
+        assert self.digest(tmp_path / "pareto.csv") == \
+            "62f8891de211e56a77596fdc29a17dee0266e435fe4c480406d5ed799dc6341c"
+
 
 class TestHistogram:
     def test_small_histogram(self, tmp_path):
@@ -236,6 +253,14 @@ class TestHistogram:
         assert main(["--out-dir", str(tmp_path), "histogram"]) == 2
         assert main(["--out-dir", str(tmp_path), "histogram", "--nt", "2",
                      "--k", "3"]) == 2
+
+    @pytest.mark.parametrize("target", ["1", "200"])
+    def test_target_outside_bounds_usage_error(self, tmp_path, capsys, target):
+        # the histogram plans over [4, 64] bits
+        assert main(["--out-dir", str(tmp_path), "histogram", "--nt", "2", "--k", "2",
+                     "--target-avg", target]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "histogram.csv").exists()
 
     def test_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
