@@ -177,7 +177,10 @@ def sim_config_from_args(args) -> SimConfig:
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
         field_name, parse = CONFIG_KEYS[key]
-        updates[field_name] = parse(val)
+        try:
+            updates[field_name] = parse(val)
+        except ValueError as e:
+            raise ValueError(f"config key {key!r}: {e}")
     return SimConfig(**updates)
 
 

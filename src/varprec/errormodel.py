@@ -57,7 +57,11 @@ def addsub_variance(a: float, b: float, c: float, sa2: float, sb2: float) -> flo
     Each operand is divided by c before squaring, so only a/c and b/c
     matter and no operand's square can over- or underflow.
     """
-    return (a / c) ** 2 * sa2 + (b / c) ** 2 * sb2
+    try:
+        return (a / c) ** 2 * sa2 + (b / c) ** 2 * sb2
+    except OverflowError:  # c over 2**512 below an operand: apply the ratio twice
+        ta, tb = a / c, b / c
+        return ta * (ta * sa2) + tb * (tb * sb2)
 
 
 def propagate_full_precision(op: str, a: float, b: float = None,

@@ -178,26 +178,21 @@ class ExecutionResult:
         return [decode(self.values[i]) for i in self.output_ids]
 
 
-def _shadow(node_id: int, n: EbfpNumber) -> float:
-    """``float(decode(n))`` by one ldexp on the stored field.  A value
-    outside float's normal range fails its node: its float would be
-    infinite or would lose bits as a subnormal."""
+def _shadow(n: EbfpNumber) -> float:
+    """``float(decode(n))`` by one ldexp on the stored field.  A saturated
+    value, or one outside float's normal range, has none: its float would
+    be infinite or would lose bits as a subnormal."""
     if n.flags is Flag.ZERO:
         return 0.0
+    if n.flags is not Flag.NORMAL:
+        raise ValueError(n.flags.value)
     e2 = (n.block_exp - n.n_blocks) * n.params.block_bits
     if n.field.bit_length() + e2 >= sys.float_info.min_exp:
         try:
             return math.ldexp(n.sign * n.field, e2)
         except OverflowError:
             pass
-    raise GraphExecutionError(node_id, "value left float range")
-
-
-def input_precision_of(input_precision, node_id: int) -> int:
-    """Per-input storage precision: a single int or a mapping by node id."""
-    if isinstance(input_precision, int):
-        return input_precision
-    return input_precision[node_id]
+    raise ValueError("value left float range")
 
 
 def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], int],
@@ -211,59 +206,55 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
     mapping from input id to bits) and given the corresponding pure-storage
     error variance; every interior node is computed by exact-then-round
     arithmetic at its chosen precision, and its error variance follows the
-    two-stage model.  An input precision the geometry cannot hold, division
-    by an eBFP zero, the square root of a negative value, saturation and
-    values outside float's normal range are reported with the offending node
-    id.
+    two-stage model.  A node that cannot be computed raises a
+    :class:`GraphExecutionError` naming it: a non-finite input, an input
+    precision the geometry cannot hold, division by an eBFP zero, the square
+    root of a negative value, a precision beyond the block budget,
+    saturation, and a value outside float's normal range.  An exception
+    raised by ``choose`` itself propagates unchanged.
     """
     values: Dict[int, EbfpNumber] = {}
     floats: Dict[int, float] = {}
     errors: Dict[int, float] = {}
     degenerate: List[int] = []
     for node in graph.nodes:
-        nid, operands = node.id, node.operands
-        if node.op is OpKind.INPUT:
-            x = input_precision_of(input_precision, nid)
-            try:
-                out = round_to_precision(Fraction(input_values[nid]), x, params)
-            except ValueError as e:
-                raise GraphExecutionError(nid, str(e))
-        else:
+        nid, op, operands = node.id, node.op, node.operands
+        if op is not OpKind.INPUT:
             a = values[operands[0]]
             b = values[operands[1]] if len(operands) > 1 else None
-            if node.op is OpKind.DIV and b.field == 0:
+            if op is OpKind.DIV and b.field == 0:
                 raise GraphExecutionError(nid, "division by zero")
-            if node.op is OpKind.SQRT and a.sign < 0:
+            if op is OpKind.SQRT and a.sign < 0:
                 raise GraphExecutionError(nid, "sqrt of a negative value")
             fa = floats[operands[0]]
             fb = floats[operands[1]] if b is not None else None
             x = choose(node, fa, fb)
-            try:
-                out = arith(node.op.value, a, b, x)
-            except ValueError as e:
-                raise GraphExecutionError(nid, str(e))
-        if out.is_saturated:
-            raise GraphExecutionError(nid, out.flags.value)
-        values[nid] = out
-        floats[nid] = fc = _shadow(nid, out)
-        if node.op is OpKind.INPUT:
-            errors[nid] = input_error_variance(x)
-            continue
-        if out.flags is Flag.ZERO:
-            # exact zero result: the relative-error frame is singular, but
-            # the value itself is exact and inert downstream
-            degenerate.append(nid)
-            errors[nid] = 0.0
-            continue
-        sa2 = errors[operands[0]]
-        sb2 = errors[operands[1]] if b is not None else None
-        if node.op in (OpKind.ADD, OpKind.SUB):
-            # the frame is the stored result, not fa ± fb: operands wider
-            # than 53 bits can collide in float while their exact sum is not 0
-            sc2 = addsub_variance(fa, fb, fc, sa2, sb2)
-        else:
-            sc2 = propagate_full_precision(node.op.value, fa, fb, sa2, sb2)
-        errors[nid] = rounding_variance(sc2, x)
+        try:
+            if op is OpKind.INPUT:
+                x = input_precision if isinstance(input_precision, int) else input_precision[nid]
+                out = round_to_precision(input_values[nid], x, params)
+            else:
+                out = arith(op, a, b, x)
+            values[nid] = out
+            floats[nid] = fc = _shadow(out)
+            if op is OpKind.INPUT:
+                errors[nid] = input_error_variance(x)
+            elif out.flags is Flag.ZERO:
+                # exact zero result: the relative-error frame is singular,
+                # but the value itself is exact and inert downstream
+                degenerate.append(nid)
+                errors[nid] = 0.0
+            elif op is OpKind.ADD or op is OpKind.SUB:
+                # the frame is the stored result, not fa ± fb: operands wider
+                # than 53 bits can collide in float while their exact sum is not 0
+                errors[nid] = rounding_variance(addsub_variance(
+                    fa, fb, fc, errors[operands[0]], errors[operands[1]]), x)
+            else:
+                sb2 = errors[operands[1]] if b is not None else None
+                errors[nid] = rounding_variance(propagate_full_precision(
+                    op, fa, fb, errors[operands[0]], sb2), x)
+        except (ValueError, ArithmeticError) as e:
+            raise GraphExecutionError(nid, str(e))
     return ExecutionResult(values, floats, errors, graph.outputs, degenerate)
 
 

@@ -418,6 +418,8 @@ class SimConfig:
             raise ValueError("need 1 <= k_users <= n_t")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not math.isfinite(self.snr_db) or self.ber_symbols < 0:
+            raise ValueError("need a finite snr_db and ber_symbols >= 0")
         if not 1 <= self.x_min <= self.x_max:
             raise ValueError("need 1 <= x_min <= x_max")
         bad = [t for t in self.sweep if not self.x_min <= t <= self.x_max]

@@ -340,5 +340,5 @@ def plan_from_csv(fh) -> PrecisionPlan:
             try:
                 gs[nid] = float(row[5].strip("'"))
             except ValueError:
-                pass
+                raise ValueError(f"node {nid}: g_sigma {row[5]!r} is not a number")
     return PrecisionPlan(assignment, gs or None)

@@ -8,6 +8,9 @@ timing without any other test failing.
 
 import dataclasses
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +93,15 @@ def test_slice_call_shapes_bind(fn, args, kwargs):
 @pytest.mark.parametrize("cls, names", SLICE_FIELDS, ids=[c.__name__ for c, _ in SLICE_FIELDS])
 def test_slice_fields_exist(cls, names):
     assert names <= {f.name for f in dataclasses.fields(cls)}
+
+
+def test_traced_run_is_correct():
+    # one short traced round of the smallest workload: a traced hook or a
+    # slice that no longer fits varprec fails here, not in the benchmark
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "scalar-kernel", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr

@@ -159,9 +159,11 @@ class TestPareto:
         ("x_min = 0\n", []),
         ("x_min = 10\n", []),
         ("", ["--sweep", "8,200"]),
+        ("snr_db = nan\n", []),
+        ("ber_symbols = -1\n", []),
     ], ids=["unknown-key", "k-above-nt", "no-users", "unknown-scheme", "zero-trials",
             "line-without-equals", "x-min-above-x-max", "x-min-below-1",
-            "target-below-x-min", "target-above-x-max"])
+            "target-below-x-min", "target-above-x-max", "snr-nan", "negative-ber-symbols"])
     def test_bad_config_usage_error(self, tmp_path, monkeypatch, capsys, config, flags):
         monkeypatch.delenv("VARPREC_THREADS", raising=False)
         cfgf = tmp_path / "sim.cfg"
@@ -169,6 +171,14 @@ class TestPareto:
         rc = main(["--out-dir", str(tmp_path), "pareto", "--config", str(cfgf)] + flags)
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "pareto.csv").exists()
+
+    def test_unparsable_value_names_key(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("VARPREC_THREADS", raising=False)
+        cfgf = tmp_path / "sim.cfg"
+        cfgf.write_text("nt = two\nk = 2\n")
+        assert main(["--out-dir", str(tmp_path), "pareto", "--config", str(cfgf)]) == 2
+        assert "'nt'" in capsys.readouterr().err
         assert not (tmp_path / "pareto.csv").exists()
 
     def test_cells_share_references(self, monkeypatch):

@@ -10,6 +10,7 @@ from varprec.errormodel import (
     REFERENCE_OPS_PER_BIT,
     SingularOperationError,
     W_LIMIT_VAR,
+    addsub_variance,
     input_error_variance,
     montecarlo_arith_variance,
     ops_per_bit,
@@ -47,6 +48,11 @@ class TestFullPrecisionVariance:
         plain = propagate_full_precision(op, 3.0, 1.0, 2e-6, 5e-6)
         assert plain > 0
         assert propagate_full_precision(op, 3.0 * scale, scale, 2e-6, 5e-6) == plain
+
+    def test_addsub_deep_cancellation(self):
+        # a result 2**520 below its operands: the ratio's square overflows a
+        # float, its product with the operand variance does not
+        assert addsub_variance(1.0, -1.0, 2.0 ** -520, 2.0 ** -1000, 2.0 ** -1000) == 2.0 ** 41
 
     def test_singular_add_sub(self):
         with pytest.raises(SingularOperationError):

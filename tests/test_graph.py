@@ -18,6 +18,7 @@ from varprec.graph import (
     topo_stats,
 )
 from varprec.errormodel import input_error_variance, propagate_full_precision, rounding_variance
+from varprec.optimizer import ComplexityModel, UtilityConfig, online_vpc
 
 
 def fig3_style_graph():
@@ -195,6 +196,57 @@ class TestExecute:
         scaled = execute(g, {s: 20}, {a: 3 * c, b: c}, 53, params)
         assert plain.errors[s] > 0
         assert scaled.errors[s] == plain.errors[s]
+
+
+def _mul_graph():
+    g = ExprGraph()
+    a, b = g.add_input(), g.add_input()
+    return g, a, b, g.record("mul", [a, b])
+
+
+def _online(g, vals, xin, params):
+    return online_vpc(g, UtilityConfig(alpha=1e-9), ComplexityModel(), vals, 10, xin, params)
+
+
+class TestFailures:
+    """Every node that cannot be computed fails as a GraphExecutionError
+    naming the node and the reason."""
+
+    def test_interior_saturation(self):
+        # 10 * 10 = 100 lies beyond the exponent range of E = 4
+        g, a, b, m = _mul_graph()
+        vals, params = {a: Fraction(10), b: Fraction(10)}, EbfpParams(1, 4, 80)
+        for run_it in (lambda: execute(g, {m: 20}, vals, 20, params),
+                       lambda: _online(g, vals, 20, params)):
+            with pytest.raises(GraphExecutionError) as ei:
+                run_it()
+            assert (ei.value.node_id, ei.value.reason) == (m, "saturated-overflow")
+
+    def test_interior_block_budget(self):
+        # 12-bit inputs fit in 20 one-bit blocks; a 30-bit product does not
+        g, a, b, m = _mul_graph()
+        with pytest.raises(GraphExecutionError) as ei:
+            execute(g, {m: 30}, {a: Fraction(10), b: Fraction(10)}, 12, EbfpParams(1, 10, 20))
+        assert ei.value.node_id == m
+        assert ei.value.reason == "precision exceeds max_blocks for these parameters"
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_input(self, bad):
+        g, a, b, m = _mul_graph()
+        with pytest.raises(GraphExecutionError) as ei:
+            execute(g, {m: 20}, {a: Fraction(1), b: bad})
+        assert ei.value.node_id == b
+        assert "cannot convert" in ei.value.reason
+
+    def test_deep_cancellation_has_finite_variance(self):
+        # (1 + 2**-530) - 1: the exact result lies 2**530 below the operands
+        g = ExprGraph()
+        a, b = g.add_input(), g.add_input()
+        s = g.record("sub", [a, b])
+        vals, params = {a: 1 + Fraction(2) ** -530, b: Fraction(1)}, EbfpParams(8, 10, 80)
+        for res in (execute(g, {s: 20}, vals, 560, params), _online(g, vals, 560, params)[0]):
+            assert decode(res.values[s]) == Fraction(2) ** -530
+            assert math.isfinite(res.errors[s])
 
 
 def _random_graph(rng, n_ops=10, n_inputs=3):

@@ -386,6 +386,14 @@ class TestPlans:
         back = plan_from_csv(buf)
         assert back.assignment == plan.assignment
 
+    def test_csv_rejects_bad_g_sigma(self):
+        # empty cells, written for nodes without G_sigma, read as absent
+        header = "node_id,op,step_n,step_k,x,g_sigma\n"
+        back = plan_from_csv(io.StringIO(header + "2,add,1,1,12,''\n3,mul,2,1,9,\n"))
+        assert back.assignment == {2: 12, 3: 9} and back.gsigma is None
+        with pytest.raises(ValueError, match="node 2"):
+            plan_from_csv(io.StringIO(header + "2,add,1,1,12,not-a-number\n"))
+
 
 def rates(e_b):
     return ops_per_bit("add", e_b), ops_per_bit("sub", e_b)
