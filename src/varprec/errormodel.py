@@ -54,14 +54,12 @@ class RelErrorStats:
 def addsub_variance(a: float, b: float, c: float, sa2: float, sb2: float) -> float:
     """Pre-rounding variance of the relative error of c = a + b or a - b.
 
-    Each operand is divided by c before squaring, so only a/c and b/c
-    matter and no operand's square can over- or underflow.
+    Each operand is divided by c, and the ratio is applied one factor at a
+    time, so only a/c and b/c matter and no intermediate leaves float range
+    unless the variance itself does (it is then inf).
     """
-    try:
-        return (a / c) ** 2 * sa2 + (b / c) ** 2 * sb2
-    except OverflowError:  # c over 2**512 below an operand: apply the ratio twice
-        ta, tb = a / c, b / c
-        return ta * (ta * sa2) + tb * (tb * sb2)
+    ta, tb = a / c, b / c
+    return ta * (ta * sa2) + tb * (tb * sb2)
 
 
 def propagate_full_precision(op: str, a: float, b: float = None,

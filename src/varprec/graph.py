@@ -210,8 +210,8 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
     :class:`GraphExecutionError` naming it: a non-finite input, an input
     precision the geometry cannot hold, division by an eBFP zero, the square
     root of a negative value, a precision beyond the block budget,
-    saturation, and a value outside float's normal range.  An exception
-    raised by ``choose`` itself propagates unchanged.
+    saturation, a value outside float's normal range, or an infinite error
+    variance.  An exception raised by ``choose`` or the error model propagates.
     """
     values: Dict[int, EbfpNumber] = {}
     floats: Dict[int, float] = {}
@@ -237,24 +237,25 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
                 out = arith(op, a, b, x)
             values[nid] = out
             floats[nid] = fc = _shadow(out)
-            if op is OpKind.INPUT:
-                errors[nid] = input_error_variance(x)
-            elif out.flags is Flag.ZERO:
-                # exact zero result: the relative-error frame is singular,
-                # but the value itself is exact and inert downstream
-                degenerate.append(nid)
-                errors[nid] = 0.0
-            elif op is OpKind.ADD or op is OpKind.SUB:
-                # the frame is the stored result, not fa ± fb: operands wider
-                # than 53 bits can collide in float while their exact sum is not 0
-                errors[nid] = rounding_variance(addsub_variance(
-                    fa, fb, fc, errors[operands[0]], errors[operands[1]]), x)
-            else:
-                sb2 = errors[operands[1]] if b is not None else None
-                errors[nid] = rounding_variance(propagate_full_precision(
-                    op, fa, fb, errors[operands[0]], sb2), x)
         except (ValueError, ArithmeticError) as e:
             raise GraphExecutionError(nid, str(e))
+        if op is OpKind.INPUT:
+            v = input_error_variance(x)
+        elif out.flags is Flag.ZERO:
+            # exact zero: the relative-error frame is singular, but the value is exact and inert
+            degenerate.append(nid)
+            v = 0.0
+        elif op is OpKind.ADD or op is OpKind.SUB:
+            # the frame is the stored result, not fa ± fb: operands wider
+            # than 53 bits can collide in float while their exact sum is not 0
+            v = rounding_variance(addsub_variance(
+                fa, fb, fc, errors[operands[0]], errors[operands[1]]), x)
+        else:
+            sb2 = errors[operands[1]] if b is not None else None
+            v = rounding_variance(propagate_full_precision(op, fa, fb, errors[operands[0]], sb2), x)
+        if not math.isfinite(v):
+            raise GraphExecutionError(nid, "error variance left float range")
+        errors[nid] = v
     return ExecutionResult(values, floats, errors, graph.outputs, degenerate)
 
 

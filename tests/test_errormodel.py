@@ -50,8 +50,8 @@ class TestFullPrecisionVariance:
         assert propagate_full_precision(op, 3.0 * scale, scale, 2e-6, 5e-6) == plain
 
     def test_addsub_deep_cancellation(self):
-        # a result 2**520 below its operands: the ratio's square overflows a
-        # float, its product with the operand variance does not
+        # a result 2**520 below its operands: the ratio's square would
+        # overflow a float, its product with the operand variance does not
         assert addsub_variance(1.0, -1.0, 2.0 ** -520, 2.0 ** -1000, 2.0 ** -1000) == 2.0 ** 41
 
     def test_singular_add_sub(self):

@@ -248,6 +248,38 @@ class TestFailures:
             assert decode(res.values[s]) == Fraction(2) ** -530
             assert math.isfinite(res.errors[s])
 
+    def test_variance_beyond_float_range(self):
+        # 2**500 at 1 bit minus its neighbour 2**-512 below: the result is a
+        # float, but its relative-error variance is about 2**2017
+        g = ExprGraph()
+        a, b = g.add_input(), g.add_input()
+        s = g.record("sub", [a, b])
+        vals = {a: Fraction(2) ** 500, b: Fraction(2) ** 500 - Fraction(2) ** -512}
+        xin, params = {a: 1, b: 1016}, EbfpParams(8, 10, 200)
+        for run_it in (lambda: execute(g, {s: 20}, vals, xin, params),
+                       lambda: _online(g, vals, xin, params)):
+            with pytest.raises(GraphExecutionError) as ei:
+                run_it()
+            assert (ei.value.node_id, ei.value.reason) == (s, "error variance left float range")
+
+    def test_policy_and_model_exceptions_propagate(self, monkeypatch):
+        # a bug in the caller's policy or in the error model is not a node failure
+        g, a, b, m = _mul_graph()
+        vals = {a: Fraction(3), b: Fraction(5)}
+
+        def bad_policy(node, fa, fb):
+            raise ValueError("policy bug")
+
+        with pytest.raises(ValueError, match="policy bug"):
+            run(g, bad_policy, vals)
+
+        def bad_model(*args):
+            raise ValueError("model bug")
+
+        monkeypatch.setattr("varprec.graph.propagate_full_precision", bad_model)
+        with pytest.raises(ValueError, match="model bug"):  # GraphExecutionError is no ValueError
+            execute(g, {m: 20}, vals)
+
 
 def _random_graph(rng, n_ops=10, n_inputs=3):
     g = ExprGraph()
