@@ -191,7 +191,11 @@ def _shadow(n: EbfpNumber) -> float:
         try:
             return math.ldexp(n.sign * n.field, e2)
         except OverflowError:
-            pass
+            if e2 < 0:  # a field too wide for a float: true division rounds once
+                try:
+                    return n.sign * n.field / (1 << -e2)
+                except OverflowError:
+                    pass
     raise ValueError("value left float range")
 
 

@@ -27,6 +27,7 @@ from .graph import ExecutionResult, ExprGraph, GraphExecutionError, execute
 from .optimizer import (
     ComplexityModel,
     UtilityConfig,
+    final_step_precision,
     fixed_plan,
     offline_vpc,
     online_vpc,
@@ -496,19 +497,25 @@ def online_alpha(zfg: ZfGraph, cfg: SimConfig, cm: ComplexityModel,
                  probe: Sequence[ChannelMatrix], target: float) -> float:
     """Calibrated alpha of the online planner: its plans on the ``probe``
     channels average ``target`` bits.  A channel whose plan fails to execute
-    is left out of the average; if every one fails, it reads ``cfg.x_min``."""
+    is left out of the average; if every one fails, it reads ``cfg.x_min``.
+    A plan depends on alpha only through its output anchors, so the probes
+    run once per anchor tuple: a repeat would give the same average."""
     ip = zfg.input_precisions(cfg.storage_bits)
+    by_anchor: Dict[Tuple[int, ...], float] = {}
 
     def avg_on(alpha):
-        vals = []
-        for h in probe:
-            try:
-                _, p = online_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm,
-                                  zfg.input_values(h), cfg.e_b, ip)
-                vals.append(plan_metrics(zfg.graph, p, cm)[0])
-            except GraphExecutionError:
-                continue
-        return float(np.mean(vals)) if vals else cfg.x_min
+        ucfg = _plan_cfg(cfg, alpha)
+        key = tuple(final_step_precision(zfg.graph, ucfg, cm).values())
+        if key not in by_anchor:
+            vals = []
+            for h in probe:
+                try:
+                    _, p = online_vpc(zfg.graph, ucfg, cm, zfg.input_values(h), cfg.e_b, ip)
+                    vals.append(plan_metrics(zfg.graph, p, cm)[0])
+                except GraphExecutionError:
+                    continue
+            by_anchor[key] = float(np.mean(vals)) if vals else cfg.x_min
+        return by_anchor[key]
     return calibrate_alpha(avg_on, target)
 
 

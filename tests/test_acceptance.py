@@ -30,8 +30,8 @@ from varprec.mimo import (
     SimConfig,
     build_zf_graph,
     ber_sim,
-    calibrate_alpha,
     gen_channel,
+    online_alpha,
     pareto_sweep,
     reference_rate,
     zf_reference,
@@ -43,7 +43,6 @@ from varprec.optimizer import (
     modeled_utility_batch,
     offline_vpc,
     online_vpc,
-    plan_metrics,
 )
 
 P1 = EbfpParams(1, 10, 80)
@@ -363,14 +362,9 @@ def test_criterion_11_ber_ordering_and_floors():
     refs = [zf_reference(h, zfg)[0] for h in channels]
 
     def online_cfg(avg_target):
-        def avg_on(a):
-            vals = []
-            for h in channels[:3]:
-                _, p = online_vpc(zfg.graph, UtilityConfig(alpha=a, x_min=2), CM,
-                                  zfg.input_values(h), 10, ip)
-                vals.append(plan_metrics(zfg.graph, p, CM)[0])
-            return float(np.mean(vals))
-        return UtilityConfig(alpha=calibrate_alpha(avg_on, avg_target, 0.25), x_min=2)
+        cfg = SimConfig(n_t=4, k_users=4, x_min=2, sweep=(avg_target,))
+        return UtilityConfig(alpha=online_alpha(zfg, cfg, CM, channels[:3], avg_target),
+                             x_min=2)
 
     def run(avg):
         cfg_on = online_cfg(avg)
@@ -438,12 +432,9 @@ def test_criterion_12_histogram_shape():
     h = gen_channel(np.random.default_rng(3), 8, 8)
     ip = zfg.input_precisions()
 
-    def avg_on(alpha):
-        _, p = online_vpc(zfg.graph, UtilityConfig(alpha=alpha), CM,
-                          zfg.input_values(h), 10, ip)
-        return plan_metrics(zfg.graph, p, CM)[0]
-
-    alpha = calibrate_alpha(avg_on, 12.0, 0.25)
+    # UtilityConfig's default floor is 4 bits
+    cfg = SimConfig(n_t=8, k_users=8, seed=3, x_min=4, sweep=(12.0,))
+    alpha = online_alpha(zfg, cfg, CM, [h], 12.0)
     res, plan = online_vpc(zfg.graph, UtilityConfig(alpha=alpha), CM,
                            zfg.input_values(h), 10, ip)
     degen = set(res.degenerate_zero)

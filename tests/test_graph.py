@@ -410,3 +410,20 @@ class TestRun:
                 run(g, _report_shadow, {a: v}, x, params)
             assert err.value.node_id == a
             assert "float range" in err.value.reason
+
+    def test_wide_fields_have_a_shadow(self):
+        # a stored field of 1,024 bits or more can overflow a float by itself
+        # while its value does not: every node gets its value's float
+        params = EbfpParams(8, 10, 200)
+        g = ExprGraph()
+        a, b = g.add_input(), g.add_input()
+        s = g.record("add", [a, b])
+        for x in (1016, 1024, 1590):
+            res = execute(g, {s: x}, {a: Fraction(1), b: Fraction(1, 3)}, x, params)
+            assert min(v.field.bit_length() for v in res.values.values()) > x
+            for nid, v in res.values.items():
+                assert res.floats[nid] == float(decode(v))
+        # a wide field whose value is outside float's range still fails
+        with pytest.raises(GraphExecutionError) as err:
+            execute(g, {s: 1590}, {a: Fraction(2) ** 1100, b: Fraction(1)}, 1590, params)
+        assert (err.value.node_id, err.value.reason) == (a, "value left float range")

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from varprec import mimo
 from varprec.ebfp import decode
-from varprec.graph import execute, topo_stats, OpKind
+from varprec.graph import GraphExecutionError, execute, topo_stats, OpKind
 from varprec.mimo import (
     ChannelMatrix,
     SimConfig,
@@ -16,12 +17,20 @@ from varprec.mimo import (
     calibrate_alpha,
     gen_channel,
     gram_inverse_residual,
+    online_alpha,
     pareto_sweep,
     precision_histogram,
     sum_rate,
     zf_reference,
 )
-from varprec.optimizer import ComplexityModel, fixed_plan, plan_metrics, random_blockwise_plan
+from varprec.optimizer import (
+    ComplexityModel,
+    UtilityConfig,
+    fixed_plan,
+    online_vpc,
+    plan_metrics,
+    random_blockwise_plan,
+)
 
 
 class TestChannel:
@@ -207,6 +216,46 @@ class TestSweep:
             SimConfig(trials=0)
         with pytest.raises(ValueError):
             SimConfig(schemes=("nonsense",))
+
+
+class TestOnlineAlpha:
+    """online_alpha runs the probe plans once per output anchor tuple and
+    returns the alpha an unmemoized calibration returns."""
+
+    def test_one_probe_run_per_anchor(self, monkeypatch):
+        cfg = SimConfig(n_t=4, k_users=4, trials=1, seed=2, sweep=(4.0,))
+        zfg = build_zf_graph(4, 4)
+        h = gen_channel(np.random.default_rng(cfg.seed), 4, 4)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].alpha)
+            return online_vpc(*args, **kwargs)
+        monkeypatch.setattr(mimo, "online_vpc", counted)
+        online_alpha(zfg, cfg, ComplexityModel(), [h], 4.0)
+        # 62 alphas are asked for, over no more than 6 anchors
+        assert 0 < len(calls) <= 6
+
+    def test_same_alpha_as_unmemoized(self):
+        cfg = SimConfig(n_t=3, k_users=3, seed=5)
+        cm = ComplexityModel()
+        zfg = build_zf_graph(3, 3)
+        rng = np.random.default_rng(cfg.seed)
+        probe = [gen_channel(rng, 3, 3) for _ in range(2)]
+        ip = zfg.input_precisions(cfg.storage_bits)
+
+        def avg_on(alpha):
+            vals = []
+            for h in probe:
+                try:
+                    _, p = online_vpc(zfg.graph, UtilityConfig(alpha, cfg.x_min, cfg.x_max),
+                                      cm, zfg.input_values(h), cfg.e_b, ip)
+                    vals.append(plan_metrics(zfg.graph, p, cm)[0])
+                except GraphExecutionError:
+                    continue
+            return float(np.mean(vals)) if vals else cfg.x_min
+        for target in (3, 4, 6, 12, 32):
+            assert online_alpha(zfg, cfg, cm, probe, target) == calibrate_alpha(avg_on, target)
 
 
 class TestHistogram:
