@@ -115,8 +115,9 @@ class ExprGraph:
         return len(self.nodes)
 
     def dump_jsonl(self, fh, plan: Mapping[int, int] = None) -> None:
-        """One node per line; precision included when a plan is given."""
+        """One node per line: ``precision`` under a plan, ``output: i`` for ``outputs[i]``."""
         assignment = getattr(plan, "assignment", plan) or {}
+        out_at = {oid: i for i, oid in enumerate(self.outputs)}
         for n in self.nodes:
             rec = {"id": n.id, "op": n.op.value, "operands": list(n.operands),
                    "step": list(n.step)}
@@ -124,11 +125,13 @@ class ExprGraph:
                 rec["part"] = n.part
             if n.id in assignment:
                 rec["precision"] = assignment[n.id]
+            if n.id in out_at:
+                rec["output"] = out_at[n.id]
             fh.write(json.dumps(rec) + "\n")
 
     @classmethod
     def load_jsonl(cls, fh) -> "ExprGraph":
-        g = cls()
+        g, outs = cls(), {}
         for line in fh:
             if not line.strip():
                 continue
@@ -136,6 +139,9 @@ class ExprGraph:
             got = g.record(rec["op"], rec["operands"], rec.get("part"))
             if got != rec["id"]:
                 raise ValueError("node ids must be dense and in topological order")
+            if "output" in rec:
+                outs[rec["output"]] = got
+        g._explicit_outputs = [outs[i] for i in sorted(outs)]
         return g
 
 

@@ -15,6 +15,7 @@ graph clear of guaranteed exact cancellations.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .graph import ExecutionResult, ExprGraph, GraphExecutionError, execute
 from .optimizer import (
     ComplexityModel,
     UtilityConfig,
-    final_step_precision,
+    XoptLut,
     fixed_plan,
     offline_vpc,
     online_vpc,
@@ -421,8 +422,8 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if not math.isfinite(self.snr_db) or self.ber_symbols < 0:
             raise ValueError("need a finite snr_db and ber_symbols >= 0")
-        if not 1 <= self.x_min <= self.x_max:
-            raise ValueError("need 1 <= x_min <= x_max")
+        if not 1 <= self.x_min <= self.x_max or self.e_b < 2 or self.storage_bits < 1:
+            raise ValueError("need 1 <= x_min <= x_max, e_b >= 2 and storage_bits >= 1")
         bad = [t for t in self.sweep if not self.x_min <= t <= self.x_max]
         if bad:
             raise ValueError(f"target {bad[0]:g} outside [x_min, x_max] = "
@@ -450,13 +451,10 @@ class SweepPoint:
 
 def calibrate_alpha(avg_of_alpha: Callable[[float], float], target: float,
                     tol: float = 0.25) -> float:
-    """Bisection on log(alpha) over [1e-20, 1e4], at most 60 steps: the
-    average precision falls as alpha grows.
-
-    Matches from above: accepts a realized average in [target, target+tol],
-    so an adaptive plan is never cheaper than the fixed plan it is paired
-    with at the same nominal point.
-    """
+    """The offline cell's alpha: bisection on log(alpha) over [1e-20, 1e4],
+    at most 60 steps (the average precision falls as alpha grows).  Matches
+    from above: accepts a realized average in [target, target+tol], so an
+    adaptive plan is never cheaper than the fixed plan it is paired with."""
     lo, hi = 1e-20, 1e4
     f_lo, f_hi = avg_of_alpha(lo), avg_of_alpha(hi)
     if target >= f_lo:
@@ -495,28 +493,36 @@ def sweep_inputs(cfg: SimConfig) -> SweepInputs:
 
 def online_alpha(zfg: ZfGraph, cfg: SimConfig, cm: ComplexityModel,
                  probe: Sequence[ChannelMatrix], target: float) -> float:
-    """Calibrated alpha of the online planner: its plans on the ``probe``
-    channels average ``target`` bits.  A channel whose plan fails to execute
-    is left out of the average; if every one fails, it reads ``cfg.x_min``.
-    A plan depends on alpha only through its output anchors, so the probes
-    run once per anchor tuple: a repeat would give the same average."""
+    """Calibrated alpha of the online planner.  A plan depends on alpha only
+    through its output anchor x, so the walk runs on x in [x_min, x_max]:
+    up from round(target) while the plans' mean average over ``probe`` is
+    below ``target``, then down while the one at x - 1 still reaches it; the
+    alpha is the middle of x's ladder bin.  A channel whose plan fails is
+    left out; if every one fails, the average reads ``cfg.x_min``."""
     ip = zfg.input_precisions(cfg.storage_bits)
-    by_anchor: Dict[Tuple[int, ...], float] = {}
+    ucfg = _plan_cfg(cfg, 1.0)
+    lut, op = XoptLut(cm, ucfg), zfg.graph.nodes[zfg.graph.outputs[0]].op
+    alpha_at = {x: ucfg.gsigma_unit / lut.reverse(x, op)
+                for x in range(cfg.x_min, cfg.x_max + 1)}
 
-    def avg_on(alpha):
-        ucfg = _plan_cfg(cfg, alpha)
-        key = tuple(final_step_precision(zfg.graph, ucfg, cm).values())
-        if key not in by_anchor:
-            vals = []
-            for h in probe:
-                try:
-                    _, p = online_vpc(zfg.graph, ucfg, cm, zfg.input_values(h), cfg.e_b, ip)
-                    vals.append(plan_metrics(zfg.graph, p, cm)[0])
-                except GraphExecutionError:
-                    continue
-            by_anchor[key] = float(np.mean(vals)) if vals else cfg.x_min
-        return by_anchor[key]
-    return calibrate_alpha(avg_on, target)
+    @functools.cache
+    def avg_at(x):
+        vals = []
+        for h in probe:
+            try:
+                _, p = online_vpc(zfg.graph, _plan_cfg(cfg, alpha_at[x]), cm,
+                                  zfg.input_values(h), cfg.e_b, ip)
+                vals.append(plan_metrics(zfg.graph, p, cm)[0])
+            except GraphExecutionError:
+                continue
+        return float(np.mean(vals)) if vals else cfg.x_min
+
+    x = min(max(round(target), cfg.x_min), cfg.x_max)
+    while x < cfg.x_max and avg_at(x) < target:
+        x += 1
+    while x > cfg.x_min and avg_at(x - 1) >= target:
+        x -= 1
+    return alpha_at[x]
 
 
 def sweep_cell(cfg: SimConfig, cm: ComplexityModel, inputs: SweepInputs,
@@ -597,8 +603,8 @@ def pareto_sweep(cfg: SimConfig, cm: ComplexityModel = None,
     """Run every (scheme, target average precision) cell over paired channels.
 
     Channel matrices are generated once from the seed and reused across all
-    schemes and targets.  Offline/online trade-off weights are calibrated by
-    bisection to hit each target average precision; fixed-length uses the
+    schemes and targets.  Offline/online trade-off weights are calibrated to
+    reach each target average precision; fixed-length uses the
     matching integer precision directly.  :func:`sweep_cell` says how a
     trial that fails to compute is scored.
     """

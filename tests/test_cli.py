@@ -161,9 +161,12 @@ class TestPareto:
         ("", ["--sweep", "8,200"]),
         ("snr_db = nan\n", []),
         ("ber_symbols = -1\n", []),
+        ("e_b = 1\n", []),
+        ("storage_bits = 0\n", []),
     ], ids=["unknown-key", "k-above-nt", "no-users", "unknown-scheme", "zero-trials",
             "line-without-equals", "x-min-above-x-max", "x-min-below-1",
-            "target-below-x-min", "target-above-x-max", "snr-nan", "negative-ber-symbols"])
+            "target-below-x-min", "target-above-x-max", "snr-nan", "negative-ber-symbols",
+            "e-b-below-2", "storage-bits-below-1"])
     def test_bad_config_usage_error(self, tmp_path, monkeypatch, capsys, config, flags):
         monkeypatch.delenv("VARPREC_THREADS", raising=False)
         cfgf = tmp_path / "sim.cfg"
@@ -221,7 +224,7 @@ class TestPinnedOutputs:
         cfgf.write_text(self.DESK)
         assert main(["--out-dir", str(tmp_path), "pareto", "--config", str(cfgf)]) == 0
         assert self.digest(tmp_path / "pareto.csv") == \
-            "493bd9036e2f28068146479f8b6d893a6f5fd2d2814c8265e8292eb5f1bd5f2b"
+            "0cc7ff4804ba1b68bdc47ddd9a70b2165b3064898d7a4e7174bd0098c0d37667"
 
     def test_histogram_4x4(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), "histogram", "--nt", "4", "--k", "4",
@@ -231,9 +234,9 @@ class TestPinnedOutputs:
             "histogram.csv":
                 "400e8f9ae0025af589628c3fa9166b1e17f2d6db0d4721084beb137ac2d0cae1",
             "histogram_plan.csv":
-                "9847c40258841106d0c5d2d6ee0496129d26bb40a9932b7e4e78d74facd287a7",
+                "9f43b47deb8559807801b3be1d70249c8c87e85d3d1c071c1c68fdb6f6dfe1d2",
             "histogram_graph.jsonl":
-                "7f9762d1b7a4d41e8ae4b6f35d51f4abcc2710601b09fb910090a18fa0248225"}
+                "3bb50dae421c2cb8cb720c3bd6b146b231a2a070a7e8faf911beb0b60818924e"}
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failed_trials(self, tmp_path, monkeypatch, threads):

@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", ["01_ebfp_format.py", "02_error_model.py",
-                                  "03_precision_planning.py"])
+                                  "03_precision_planning.py",
+                                  "04_zero_forcing_sweep.py"])
 def test_demo_exits_cleanly(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -18,6 +18,7 @@ from varprec.graph import (
     topo_stats,
 )
 from varprec.errormodel import input_error_variance, propagate_full_precision, rounding_variance
+from varprec.mimo import build_zf_graph
 from varprec.optimizer import ComplexityModel, UtilityConfig, online_vpc
 
 
@@ -70,6 +71,16 @@ class TestRecord:
         assert [n.op for n in g2.nodes] == [n.op for n in g.nodes]
         assert [n.operands for n in g2.nodes] == [n.operands for n in g.nodes]
         assert [n.step for n in g2.nodes] == [n.step for n in g.nodes]
+
+    def test_jsonl_roundtrip_keeps_outputs(self):
+        # the 4x4 precoder marks its 32 outputs; its unmarked sinks must not
+        # become outputs on reload
+        g = build_zf_graph(4, 4).graph
+        buf = io.StringIO()
+        g.dump_jsonl(buf)
+        buf.seek(0)
+        assert len(g.outputs) == 32
+        assert ExprGraph.load_jsonl(buf).outputs == g.outputs
 
 
 class TestTopoStats:

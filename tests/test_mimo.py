@@ -14,7 +14,6 @@ from varprec.mimo import (
     SimConfig,
     build_zf_graph,
     ber_sim,
-    calibrate_alpha,
     gen_channel,
     gram_inverse_residual,
     online_alpha,
@@ -26,6 +25,7 @@ from varprec.mimo import (
 from varprec.optimizer import (
     ComplexityModel,
     UtilityConfig,
+    final_step_precision,
     fixed_plan,
     online_vpc,
     plan_metrics,
@@ -219,8 +219,39 @@ class TestSweep:
 
 
 class TestOnlineAlpha:
-    """online_alpha runs the probe plans once per output anchor tuple and
-    returns the alpha an unmemoized calibration returns."""
+    """online_alpha walks the integer output anchor and returns the alpha of
+    an anchor where the probe average crosses the target."""
+
+    @staticmethod
+    def avg_on(zfg, cfg, cm, probe, alpha):
+        ip = zfg.input_precisions(cfg.storage_bits)
+        vals = []
+        for h in probe:
+            try:
+                _, p = online_vpc(zfg.graph, UtilityConfig(alpha, cfg.x_min, cfg.x_max),
+                                  cm, zfg.input_values(h), cfg.e_b, ip)
+                vals.append(plan_metrics(zfg.graph, p, cm)[0])
+            except GraphExecutionError:
+                continue
+        return float(np.mean(vals)) if vals else cfg.x_min
+
+    @staticmethod
+    def anchor(zfg, cfg, alpha):
+        anchors = set(final_step_precision(
+            zfg.graph, UtilityConfig(alpha, cfg.x_min, cfg.x_max), ComplexityModel()).values())
+        assert len(anchors) == 1
+        return anchors.pop()
+
+    def assert_crossing(self, zfg, cfg, probe, target):
+        # the returned alpha's anchor reaches the target, and the anchor one
+        # down (alpha times EPS**2 = 4) does not, unless it is x_min
+        cm = ComplexityModel()
+        alpha = online_alpha(zfg, cfg, cm, probe, target)
+        x = self.anchor(zfg, cfg, alpha)
+        assert self.avg_on(zfg, cfg, cm, probe, alpha) >= target
+        if x > cfg.x_min:
+            assert self.anchor(zfg, cfg, 4 * alpha) == x - 1
+            assert self.avg_on(zfg, cfg, cm, probe, 4 * alpha) < target
 
     def test_one_probe_run_per_anchor(self, monkeypatch):
         cfg = SimConfig(n_t=4, k_users=4, trials=1, seed=2, sweep=(4.0,))
@@ -233,29 +264,32 @@ class TestOnlineAlpha:
             return online_vpc(*args, **kwargs)
         monkeypatch.setattr(mimo, "online_vpc", counted)
         online_alpha(zfg, cfg, ComplexityModel(), [h], 4.0)
-        # 62 alphas are asked for, over no more than 6 anchors
-        assert 0 < len(calls) <= 6
+        assert 0 < len(calls) <= 3
 
-    def test_same_alpha_as_unmemoized(self):
+    def test_returns_a_crossing(self):
         cfg = SimConfig(n_t=3, k_users=3, seed=5)
-        cm = ComplexityModel()
         zfg = build_zf_graph(3, 3)
         rng = np.random.default_rng(cfg.seed)
         probe = [gen_channel(rng, 3, 3) for _ in range(2)]
-        ip = zfg.input_precisions(cfg.storage_bits)
-
-        def avg_on(alpha):
-            vals = []
-            for h in probe:
-                try:
-                    _, p = online_vpc(zfg.graph, UtilityConfig(alpha, cfg.x_min, cfg.x_max),
-                                      cm, zfg.input_values(h), cfg.e_b, ip)
-                    vals.append(plan_metrics(zfg.graph, p, cm)[0])
-                except GraphExecutionError:
-                    continue
-            return float(np.mean(vals)) if vals else cfg.x_min
         for target in (3, 4, 6, 12, 32):
-            assert online_alpha(zfg, cfg, cm, probe, target) == calibrate_alpha(avg_on, target)
+            self.assert_crossing(zfg, cfg, probe, target)
+
+    def test_single_user_outputs_are_muls(self):
+        cfg = SimConfig(n_t=2, k_users=1, seed=3)
+        zfg = build_zf_graph(1, 2)
+        assert {zfg.graph.nodes[o].op for o in zfg.graph.outputs} == {OpKind.MUL}
+        probe = [gen_channel(np.random.default_rng(cfg.seed), 1, 2)]
+        for target in (4, 12):
+            self.assert_crossing(zfg, cfg, probe, target)
+
+    def test_unreachable_target_gives_x_max(self):
+        cfg = SimConfig(n_t=4, k_users=4, seed=2)
+        zfg = build_zf_graph(4, 4)
+        cm = ComplexityModel()
+        probe = [gen_channel(np.random.default_rng(cfg.seed), 4, 4)]
+        alpha = online_alpha(zfg, cfg, cm, probe, 62.0)
+        assert self.anchor(zfg, cfg, alpha) == cfg.x_max
+        assert self.avg_on(zfg, cfg, cm, probe, alpha) < 62.0
 
 
 class TestHistogram:
