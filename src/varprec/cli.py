@@ -30,15 +30,15 @@ from .errormodel import (
 from .mimo import (
     SimConfig,
     SweepInputs,
+    _online_walk,
     build_zf_graph,
     gen_channel,
-    online_alpha,
     pareto_sweep,
     precision_histogram,
     sweep_cell,
     sweep_inputs,
 )
-from .optimizer import ComplexityModel, UtilityConfig, online_vpc, plan_metrics, plan_to_csv
+from .optimizer import ComplexityModel, plan_metrics, plan_to_csv
 
 #: printed storage-format reference rows: (label, n_blocks, total, exponent,
 #: fraction, log10_max, relative_error)
@@ -261,9 +261,11 @@ def cmd_histogram(args) -> int:
     zfg = build_zf_graph(cfg.k_users, cfg.n_t)
     h = gen_channel(np.random.default_rng(seed), cfg.k_users, cfg.n_t)
     cm = ComplexityModel()
-    alpha = online_alpha(zfg, cfg, cm, [h], args.target_avg)
-    res, plan = online_vpc(zfg.graph, UtilityConfig(alpha, cfg.x_min, cfg.x_max), cm,
-                           zfg.input_values(h), cfg.e_b, zfg.input_precisions())
+    _, (run,) = _online_walk(zfg, cfg, cm, [h], args.target_avg)
+    if run is None:
+        print("error: the online plan cannot be computed on this channel", file=sys.stderr)
+        return 1
+    res, plan = run
     degenerate = set(res.degenerate_zero)
     live = {nid: x for nid, x in plan.assignment.items() if nid not in degenerate}
     bins = precision_histogram(zfg, live)

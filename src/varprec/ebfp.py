@@ -59,11 +59,14 @@ class EbfpParams:
 
 
 DEFAULT_PARAMS = EbfpParams()
+# read once: on CPython 3.11 every read of an Enum class attribute goes
+# through the metaclass's attribute hook, as slow as a function call
+_NORMAL, _ZERO, _SATURATED = Flag.NORMAL, Flag.ZERO, (Flag.OVERFLOW, Flag.UNDERFLOW)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EbfpNumber:
-    """One stored scalar.
+    """One stored scalar, never modified after construction.
 
     ``field`` is the concatenation of all fraction blocks as a single
     unsigned integer of width ``n_blocks * F`` (leading zeros of the first
@@ -93,7 +96,7 @@ class EbfpNumber:
 
     @property
     def is_saturated(self) -> bool:
-        return self.flags in (Flag.OVERFLOW, Flag.UNDERFLOW)
+        return self.flags in _SATURATED
 
     def __repr__(self):
         if self.flags is Flag.ZERO:
@@ -165,28 +168,21 @@ def _round_sqrt_sig(M: int, s: int) -> Tuple[int, int]:
     return m, e_sci
 
 
-def _zero(params: EbfpParams, n_blocks: int) -> EbfpNumber:
-    return EbfpNumber(1, 0, 0, n_blocks, params, Flag.ZERO)
-
-
-def _saturated(sign: int, flag: Flag, params: EbfpParams, n_blocks: int) -> EbfpNumber:
-    return EbfpNumber(sign, 0, 0, n_blocks, params, flag)
-
-
 def _build(sign: int, m: int, e_sci: int, params: EbfpParams, n_blocks: int) -> EbfpNumber:
     """Assemble a number from a rounded mantissa m = value * 2**(s - e_sci)."""
     f = params.block_bits
     e = -(-e_sci // f)  # ceil
     z = e * f - e_sci
-    if e > params.max_block_exp:
-        return _saturated(sign, Flag.OVERFLOW, params, n_blocks)
-    if e < params.min_block_exp:
-        return _saturated(sign, Flag.UNDERFLOW, params, n_blocks)
+    top = 1 << (params.exponent_bits - 2)  # max_block_exp; min_block_exp is 1 - top
+    if e > top:
+        return EbfpNumber(sign, 0, 0, n_blocks, params, Flag.OVERFLOW)
+    if e < 1 - top:
+        return EbfpNumber(sign, 0, 0, n_blocks, params, Flag.UNDERFLOW)
     width = n_blocks * f - z
     s = m.bit_length()
     if width < s:
         raise ValueError("mantissa wider than the fraction field")
-    return EbfpNumber(sign, e, m << (width - s), n_blocks, params, Flag.NORMAL)
+    return EbfpNumber(sign, e, m << (width - s), n_blocks, params, _NORMAL)
 
 
 def encode(value, params: EbfpParams = DEFAULT_PARAMS, n_blocks: int = None) -> EbfpNumber:
@@ -202,7 +198,7 @@ def encode(value, params: EbfpParams = DEFAULT_PARAMS, n_blocks: int = None) -> 
         raise ValueError(f"n_blocks must be in [1, {params.max_blocks}]")
     v = Fraction(value)
     if v == 0:
-        return _zero(params, n_blocks)
+        return EbfpNumber(1, 0, 0, n_blocks, params, _ZERO)
     sign = 1 if v > 0 else -1
     num, den = abs(v.numerator), v.denominator
     f = params.block_bits
@@ -219,7 +215,7 @@ def encode(value, params: EbfpParams = DEFAULT_PARAMS, n_blocks: int = None) -> 
 
 def decode(n: EbfpNumber) -> Fraction:
     """Exact rational value of a normal or zero eBFP number."""
-    if n.flags is Flag.ZERO:
+    if n.flags is _ZERO:
         return Fraction(0)
     if n.is_saturated:
         raise ValueError(f"cannot decode a {n.flags.value} value")
@@ -228,28 +224,25 @@ def decode(n: EbfpNumber) -> Fraction:
     return Fraction(v << e2) if e2 >= 0 else Fraction(v, 1 << -e2)
 
 
-def blocks_for_precision(x: int, params: EbfpParams, e_sci: int = None) -> int:
-    """Fraction blocks needed to guarantee x+1 significant bits.
+def blocks_for_precision(x: int, params: EbfpParams) -> int:
+    """Fraction blocks that guarantee x+1 significant bits at any alignment.
 
     With F=1 this is x+1; wider blocks may need one extra block to absorb
     leading alignment zeros (worst case F-1 of them).
     """
     f = params.block_bits
-    if e_sci is None:
-        z = f - 1
-    else:
-        e = -(-e_sci // f)
-        z = e * f - e_sci
-    return -(-(x + 1 + z) // f)
+    return -(-(x + f) // f)
 
 
 def _store(sign: int, m: int, e_sci: int, x: int, params: EbfpParams) -> EbfpNumber:
     """The tail every rounding ends in: ``sign * m * 2**(e_sci - x - 1)``,
     m of x+1 significant bits (0 for an exact zero), stored in the fewest
-    blocks that hold x+1 bits."""
+    blocks that hold x+1 bits after the alignment zeros of ``e_sci`` (a zero
+    takes :func:`blocks_for_precision`)."""
+    f = params.block_bits
     if m == 0:
-        return _zero(params, min(params.max_blocks, blocks_for_precision(x, params)))
-    n_blocks = blocks_for_precision(x, params, e_sci)
+        return EbfpNumber(1, 0, 0, min(params.max_blocks, -(-(x + f) // f)), params, _ZERO)
+    n_blocks = -(-(x + 1 + -(-e_sci // f) * f - e_sci) // f)
     if n_blocks > params.max_blocks:
         raise ValueError("precision exceeds max_blocks for these parameters")
     return _build(sign, m, e_sci, params, n_blocks)
@@ -301,8 +294,8 @@ def arith(op: str, a: EbfpNumber, b: Optional[EbfpNumber] = None,
     params = a.params
     f = params.block_bits
     if op == "sqrt":
-        if a.is_saturated:
-            return _saturated(a.sign, a.flags, params, a.n_blocks)
+        if a.flags in _SATURATED:
+            return EbfpNumber(a.sign, 0, 0, a.n_blocks, params, a.flags)
         M = a.field
         if M == 0:
             return _store(1, 0, 0, x_target, params)
@@ -319,10 +312,10 @@ def arith(op: str, a: EbfpNumber, b: Optional[EbfpNumber] = None,
 
     if b is None:
         raise ValueError(f"{op} needs two operands")
-    if a.is_saturated or b.is_saturated:
-        o = a if a.is_saturated else b
+    if a.flags in _SATURATED or b.flags in _SATURATED:
+        o = a if a.flags in _SATURATED else b
         flag = Flag.OVERFLOW if Flag.OVERFLOW in (a.flags, b.flags) else Flag.UNDERFLOW
-        return _saturated(o.sign, flag, params, o.n_blocks)
+        return EbfpNumber(o.sign, 0, 0, o.n_blocks, params, flag)
     ma, mb = a.field, b.field
     ea = (a.block_exp - a.n_blocks) * f
     eb = (b.block_exp - b.n_blocks) * f
@@ -387,5 +380,5 @@ def parse_vector(text: str, params: EbfpParams = DEFAULT_PARAMS) -> EbfpNumber:
         field = (field << f) | b
     exp_code = int(code_s)
     if field == 0 and exp_code == 0:
-        return _zero(params, len(blocks))
+        return EbfpNumber(1, 0, 0, len(blocks), params, _ZERO)
     return EbfpNumber(sign, exp_code - params.exp_offset, field, len(blocks), params)

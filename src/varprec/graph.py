@@ -40,6 +40,9 @@ class OpKind(str, Enum):
 
 ARITY = {OpKind.INPUT: 0, OpKind.SQRT: 1, OpKind.ADD: 2, OpKind.SUB: 2,
          OpKind.MUL: 2, OpKind.DIV: 2}
+# read once for the per-node tests of run and the planners (see ebfp._NORMAL)
+_INPUT, _ADD, _SUB, _MUL, _DIV, _SQRT = OpKind
+_NORMAL, _ZERO = Flag.NORMAL, Flag.ZERO
 
 
 class GraphExecutionError(RuntimeError):
@@ -67,6 +70,7 @@ class ExprGraph:
         self.nodes: List[ExprNode] = []
         self._level_width: Dict[int, int] = {}
         self._explicit_outputs: List[int] = []
+        self._table = None
 
     def record(self, op, operands: Sequence[int] = (), part: str = None) -> int:
         """Append a node; returns its id.  Operand ids must already exist."""
@@ -77,39 +81,48 @@ class ExprGraph:
         for o in operands:
             if not 0 <= o < len(self.nodes):
                 raise ValueError(f"unknown operand id {o}")
-        n = 0 if op is OpKind.INPUT else 1 + max(self.nodes[o].step[0] for o in operands)
+        n = 0 if op is _INPUT else 1 + max(self.nodes[o].step[0] for o in operands)
         k = self._level_width.get(n, 0) + 1
         self._level_width[n] = k
         node = ExprNode(len(self.nodes), op, operands, (n, k), part)
         self.nodes.append(node)
+        self._table = None
         return node.id
 
     def add_input(self, part: str = None) -> int:
-        return self.record(OpKind.INPUT, (), part)
+        return self.record(_INPUT, (), part)
 
     def mark_output(self, node_id: int) -> None:
         self._explicit_outputs.append(node_id)
 
     @property
     def inputs(self) -> List[int]:
-        return [n.id for n in self.nodes if n.op is OpKind.INPUT]
+        return [n.id for n in self.nodes if n.op is _INPUT]
 
     @property
     def outputs(self) -> List[int]:
         if self._explicit_outputs:
             return list(self._explicit_outputs)
         used = {o for n in self.nodes for o in n.operands}
-        return [n.id for n in self.nodes if n.op is not OpKind.INPUT and n.id not in used]
+        return [n.id for n in self.nodes if n.op is not _INPUT and n.id not in used]
 
     def consumers(self) -> Dict[int, List[int]]:
-        out: Dict[int, List[int]] = {n.id: [] for n in self.nodes}
-        for n in self.nodes:
-            for o in n.operands:
-                out[o].append(n.id)
-        return out
+        return {nid: list(c) for nid, c in enumerate(self.table()[1])}
+
+    def table(self) -> Tuple[List[tuple], List[List[int]]]:
+        """``(node, op, first operand, second operand or None)`` and the
+        consumer ids of each node, in id order; cached until :meth:`record`."""
+        if self._table is None:
+            consumers = [[] for _ in self.nodes]
+            for n in self.nodes:
+                for o in n.operands:
+                    consumers[o].append(n.id)
+            self._table = ([(n, n.op, *(n.operands + (None, None))[:2]) for n in self.nodes],
+                           consumers)
+        return self._table
 
     def non_input_ids(self) -> List[int]:
-        return [n.id for n in self.nodes if n.op is not OpKind.INPUT]
+        return [n.id for n in self.nodes if n.op is not _INPUT]
 
     def __len__(self):
         return len(self.nodes)
@@ -153,7 +166,7 @@ class TopoStats:
 
     @property
     def total_arith(self) -> int:
-        return sum(c for op, c in self.op_counts.items() if op is not OpKind.INPUT)
+        return sum(c for op, c in self.op_counts.items() if op is not _INPUT)
 
 
 def topo_stats(graph: ExprGraph) -> TopoStats:
@@ -188,9 +201,9 @@ def _shadow(n: EbfpNumber) -> float:
     """``float(decode(n))`` by one ldexp on the stored field.  A saturated
     value, or one outside float's normal range, has none: its float would
     be infinite or would lose bits as a subnormal."""
-    if n.flags is Flag.ZERO:
+    if n.flags is _ZERO:
         return 0.0
-    if n.flags is not Flag.NORMAL:
+    if n.flags is not _NORMAL:
         raise ValueError(n.flags.value)
     e2 = (n.block_exp - n.n_blocks) * n.params.block_bits
     if n.field.bit_length() + e2 >= sys.float_info.min_exp:
@@ -224,23 +237,21 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
     variance.  An exception raised by ``choose`` or the error model propagates.
     """
     values: Dict[int, EbfpNumber] = {}
-    floats: Dict[int, float] = {}
-    errors: Dict[int, float] = {}
-    degenerate: List[int] = []
-    for node in graph.nodes:
-        nid, op, operands = node.id, node.op, node.operands
-        if op is not OpKind.INPUT:
-            a = values[operands[0]]
-            b = values[operands[1]] if len(operands) > 1 else None
-            if op is OpKind.DIV and b.field == 0:
+    floats, errors, degenerate = {}, {}, []
+    for node, op, i, j in graph.table()[0]:
+        nid = node.id
+        if op is not _INPUT:
+            a = values[i]
+            b = values.get(j)  # j and b are None for sqrt
+            if op is _DIV and b.field == 0:
                 raise GraphExecutionError(nid, "division by zero")
-            if op is OpKind.SQRT and a.sign < 0:
+            if op is _SQRT and a.sign < 0:
                 raise GraphExecutionError(nid, "sqrt of a negative value")
-            fa = floats[operands[0]]
-            fb = floats[operands[1]] if b is not None else None
+            fa = floats[i]
+            fb = floats.get(j)
             x = choose(node, fa, fb)
         try:
-            if op is OpKind.INPUT:
+            if op is _INPUT:
                 x = input_precision if isinstance(input_precision, int) else input_precision[nid]
                 out = round_to_precision(input_values[nid], x, params)
             else:
@@ -249,20 +260,18 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
             floats[nid] = fc = _shadow(out)
         except (ValueError, ArithmeticError) as e:
             raise GraphExecutionError(nid, str(e))
-        if op is OpKind.INPUT:
+        if op is _INPUT:
             v = input_error_variance(x)
-        elif out.flags is Flag.ZERO:
+        elif out.flags is _ZERO:
             # exact zero: the relative-error frame is singular, but the value is exact and inert
             degenerate.append(nid)
             v = 0.0
-        elif op is OpKind.ADD or op is OpKind.SUB:
+        elif op is _ADD or op is _SUB:
             # the frame is the stored result, not fa ± fb: operands wider
             # than 53 bits can collide in float while their exact sum is not 0
-            v = rounding_variance(addsub_variance(
-                fa, fb, fc, errors[operands[0]], errors[operands[1]]), x)
+            v = rounding_variance(addsub_variance(fa, fb, fc, errors[i], errors[j]), x)
         else:
-            sb2 = errors[operands[1]] if b is not None else None
-            v = rounding_variance(propagate_full_precision(op, fa, fb, errors[operands[0]], sb2), x)
+            v = rounding_variance(propagate_full_precision(op, fa, fb, errors[i], errors.get(j)), x)
         if not math.isfinite(v):
             raise GraphExecutionError(nid, "error variance left float range")
         errors[nid] = v

@@ -491,6 +491,40 @@ def sweep_inputs(cfg: SimConfig) -> SweepInputs:
     return zfg, channels, [zf_reference(h, zfg)[0] for h in channels]
 
 
+def _online_run(zfg: ZfGraph, cfg: SimConfig, cm: ComplexityModel, alpha: float,
+                h: ChannelMatrix) -> Optional[tuple]:
+    """online_vpc's (result, plan) on channel h, or None where it fails."""
+    try:
+        return online_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm, zfg.input_values(h),
+                          cfg.e_b, zfg.input_precisions(cfg.storage_bits))
+    except GraphExecutionError:
+        return None
+
+
+def _online_walk(zfg: ZfGraph, cfg: SimConfig, cm: ComplexityModel,
+                 probe: Sequence[ChannelMatrix], target: float) -> Tuple[float, list]:
+    """:func:`online_alpha`, and each probe channel's run at it (None where it fails)."""
+    ucfg = _plan_cfg(cfg, 1.0)
+    lut, op = XoptLut(cm, ucfg), zfg.graph.nodes[zfg.graph.outputs[0]].op
+    alpha_at = {x: ucfg.gsigma_unit / lut.reverse(x, op)
+                for x in range(cfg.x_min, cfg.x_max + 1)}
+
+    @functools.cache
+    def runs_at(x):
+        return [_online_run(zfg, cfg, cm, alpha_at[x], h) for h in probe]
+
+    def avg_at(x):
+        vals = [plan_metrics(zfg.graph, r[1], cm)[0] for r in runs_at(x) if r]
+        return float(np.mean(vals)) if vals else cfg.x_min
+
+    x = min(max(round(target), cfg.x_min), cfg.x_max)
+    while x < cfg.x_max and avg_at(x) < target:
+        x += 1
+    while x > cfg.x_min and avg_at(x - 1) >= target:
+        x -= 1
+    return alpha_at[x], runs_at(x)
+
+
 def online_alpha(zfg: ZfGraph, cfg: SimConfig, cm: ComplexityModel,
                  probe: Sequence[ChannelMatrix], target: float) -> float:
     """Calibrated alpha of the online planner.  A plan depends on alpha only
@@ -499,30 +533,7 @@ def online_alpha(zfg: ZfGraph, cfg: SimConfig, cm: ComplexityModel,
     below ``target``, then down while the one at x - 1 still reaches it; the
     alpha is the middle of x's ladder bin.  A channel whose plan fails is
     left out; if every one fails, the average reads ``cfg.x_min``."""
-    ip = zfg.input_precisions(cfg.storage_bits)
-    ucfg = _plan_cfg(cfg, 1.0)
-    lut, op = XoptLut(cm, ucfg), zfg.graph.nodes[zfg.graph.outputs[0]].op
-    alpha_at = {x: ucfg.gsigma_unit / lut.reverse(x, op)
-                for x in range(cfg.x_min, cfg.x_max + 1)}
-
-    @functools.cache
-    def avg_at(x):
-        vals = []
-        for h in probe:
-            try:
-                _, p = online_vpc(zfg.graph, _plan_cfg(cfg, alpha_at[x]), cm,
-                                  zfg.input_values(h), cfg.e_b, ip)
-                vals.append(plan_metrics(zfg.graph, p, cm)[0])
-            except GraphExecutionError:
-                continue
-        return float(np.mean(vals)) if vals else cfg.x_min
-
-    x = min(max(round(target), cfg.x_min), cfg.x_max)
-    while x < cfg.x_max and avg_at(x) < target:
-        x += 1
-    while x > cfg.x_min and avg_at(x - 1) >= target:
-        x -= 1
-    return alpha_at[x]
+    return _online_walk(zfg, cfg, cm, probe, target)[0]
 
 
 def sweep_cell(cfg: SimConfig, cm: ComplexityModel, inputs: SweepInputs,
@@ -544,7 +555,7 @@ def sweep_cell(cfg: SimConfig, cm: ComplexityModel, inputs: SweepInputs,
             return offline_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm, cfg.e_b)
         plan = off(calibrate_alpha(lambda a: plan_metrics(zfg.graph, off(a), cm)[0], target))
     elif scheme == "online":
-        ucfg = _plan_cfg(cfg, online_alpha(zfg, cfg, cm, channels[:4], target))
+        alpha, probed = _online_walk(zfg, cfg, cm, channels[:4], target)
     else:  # random-blockwise
         draw_rng = np.random.default_rng((cfg.seed, 31, ti))
         hi = int(min(cfg.x_max, max(cfg.x_min + 1, round(max(cfg.sweep)))))
@@ -553,17 +564,16 @@ def sweep_cell(cfg: SimConfig, cm: ComplexityModel, inputs: SweepInputs,
     rates, avgs, totals = [], [], []
     errors = failures = 0
     for t, h in enumerate(channels):
-        if scheme == "random-blockwise":
-            plan = random_blockwise_plan(zfg.graph, draw_rng, cfg.x_min, hi)
-        try:
-            if scheme == "online":
-                plan = None  # a failed online run has no plan
-                result, plan = online_vpc(zfg.graph, ucfg, cm, zfg.input_values(h),
-                                          cfg.e_b, ip)
-            else:
+        if scheme == "online":  # the walk has run the probe channels at alpha
+            run = probed[t] if t < len(probed) else _online_run(zfg, cfg, cm, alpha, h)
+            result, plan = run or (None, None)  # a failed online run has no plan
+        else:
+            if scheme == "random-blockwise":
+                plan = random_blockwise_plan(zfg.graph, draw_rng, cfg.x_min, hi)
+            try:
                 result = execute(zfg.graph, plan, zfg.input_values(h), ip)
-        except GraphExecutionError:
-            result = None
+            except GraphExecutionError:
+                result = None
         if plan is not None:
             a, tot = plan_metrics(zfg.graph, plan, cm)
             avgs.append(a)

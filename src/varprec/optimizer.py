@@ -31,7 +31,7 @@ from .errormodel import (
     rounding_variance,
     speculation_factor,
 )
-from .graph import ExecutionResult, ExprGraph, OpKind, run
+from .graph import _ADD, _DIV, _INPUT, _MUL, _SQRT, _SUB, ExecutionResult, ExprGraph, OpKind, run
 
 
 DEFAULT_WEIGHTS = {OpKind.ADD: 1.0, OpKind.SUB: 1.0, OpKind.MUL: 30.0,
@@ -132,7 +132,7 @@ def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     reuse whose error contributions are strongly correlated downstream.
     """
     lut = XoptLut(cm, cfg)
-    consumers = graph.consumers()
+    entries, consumers = graph.table()
     out_set = set(graph.outputs)
     back = _backward_factors(e_b)
     gsig: Dict[int, float] = {}
@@ -141,11 +141,10 @@ def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
         terms = []
         if node.id in out_set:
             terms.append(-cfg.gsigma_unit)
-        terms.extend(gsig[cid] * back[graph.nodes[cid].op]
-                     for cid in consumers[node.id])
+        terms.extend(gsig[cid] * back[entries[cid][1]] for cid in consumers[node.id])
         g = min(terms, default=0.0)  # sensitivities are negative: min = most demanding
         gsig[node.id] = g
-        if node.op is not OpKind.INPUT:
+        if node.op is not _INPUT:
             assignment[node.id] = lut.lookup(-g / cfg.alpha, node.op)
     return PrecisionPlan(assignment, gsig)
 
@@ -185,38 +184,38 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     # rho seed of each node's input-fed routes: its anchor's rho shifted by
     # the unrounded bit offset of its longest path to a sink, a path given
     # as (length, add, sub and sqrt crossings, sink id)
-    consumers = graph.consumers()
+    entries, consumers = graph.table()
     longest: Dict[int, Tuple[int, int, int, int, int]] = {}
     seed: Dict[int, float] = {}
     for node in reversed(graph.nodes):
         best = None if consumers[node.id] else (0, 0, 0, 0, node.id)
         for cid in consumers[node.id]:
             n, n_add, n_sub, n_sqrt, sink = longest[cid]
-            c = graph.nodes[cid].op
+            c = entries[cid][1]
             if best is None or n + 1 > best[0]:
-                best = (n + 1, n_add + (c is OpKind.ADD), n_sub + (c is OpKind.SUB),
-                        n_sqrt + (c is OpKind.SQRT), sink)
+                best = (n + 1, n_add + (c is _ADD), n_sub + (c is _SUB),
+                        n_sqrt + (c is _SQRT), sink)
         longest[node.id] = best
-        if node.op is not OpKind.INPUT:
+        if node.op is not _INPUT:
             # a sink that is not an output (isolated chain) anchors mid-range
             anchor = final_x.get(best[4], (cfg.x_min + cfg.x_max) // 2)
             off = seed_bit_offset(*best[1:4], add_rate, sub_rate)
             seed[node.id] = lut.reverse(anchor, node.op) * EPS ** (2.0 * off)
     # mul/div/sqrt move rho by a constant; add/sub by the operand values
     fixed_forward = {op: speculation_factor(op.value, "forward", e_b)
-                     for op in (OpKind.MUL, OpKind.DIV, OpKind.SQRT)}
+                     for op in (_MUL, _DIV, _SQRT)}
     rho: Dict[int, float] = {}
     assignment: Dict[int, int] = {}
 
     def choose(node, va: float, vb: Optional[float]) -> int:
         op = node.op
-        if op is OpKind.ADD:
+        if op is _ADD:
             vc = va + vb
-        elif op is OpKind.SUB:
+        elif op is _SUB:
             vc = va - vb
-        elif op is OpKind.MUL:
+        elif op is _MUL:
             vc = va * vb
-        elif op is OpKind.DIV:
+        elif op is _DIV:
             vc = va / vb
         else:
             vc = math.sqrt(va)
@@ -233,7 +232,7 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
             # attenuated non-dominant route fades out
             total = wsum = 0.0
             for oid, v_op in zip(node.operands, (va, vb)):
-                if op in (OpKind.ADD, OpKind.SUB):
+                if op is _ADD or op is _SUB:
                     weight = abs(v_op)
                     # operand^2/result^2 (exactly 1 beside an exact zero),
                     # clipped at 1 so the recursion stays bounded where the
@@ -241,7 +240,7 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
                     factor = min(1.0, (v_op / vc) ** 2)
                 else:
                     weight, factor = 1.0, fixed_forward[op]
-                if graph.nodes[oid].op is OpKind.INPUT:
+                if entries[oid][1] is _INPUT:
                     total += seed[node.id] * weight
                 else:
                     total += rho[oid] * factor * weight
@@ -303,12 +302,12 @@ def modeled_utility_batch(graph: ExprGraph, plans: np.ndarray, node_order: Seque
     var: Dict[int, np.ndarray] = {}
     cost = np.zeros(plans.shape[0])
     for node in graph.nodes:
-        if node.op is OpKind.INPUT:
+        if node.op is _INPUT:
             var[node.id] = np.full(plans.shape[0], in_var)
             continue
         x = plans[:, col[node.id]].astype(float)
         f = back[node.op]
-        if node.op is OpKind.SQRT:
+        if node.op is _SQRT:
             sc2 = f * var[node.operands[0]]
         else:
             sc2 = f * (var[node.operands[0]] + var[node.operands[1]])

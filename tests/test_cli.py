@@ -204,6 +204,27 @@ class TestPareto:
         serial = mimo.pareto_sweep(cfg)
         assert repr(points) == repr([serial[1], serial[2]])  # ber is NaN
 
+    def test_online_cells_reuse_probe_runs(self, monkeypatch):
+        # the online cells of demos/desk.cfg run 52 probe plans in their
+        # anchor walks; a trial channel the walk probed (the first 4 of 20)
+        # takes the walk's run at the calibrated alpha: 52 + 6 * 16 runs
+        class A:
+            config = str(Path(__file__).resolve().parents[1] / "demos" / "desk.cfg")
+            nt = k = snr_db = trials = seed = sweep = scheme = None
+        cfg = sim_config_from_args(A)
+        inputs = mimo.sweep_inputs(cfg)
+        calls = []
+        online_vpc = mimo.online_vpc
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return online_vpc(*args, **kwargs)
+
+        monkeypatch.setattr(mimo, "online_vpc", counted)
+        for ti in range(len(cfg.sweep)):
+            mimo.sweep_cell(cfg, mimo.ComplexityModel(), inputs, "online", ti)
+        assert (cfg.trials, len(cfg.sweep), len(calls)) == (20, 6, 148)
+
 
 class TestPinnedOutputs:
     """Digests of the desk sweep and of a 4x4 histogram: a change that
@@ -274,6 +295,22 @@ class TestHistogram:
                      "--target-avg", target]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "histogram.csv").exists()
+
+    def test_final_anchor_run_reused(self, tmp_path, monkeypatch):
+        # the walk probes two anchors on the histogram's one channel; the
+        # histogram is the run at the second, not a third run
+        calls = []
+        online_vpc = mimo.online_vpc
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].alpha)
+            return online_vpc(*args, **kwargs)
+
+        for module in (mimo, cli):  # wherever the histogram might call it from
+            monkeypatch.setattr(module, "online_vpc", counted, raising=False)
+        assert main(["--out-dir", str(tmp_path), "histogram", "--nt", "4", "--k", "4",
+                     "--seed", "3"]) == 0
+        assert len(calls) == 2
 
     def test_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,5 +1,6 @@
 """Tests for the eBFP format and exact-then-round arithmetic."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -419,6 +420,21 @@ class TestIntegerKernel:
         for op in ("add", "sub", "mul", "div"):
             arith(op, a, b, 24)
         arith("sqrt", a, None, 24)
+
+
+class TestScalar:
+    def test_equality_and_hash_follow_the_fields(self):
+        a = round_to_precision(Fraction(355, 113), 30, P8)
+        same = EbfpNumber(a.sign, a.block_exp, a.field, a.n_blocks, P8)
+        assert same == a and hash(same) == hash(a) and len({a, same}) == 1
+        assert EbfpNumber(a.sign, a.block_exp, a.field, a.n_blocks, EbfpParams(8, 8, 16)) == a
+        for other in (EbfpNumber(a.sign, a.block_exp, a.field, a.n_blocks, P1),
+                      EbfpNumber(a.sign, a.block_exp, a.field, a.n_blocks, P8, Flag.OVERFLOW),
+                      EbfpNumber(a.sign, a.block_exp, a.field << 8, a.n_blocks + 1, P8)):
+            assert other != a
+        assert [f.name for f in dataclasses.fields(EbfpNumber)] == \
+            ["sign", "block_exp", "field", "n_blocks", "params", "flags"]
+        assert EbfpNumber(1, 0, 0, 3) == EbfpNumber(1, 0, 0, 3, DEFAULT_PARAMS, Flag.NORMAL)
 
 
 class TestSpecTable:

@@ -1,5 +1,6 @@
 """Tests for expression-graph recording and execution."""
 
+import hashlib
 import io
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from varprec.ebfp import EbfpParams, decode, encode, round_to_precision
+from varprec.ebfp import EbfpNumber, EbfpParams, decode, encode, round_to_precision
 from varprec.graph import (
     ExprGraph,
     GraphExecutionError,
@@ -18,8 +19,8 @@ from varprec.graph import (
     topo_stats,
 )
 from varprec.errormodel import input_error_variance, propagate_full_precision, rounding_variance
-from varprec.mimo import build_zf_graph
-from varprec.optimizer import ComplexityModel, UtilityConfig, online_vpc
+from varprec.mimo import build_zf_graph, gen_channel
+from varprec.optimizer import ComplexityModel, UtilityConfig, fixed_plan, offline_vpc, online_vpc
 
 
 def fig3_style_graph():
@@ -81,6 +82,21 @@ class TestRecord:
         buf.seek(0)
         assert len(g.outputs) == 32
         assert ExprGraph.load_jsonl(buf).outputs == g.outputs
+
+    def test_record_drops_the_node_table(self):
+        # a run builds the node table; a node recorded after it must run
+        g, x, n11, n12, n21, n22, n31, n41 = fig3_style_graph()
+        vals = {i: Fraction(i + 2, 3) for i in x}
+        first = execute(g, {n: 20 for n in g.non_input_ids()}, vals)
+        assert first.output_ids == [n41]
+        g.mark_output(n41)
+        sq = g.record("sqrt", [x[4]])
+        g.mark_output(sq)
+        again = execute(g, {n: 20 for n in g.non_input_ids()}, vals)
+        assert again.output_ids == [n41, sq]
+        assert again.floats[sq] == pytest.approx(math.sqrt(2), rel=2 ** -20)
+        assert g.table()[1][x[4]] == [n22, sq]
+        assert g.consumers()[x[4]] == [n22, sq]
 
 
 class TestTopoStats:
@@ -438,3 +454,42 @@ class TestRun:
         with pytest.raises(GraphExecutionError) as err:
             execute(g, {s: 1590}, {a: Fraction(2) ** 1100, b: Fraction(1)}, 1590, params)
         assert (err.value.node_id, err.value.reason) == (a, "value left float range")
+
+
+def _digest(result=None, plan=None) -> str:
+    """sha256 of a run's stored values, floats, variances and zero nodes,
+    and of a plan's precisions and sensitivities."""
+    parts = []
+    if result is not None:
+        parts += [[(v.sign, v.block_exp, v.field, v.n_blocks, v.flags.value)
+                   for v in result.values.values()],
+                  list(result.floats.values()), list(result.errors.values()),
+                  result.degenerate_zero]
+    if plan is not None:
+        parts += [plan.assignment, plan.gsigma]
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+class TestHotPath:
+    def test_no_property_or_consumer_rebuild_per_node(self, monkeypatch):
+        # the executor and both planners read flags by identity, take the
+        # exponent bounds from the geometry's fields and the consumers from
+        # the node table, and their outputs stay the same bit for bit
+        zfg = build_zf_graph(4, 4)
+        h = gen_channel(np.random.default_rng(3), 4, 4)
+        vals, ip = zfg.input_values(h), zfg.input_precisions()
+        cfg, cm = UtilityConfig(1e-9, 2, 64), ComplexityModel()
+
+        def boom(*args):
+            raise AssertionError("called on the hot path")
+
+        for name in ("min_block_exp", "max_block_exp", "exp_offset"):
+            monkeypatch.setattr(EbfpParams, name, property(boom))
+        monkeypatch.setattr(EbfpNumber, "is_saturated", property(boom))
+        monkeypatch.setattr(ExprGraph, "consumers", boom)
+        assert _digest(execute(zfg.graph, fixed_plan(zfg.graph, 24), vals, ip)) == \
+            "8f7724aab4869743c8e880864a91d29db8d5a913aa4f47e6319e4b164ccf1e43"
+        assert _digest(*online_vpc(zfg.graph, cfg, cm, vals, 10, ip)) == \
+            "23c6d30eae3aebeddff6679b59e473e627420926dd727179b31c91c115358de1"
+        assert _digest(plan=offline_vpc(zfg.graph, cfg, cm, 10)) == \
+            "5e551562a1c2d683d82aa9cdf4a984b4bf3d1701084bd2a3bb267b629c8d030f"
