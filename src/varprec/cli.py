@@ -28,17 +28,19 @@ from .errormodel import (
     w_moments,
 )
 from .mimo import (
+    CM,
     SimConfig,
     SweepInputs,
-    _online_walk,
+    SweepPoint,
     build_zf_graph,
     gen_channel,
+    online_alpha,
     pareto_sweep,
     precision_histogram,
     sweep_cell,
     sweep_inputs,
 )
-from .optimizer import ComplexityModel, plan_metrics, plan_to_csv
+from .optimizer import plan_metrics, plan_to_csv
 
 #: printed storage-format reference rows: (label, n_blocks, total, exponent,
 #: fraction, log10_max, relative_error)
@@ -123,15 +125,12 @@ def cmd_tables(args) -> int:
                 w.writerow([x, f"{st.variance:.6f}", f"{st.mean:.3e}",
                             REFERENCE_W_VAR[x], REFERENCE_W_MEAN[x],
                             args.samples, args.seed])
-        elif args.which == "ops_per_bit":
+        else:  # ops_per_bit; argparse rejects any other name
             w.writerow(["arithmetic", "e_b", "count", "reference", "abs_dev"])
             for op in ("add", "sub"):
                 for e_b, ref in REFERENCE_OPS_PER_BIT[op].items():
                     got = ops_per_bit(op, e_b)
                     w.writerow([op, e_b, got, ref, abs(got - ref)])
-        else:
-            print(f"error: unknown table {args.which!r}", file=sys.stderr)
-            return 2
     write_manifest(out_dir, f"tables-{args.which}",
                    {"which": args.which, "samples": args.samples, "seed": args.seed},
                    [out])
@@ -191,7 +190,7 @@ def sim_config_from_args(args) -> SimConfig:
 _cell_inputs: Optional[Tuple[SimConfig, SweepInputs]] = None
 
 
-def _run_cell(cell: tuple) -> list:
+def _run_cell(cell: tuple) -> SweepPoint:
     """One (config, scheme, target index) cell of the sweep, in a pool
     worker: the same point the serial sweep computes for it."""
     global _cell_inputs
@@ -199,7 +198,7 @@ def _run_cell(cell: tuple) -> list:
     cfg = SimConfig(**cfg_dict)
     if _cell_inputs is None or _cell_inputs[0] != cfg:
         _cell_inputs = (cfg, sweep_inputs(cfg))
-    return [sweep_cell(cfg, ComplexityModel(), _cell_inputs[1], scheme, ti)]
+    return sweep_cell(cfg, _cell_inputs[1], scheme, ti)
 
 
 def cmd_pareto(args) -> int:
@@ -220,10 +219,8 @@ def cmd_pareto(args) -> int:
     if threads > 1:
         cells = [(asdict(cfg), s, ti)
                  for s in cfg.schemes for ti in range(len(cfg.sweep))]
-        points = []
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            for res in pool.map(_run_cell, cells):
-                points.extend(res)
+            points = list(pool.map(_run_cell, cells))
     else:
         points = pareto_sweep(cfg, progress=lambda s: print(f"  {s}", flush=True))
     out = out_dir / "pareto.csv"
@@ -260,8 +257,7 @@ def cmd_histogram(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     zfg = build_zf_graph(cfg.k_users, cfg.n_t)
     h = gen_channel(np.random.default_rng(seed), cfg.k_users, cfg.n_t)
-    cm = ComplexityModel()
-    _, (run,) = _online_walk(zfg, cfg, cm, [h], args.target_avg)
+    _, (run,) = online_alpha(zfg, cfg, [h], args.target_avg)
     if run is None:
         print("error: the online plan cannot be computed on this channel", file=sys.stderr)
         return 1
@@ -285,7 +281,7 @@ def cmd_histogram(args) -> int:
                    {"nt": args.nt, "k": args.k, "seed": seed,
                     "target_avg": args.target_avg},
                    [out, plan_out, graph_out])
-    avg, _ = plan_metrics(zfg.graph, plan, cm)
+    avg, _ = plan_metrics(zfg.graph, plan, CM)
     print(f"wrote {out} (avg {avg:.2f} bits over {len(live)} ops, "
           f"{len(degenerate)} degenerate zeros excluded)")
     return 0

@@ -89,8 +89,8 @@ class ExprGraph:
         self._table = None
         return node.id
 
-    def add_input(self, part: str = None) -> int:
-        return self.record(_INPUT, (), part)
+    def add_input(self) -> int:
+        return self.record(_INPUT)
 
     def mark_output(self, node_id: int) -> None:
         self._explicit_outputs.append(node_id)
@@ -105,9 +105,6 @@ class ExprGraph:
             return list(self._explicit_outputs)
         used = {o for n in self.nodes for o in n.operands}
         return [n.id for n in self.nodes if n.op is not _INPUT and n.id not in used]
-
-    def consumers(self) -> Dict[int, List[int]]:
-        return {nid: list(c) for nid, c in enumerate(self.table()[1])}
 
     def table(self) -> Tuple[List[tuple], List[List[int]]]:
         """``(node, op, first operand, second operand or None)`` and the

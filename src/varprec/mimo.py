@@ -77,9 +77,9 @@ class CRef:
 class ComplexEmitter:
     """Records real ops for complex arithmetic with sign/zero/one folding."""
 
-    def __init__(self, graph: ExprGraph, part: str = None):
+    def __init__(self, graph: ExprGraph):
         self.graph = graph
-        self.part = part
+        self.part: Optional[str] = None
         self._one: Optional[int] = None
 
     def one_ref(self) -> Ref:
@@ -304,17 +304,16 @@ def build_zf_graph(k_users: int, n_t: int) -> ZfGraph:
     return ZfGraph(g, k_users, n_t, h, [list(r) for r in gram], ginv, w, em._one)
 
 
-def zf_reference(h: ChannelMatrix, zfg: ZfGraph = None) -> Tuple[np.ndarray, ExecutionResult, ZfGraph]:
+def zf_reference(h: ChannelMatrix, zfg: ZfGraph) -> Tuple[np.ndarray, ExecutionResult]:
     """Precoder at reference precision (fixed 64-bit plan); warns on badly
     conditioned channels."""
-    zfg = zfg or build_zf_graph(h.k_users, h.n_t)
     hc = h.as_complex()
     cond = np.linalg.cond(hc @ hc.conj().T)
     if cond > 1e9:
         warnings.warn(f"Gram condition number {cond:.3e}; reference precoder may be inaccurate")
     plan = fixed_plan(zfg.graph, REFERENCE_PRECISION)
     res = execute(zfg.graph, plan, zfg.input_values(h), zfg.input_precisions())
-    return zfg.w_matrix(res), res, zfg
+    return zfg.w_matrix(res), res
 
 
 def gram_inverse_residual(zfg: ZfGraph, result: ExecutionResult) -> float:
@@ -360,7 +359,7 @@ def sum_rate(h: np.ndarray, w: np.ndarray, snr_db: float) -> float:
 
 
 def ber_sim(h: np.ndarray, w: np.ndarray, snr_db: float, n_symbols: int,
-            rng: np.random.Generator, w_ref: np.ndarray = None) -> float:
+            rng: np.random.Generator, w_ref: np.ndarray) -> float:
     """QPSK bit error rate of precoding with ``w`` at unit total transmit
     power.
 
@@ -370,7 +369,7 @@ def ber_sim(h: np.ndarray, w: np.ndarray, snr_db: float, n_symbols: int,
     """
     k_users = h.shape[0]
     wn = _normalize_columns(w) * math.sqrt(1.0 / k_users)
-    wr = _normalize_columns(w_ref if w_ref is not None else w) * math.sqrt(1.0 / k_users)
+    wr = _normalize_columns(w_ref) * math.sqrt(1.0 / k_users)
     noise_var = 10.0 ** (-snr_db / 10.0)
 
     bits = rng.integers(0, 2, (2 * k_users, n_symbols))
@@ -398,6 +397,8 @@ def ber_sim(h: np.ndarray, w: np.ndarray, snr_db: float, n_symbols: int,
 
 
 SCHEMES = ("fixed", "offline", "online", "random-blockwise")
+#: the per-bit op costs every sweep cell plans and scores with
+CM = ComplexityModel()
 
 
 @dataclass
@@ -491,30 +492,37 @@ def sweep_inputs(cfg: SimConfig) -> SweepInputs:
     return zfg, channels, [zf_reference(h, zfg)[0] for h in channels]
 
 
-def _online_run(zfg: ZfGraph, cfg: SimConfig, cm: ComplexityModel, alpha: float,
+def _online_run(zfg: ZfGraph, cfg: SimConfig, alpha: float,
                 h: ChannelMatrix) -> Optional[tuple]:
     """online_vpc's (result, plan) on channel h, or None where it fails."""
     try:
-        return online_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm, zfg.input_values(h),
+        return online_vpc(zfg.graph, _plan_cfg(cfg, alpha), CM, zfg.input_values(h),
                           cfg.e_b, zfg.input_precisions(cfg.storage_bits))
     except GraphExecutionError:
         return None
 
 
-def _online_walk(zfg: ZfGraph, cfg: SimConfig, cm: ComplexityModel,
-                 probe: Sequence[ChannelMatrix], target: float) -> Tuple[float, list]:
-    """:func:`online_alpha`, and each probe channel's run at it (None where it fails)."""
+def online_alpha(zfg: ZfGraph, cfg: SimConfig, probe: Sequence[ChannelMatrix],
+                 target: float) -> Tuple[float, list]:
+    """Calibrated alpha of the online planner, and each probe channel's
+    (result, plan) at it (None where the plan fails).  A plan depends on
+    alpha only through its output anchor x, so the walk runs on x in
+    [x_min, x_max]: up from round(target) while the plans' mean average over
+    ``probe`` is below ``target``, then down while the one at x - 1 still
+    reaches it; the alpha is the middle of x's ladder bin.  A channel whose
+    plan fails is left out; if every one fails, the average reads
+    ``cfg.x_min``."""
     ucfg = _plan_cfg(cfg, 1.0)
-    lut, op = XoptLut(cm, ucfg), zfg.graph.nodes[zfg.graph.outputs[0]].op
+    lut, op = XoptLut(CM, ucfg), zfg.graph.nodes[zfg.graph.outputs[0]].op
     alpha_at = {x: ucfg.gsigma_unit / lut.reverse(x, op)
                 for x in range(cfg.x_min, cfg.x_max + 1)}
 
     @functools.cache
     def runs_at(x):
-        return [_online_run(zfg, cfg, cm, alpha_at[x], h) for h in probe]
+        return [_online_run(zfg, cfg, alpha_at[x], h) for h in probe]
 
     def avg_at(x):
-        vals = [plan_metrics(zfg.graph, r[1], cm)[0] for r in runs_at(x) if r]
+        vals = [plan_metrics(zfg.graph, r[1], CM)[0] for r in runs_at(x) if r]
         return float(np.mean(vals)) if vals else cfg.x_min
 
     x = min(max(round(target), cfg.x_min), cfg.x_max)
@@ -525,19 +533,7 @@ def _online_walk(zfg: ZfGraph, cfg: SimConfig, cm: ComplexityModel,
     return alpha_at[x], runs_at(x)
 
 
-def online_alpha(zfg: ZfGraph, cfg: SimConfig, cm: ComplexityModel,
-                 probe: Sequence[ChannelMatrix], target: float) -> float:
-    """Calibrated alpha of the online planner.  A plan depends on alpha only
-    through its output anchor x, so the walk runs on x in [x_min, x_max]:
-    up from round(target) while the plans' mean average over ``probe`` is
-    below ``target``, then down while the one at x - 1 still reaches it; the
-    alpha is the middle of x's ladder bin.  A channel whose plan fails is
-    left out; if every one fails, the average reads ``cfg.x_min``."""
-    return _online_walk(zfg, cfg, cm, probe, target)[0]
-
-
-def sweep_cell(cfg: SimConfig, cm: ComplexityModel, inputs: SweepInputs,
-               scheme: str, ti: int) -> SweepPoint:
+def sweep_cell(cfg: SimConfig, inputs: SweepInputs, scheme: str, ti: int) -> SweepPoint:
     """The cell of scheme ``scheme`` at target ``cfg.sweep[ti]``, over all
     of the sweep's channels.  It depends on nothing but its arguments, so a
     cell run on its own equals the same cell of :func:`pareto_sweep`.
@@ -552,20 +548,20 @@ def sweep_cell(cfg: SimConfig, cm: ComplexityModel, inputs: SweepInputs,
         plan = fixed_plan(zfg.graph, round(target))
     elif scheme == "offline":
         def off(alpha):
-            return offline_vpc(zfg.graph, _plan_cfg(cfg, alpha), cm, cfg.e_b)
-        plan = off(calibrate_alpha(lambda a: plan_metrics(zfg.graph, off(a), cm)[0], target))
+            return offline_vpc(zfg.graph, _plan_cfg(cfg, alpha), CM, cfg.e_b)
+        plan = off(calibrate_alpha(lambda a: plan_metrics(zfg.graph, off(a), CM)[0], target))
     elif scheme == "online":
-        alpha, probed = _online_walk(zfg, cfg, cm, channels[:4], target)
-    else:  # random-blockwise
+        alpha, probed = online_alpha(zfg, cfg, channels[:4], target)
+    else:  # random-blockwise: parts draw around round(target), clipped at x_max
         draw_rng = np.random.default_rng((cfg.seed, 31, ti))
-        hi = int(min(cfg.x_max, max(cfg.x_min + 1, round(max(cfg.sweep)))))
+        hi = min(cfg.x_max, 2 * round(target) - cfg.x_min)
 
     n_bits = 2 * cfg.k_users * cfg.ber_symbols
     rates, avgs, totals = [], [], []
     errors = failures = 0
     for t, h in enumerate(channels):
         if scheme == "online":  # the walk has run the probe channels at alpha
-            run = probed[t] if t < len(probed) else _online_run(zfg, cfg, cm, alpha, h)
+            run = probed[t] if t < len(probed) else _online_run(zfg, cfg, alpha, h)
             result, plan = run or (None, None)  # a failed online run has no plan
         else:
             if scheme == "random-blockwise":
@@ -575,7 +571,7 @@ def sweep_cell(cfg: SimConfig, cm: ComplexityModel, inputs: SweepInputs,
             except GraphExecutionError:
                 result = None
         if plan is not None:
-            a, tot = plan_metrics(zfg.graph, plan, cm)
+            a, tot = plan_metrics(zfg.graph, plan, CM)
             avgs.append(a)
             totals.append(tot)
         if result is None:
@@ -608,8 +604,7 @@ def sweep_cell(cfg: SimConfig, cm: ComplexityModel, inputs: SweepInputs,
     )
 
 
-def pareto_sweep(cfg: SimConfig, cm: ComplexityModel = None,
-                 progress: Callable[[str], None] = None) -> List[SweepPoint]:
+def pareto_sweep(cfg: SimConfig, progress: Callable[[str], None] = None) -> List[SweepPoint]:
     """Run every (scheme, target average precision) cell over paired channels.
 
     Channel matrices are generated once from the seed and reused across all
@@ -618,7 +613,6 @@ def pareto_sweep(cfg: SimConfig, cm: ComplexityModel = None,
     matching integer precision directly.  :func:`sweep_cell` says how a
     trial that fails to compute is scored.
     """
-    cm = cm or ComplexityModel()
     say = progress or (lambda s: None)
     say(f"reference precoders for {cfg.trials} channels")
     inputs = sweep_inputs(cfg)
@@ -626,7 +620,7 @@ def pareto_sweep(cfg: SimConfig, cm: ComplexityModel = None,
     for scheme in cfg.schemes:
         for ti, target in enumerate(cfg.sweep):
             say(f"{scheme} @ {target} bits")
-            points.append(sweep_cell(cfg, cm, inputs, scheme, ti))
+            points.append(sweep_cell(cfg, inputs, scheme, ti))
     return points
 
 

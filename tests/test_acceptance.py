@@ -363,7 +363,7 @@ def test_criterion_11_ber_ordering_and_floors():
 
     def online_cfg(avg_target):
         cfg = SimConfig(n_t=4, k_users=4, x_min=2, sweep=(avg_target,))
-        return UtilityConfig(alpha=online_alpha(zfg, cfg, CM, channels[:3], avg_target),
+        return UtilityConfig(alpha=online_alpha(zfg, cfg, channels[:3], avg_target)[0],
                              x_min=2)
 
     def run(avg):
@@ -434,7 +434,7 @@ def test_criterion_12_histogram_shape():
 
     # UtilityConfig's default floor is 4 bits
     cfg = SimConfig(n_t=8, k_users=8, seed=3, x_min=4, sweep=(12.0,))
-    alpha = online_alpha(zfg, cfg, CM, [h], 12.0)
+    alpha = online_alpha(zfg, cfg, [h], 12.0)[0]
     res, plan = online_vpc(zfg.graph, UtilityConfig(alpha=alpha), CM,
                            zfg.input_values(h), 10, ip)
     degen = set(res.degenerate_zero)

@@ -51,6 +51,13 @@ class TestValidateErrorModel:
 
 
 class TestTables:
+    def test_unknown_table_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--out-dir", str(tmp_path), "tables", "bogus"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_spec_table(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), "tables", "spec"]) == 0
         rows = read_csv(tmp_path / "table_spec.csv")
@@ -131,7 +138,7 @@ class TestPareto:
 
     def test_workers_match_serial(self, tmp_path, monkeypatch):
         # every scheme, two targets: random-blockwise draws depend on the
-        # target's index and on the largest target of the whole sweep
+        # target's index
         serial, two = tmp_path / "serial", tmp_path / "two"
         args = ["pareto", "--nt", "2", "--k", "2", "--trials", "3", "--sweep", "4,8"]
         monkeypatch.delenv("VARPREC_THREADS", raising=False)
@@ -199,19 +206,23 @@ class TestPareto:
         cfg = mimo.SimConfig(n_t=2, k_users=2, trials=3, sweep=(4.0, 8.0),
                              schemes=("fixed", "offline"))
         cells = [(asdict(cfg), "fixed", 1), (asdict(cfg), "offline", 0)]
-        points = [p for cell in cells for p in cli._run_cell(cell)]
+        points = [cli._run_cell(cell) for cell in cells]
         assert len(calls) == cfg.trials
         serial = mimo.pareto_sweep(cfg)
         assert repr(points) == repr([serial[1], serial[2]])  # ber is NaN
+
+    @staticmethod
+    def desk_config():
+        class A:
+            config = str(Path(__file__).resolve().parents[1] / "demos" / "desk.cfg")
+            nt = k = snr_db = trials = seed = sweep = scheme = None
+        return sim_config_from_args(A)
 
     def test_online_cells_reuse_probe_runs(self, monkeypatch):
         # the online cells of demos/desk.cfg run 52 probe plans in their
         # anchor walks; a trial channel the walk probed (the first 4 of 20)
         # takes the walk's run at the calibrated alpha: 52 + 6 * 16 runs
-        class A:
-            config = str(Path(__file__).resolve().parents[1] / "demos" / "desk.cfg")
-            nt = k = snr_db = trials = seed = sweep = scheme = None
-        cfg = sim_config_from_args(A)
+        cfg = self.desk_config()
         inputs = mimo.sweep_inputs(cfg)
         calls = []
         online_vpc = mimo.online_vpc
@@ -222,8 +233,17 @@ class TestPareto:
 
         monkeypatch.setattr(mimo, "online_vpc", counted)
         for ti in range(len(cfg.sweep)):
-            mimo.sweep_cell(cfg, mimo.ComplexityModel(), inputs, "online", ti)
+            mimo.sweep_cell(cfg, inputs, "online", ti)
         assert (cfg.trials, len(cfg.sweep), len(calls)) == (20, 6, 148)
+
+    def test_random_blockwise_follows_target(self):
+        # each part draws around its cell's target, so the realized average
+        # of demos/desk.cfg rises with the target
+        cfg = self.desk_config()
+        inputs = mimo.sweep_inputs(cfg)
+        avgs = [mimo.sweep_cell(cfg, inputs, "random-blockwise", ti).realized_avg_bits
+                for ti in range(len(cfg.sweep))]
+        assert avgs == sorted(avgs) and len(set(avgs)) == len(avgs), avgs
 
 
 class TestPinnedOutputs:
@@ -245,7 +265,7 @@ class TestPinnedOutputs:
         cfgf.write_text(self.DESK)
         assert main(["--out-dir", str(tmp_path), "pareto", "--config", str(cfgf)]) == 0
         assert self.digest(tmp_path / "pareto.csv") == \
-            "0cc7ff4804ba1b68bdc47ddd9a70b2165b3064898d7a4e7174bd0098c0d37667"
+            "fd9dc0ee19d50f9cdaeb29ef4d786dc41c2833e22ace8e9ed328946c92e0b722"
 
     def test_histogram_4x4(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), "histogram", "--nt", "4", "--k", "4",
@@ -271,7 +291,7 @@ class TestPinnedOutputs:
         rows = read_csv(tmp_path / "pareto.csv")[1:]
         assert {r[0] for r in rows if int(r[-1]) > 0} == set(mimo.SCHEMES)
         assert self.digest(tmp_path / "pareto.csv") == \
-            "62f8891de211e56a77596fdc29a17dee0266e435fe4c480406d5ed799dc6341c"
+            "8e84d3bd5b9345481df7f773226a118435a8540070f31dcdfddd844011eca263"
 
 
 class TestHistogram:

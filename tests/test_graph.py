@@ -96,7 +96,6 @@ class TestRecord:
         assert again.output_ids == [n41, sq]
         assert again.floats[sq] == pytest.approx(math.sqrt(2), rel=2 ** -20)
         assert g.table()[1][x[4]] == [n22, sq]
-        assert g.consumers()[x[4]] == [n22, sq]
 
 
 class TestTopoStats:
@@ -486,7 +485,6 @@ class TestHotPath:
         for name in ("min_block_exp", "max_block_exp", "exp_offset"):
             monkeypatch.setattr(EbfpParams, name, property(boom))
         monkeypatch.setattr(EbfpNumber, "is_saturated", property(boom))
-        monkeypatch.setattr(ExprGraph, "consumers", boom)
         assert _digest(execute(zfg.graph, fixed_plan(zfg.graph, 24), vals, ip)) == \
             "8f7724aab4869743c8e880864a91d29db8d5a913aa4f47e6319e4b164ccf1e43"
         assert _digest(*online_vpc(zfg.graph, cfg, cm, vals, 10, ip)) == \

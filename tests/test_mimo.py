@@ -20,6 +20,8 @@ from varprec.mimo import (
     pareto_sweep,
     precision_histogram,
     sum_rate,
+    sweep_cell,
+    sweep_inputs,
     zf_reference,
 )
 from varprec.optimizer import (
@@ -60,7 +62,7 @@ class TestBuildGraph:
     def test_scalar_identity(self):
         zfg = build_zf_graph(1, 1)
         h = ChannelMatrix(((Fraction(1),),), ((Fraction(0),),))
-        w, res, _ = zf_reference(h, zfg)
+        w, res = zf_reference(h, zfg)
         assert abs(w[0, 0] - 1) < 1e-15
 
     def test_parts_tagged(self):
@@ -81,7 +83,7 @@ class TestBuildGraph:
         h = ChannelMatrix(
             ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
             ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))))
-        w, _, _ = zf_reference(h)
+        w, _ = zf_reference(h, build_zf_graph(2, 2))
         assert np.abs(w - np.eye(2)).max() < 1e-15
 
     def test_blockwise_plan_supported(self):
@@ -95,7 +97,7 @@ class TestReference:
     def test_matches_numpy(self):
         zfg = build_zf_graph(4, 4)
         h = gen_channel(np.random.default_rng(3), 4, 4)
-        w, res, _ = zf_reference(h, zfg)
+        w, res = zf_reference(h, zfg)
         hc = h.as_complex()
         w_np = hc.conj().T @ np.linalg.inv(hc @ hc.conj().T)
         assert np.abs(w - w_np).max() < 1e-9
@@ -103,13 +105,13 @@ class TestReference:
     def test_residual_small(self):
         zfg = build_zf_graph(3, 4)
         h = gen_channel(np.random.default_rng(4), 3, 4)
-        _, res, _ = zf_reference(h, zfg)
+        _, res = zf_reference(h, zfg)
         assert gram_inverse_residual(zfg, res) <= 1e-12
 
     def test_zero_forcing_property(self):
         zfg = build_zf_graph(4, 4)
         h = gen_channel(np.random.default_rng(5), 4, 4)
-        w, _, _ = zf_reference(h, zfg)
+        w, _ = zf_reference(h, zfg)
         d = h.as_complex() @ w
         off = d - np.diag(np.diag(d))
         assert np.abs(off).max() < 1e-9
@@ -121,7 +123,7 @@ class TestReference:
             ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1) + eps)),
             ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))))
         with pytest.warns(UserWarning, match="condition"):
-            zf_reference(h)
+            zf_reference(h, build_zf_graph(2, 2))
 
     def test_residual_decreases_with_precision(self):
         zfg = build_zf_graph(3, 3)
@@ -141,7 +143,7 @@ class TestLinkMetrics:
         self.zfg = build_zf_graph(4, 4)
         self.h = gen_channel(np.random.default_rng(7), 4, 4)
         self.hc = self.h.as_complex()
-        self.w, _, _ = zf_reference(self.h, self.zfg)
+        self.w, _ = zf_reference(self.h, self.zfg)
 
     def test_rate_positive_and_zero_cases(self):
         assert sum_rate(self.hc, self.w, 10.0) > 0
@@ -202,6 +204,14 @@ class TestSweep:
         assert {p.scheme for p in pts} == {"fixed", "offline", "online",
                                            "random-blockwise"}
 
+    def test_random_blockwise_cell_ignores_other_targets(self):
+        # a cell's draws depend on its own target, not on the sweep's largest
+        cells = []
+        for sweep in ((4, 8), (4, 32)):
+            cfg = SimConfig(n_t=2, k_users=2, trials=3, seed=7, sweep=sweep)
+            cells.append(sweep_cell(cfg, sweep_inputs(cfg), "random-blockwise", 0))
+        assert repr(cells[0]) == repr(cells[1])  # ber is NaN
+
     def test_online_matches_target(self):
         cfg = SimConfig(n_t=3, k_users=3, trials=3, seed=6, sweep=(10,),
                         schemes=("online",))
@@ -246,7 +256,7 @@ class TestOnlineAlpha:
         # the returned alpha's anchor reaches the target, and the anchor one
         # down (alpha times EPS**2 = 4) does not, unless it is x_min
         cm = ComplexityModel()
-        alpha = online_alpha(zfg, cfg, cm, probe, target)
+        alpha = online_alpha(zfg, cfg, probe, target)[0]
         x = self.anchor(zfg, cfg, alpha)
         assert self.avg_on(zfg, cfg, cm, probe, alpha) >= target
         if x > cfg.x_min:
@@ -263,7 +273,7 @@ class TestOnlineAlpha:
             calls.append(args[1].alpha)
             return online_vpc(*args, **kwargs)
         monkeypatch.setattr(mimo, "online_vpc", counted)
-        online_alpha(zfg, cfg, ComplexityModel(), [h], 4.0)
+        online_alpha(zfg, cfg, [h], 4.0)
         assert 0 < len(calls) <= 3
 
     def test_returns_a_crossing(self):
@@ -287,7 +297,7 @@ class TestOnlineAlpha:
         zfg = build_zf_graph(4, 4)
         cm = ComplexityModel()
         probe = [gen_channel(np.random.default_rng(cfg.seed), 4, 4)]
-        alpha = online_alpha(zfg, cfg, cm, probe, 62.0)
+        alpha = online_alpha(zfg, cfg, probe, 62.0)[0]
         assert self.anchor(zfg, cfg, alpha) == cfg.x_max
         assert self.avg_on(zfg, cfg, cm, probe, alpha) < 62.0
 
