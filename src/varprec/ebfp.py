@@ -239,9 +239,10 @@ def _store(sign: int, m: int, e_sci: int, x: int, params: EbfpParams) -> EbfpNum
     m of x+1 significant bits (0 for an exact zero), stored in the fewest
     blocks that hold x+1 bits after the alignment zeros of ``e_sci`` (a zero
     takes :func:`blocks_for_precision`)."""
-    f = params.block_bits
     if m == 0:
-        return EbfpNumber(1, 0, 0, min(params.max_blocks, -(-(x + f) // f)), params, _ZERO)
+        return EbfpNumber(1, 0, 0, min(params.max_blocks, blocks_for_precision(x, params)),
+                          params, _ZERO)
+    f = params.block_bits
     n_blocks = -(-(x + 1 + -(-e_sci // f) * f - e_sci) // f)
     if n_blocks > params.max_blocks:
         raise ValueError("precision exceeds max_blocks for these parameters")

@@ -64,13 +64,17 @@ class ExprNode:
 
 
 class ExprGraph:
-    """Append-only recorder of a straight-line computation."""
+    """Append-only recorder of a straight-line computation.  :meth:`record`
+    keeps its views, all in id order: ``entries`` (one ``(node, op, first
+    operand, second operand or None)`` per node), ``consumers`` and ``inputs``."""
 
     def __init__(self):
         self.nodes: List[ExprNode] = []
+        self.entries: List[tuple] = []
+        self.consumers: List[List[int]] = []
+        self.inputs: List[int] = []
         self._level_width: Dict[int, int] = {}
         self._explicit_outputs: List[int] = []
-        self._table = None
 
     def record(self, op, operands: Sequence[int] = (), part: str = None) -> int:
         """Append a node; returns its id.  Operand ids must already exist."""
@@ -86,43 +90,31 @@ class ExprGraph:
         self._level_width[n] = k
         node = ExprNode(len(self.nodes), op, operands, (n, k), part)
         self.nodes.append(node)
-        self._table = None
+        self.entries.append((node, op, *(operands + (None, None))[:2]))
+        self.consumers.append([])
+        for o in operands:
+            self.consumers[o].append(node.id)
+        if op is _INPUT:
+            self.inputs.append(node.id)
         return node.id
 
     def add_input(self) -> int:
         return self.record(_INPUT)
 
     def mark_output(self, node_id: int) -> None:
+        if not 0 <= node_id < len(self.nodes):
+            raise ValueError(f"unknown node id {node_id}")
         self._explicit_outputs.append(node_id)
 
     @property
-    def inputs(self) -> List[int]:
-        return [n.id for n in self.nodes if n.op is _INPUT]
-
-    @property
     def outputs(self) -> List[int]:
+        """The marked outputs, or else every operation without a consumer."""
         if self._explicit_outputs:
             return list(self._explicit_outputs)
-        used = {o for n in self.nodes for o in n.operands}
-        return [n.id for n in self.nodes if n.op is not _INPUT and n.id not in used]
-
-    def table(self) -> Tuple[List[tuple], List[List[int]]]:
-        """``(node, op, first operand, second operand or None)`` and the
-        consumer ids of each node, in id order; cached until :meth:`record`."""
-        if self._table is None:
-            consumers = [[] for _ in self.nodes]
-            for n in self.nodes:
-                for o in n.operands:
-                    consumers[o].append(n.id)
-            self._table = ([(n, n.op, *(n.operands + (None, None))[:2]) for n in self.nodes],
-                           consumers)
-        return self._table
+        return [n.id for n, c in zip(self.nodes, self.consumers) if not c and n.op is not _INPUT]
 
     def non_input_ids(self) -> List[int]:
         return [n.id for n in self.nodes if n.op is not _INPUT]
-
-    def __len__(self):
-        return len(self.nodes)
 
     def dump_jsonl(self, fh, plan: Mapping[int, int] = None) -> None:
         """One node per line: ``precision`` under a plan, ``output: i`` for ``outputs[i]``."""
@@ -168,13 +160,10 @@ class TopoStats:
 
 def topo_stats(graph: ExprGraph) -> TopoStats:
     counts: Dict[OpKind, int] = {}
-    widths: Dict[int, int] = {}
-    depth = 0
     for n in graph.nodes:
         counts[n.op] = counts.get(n.op, 0) + 1
-        widths[n.step[0]] = max(widths.get(n.step[0], 0), n.step[1])
-        depth = max(depth, n.step[0])
-    return TopoStats(counts, depth, widths)
+    widths = dict(graph._level_width)
+    return TopoStats(counts, max(widths, default=0), widths)
 
 
 @dataclass
@@ -235,7 +224,7 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
     """
     values: Dict[int, EbfpNumber] = {}
     floats, errors, degenerate = {}, {}, []
-    for node, op, i, j in graph.table()[0]:
+    for node, op, i, j in graph.entries:
         nid = node.id
         if op is not _INPUT:
             a = values[i]
@@ -257,6 +246,8 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
             floats[nid] = fc = _shadow(out)
         except (ValueError, ArithmeticError) as e:
             raise GraphExecutionError(nid, str(e))
+        except KeyError:  # only an input looks anything up here
+            raise GraphExecutionError(nid, "no input value or input precision")
         if op is _INPUT:
             v = input_error_variance(x)
         elif out.flags is _ZERO:

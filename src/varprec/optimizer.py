@@ -132,7 +132,7 @@ def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     reuse whose error contributions are strongly correlated downstream.
     """
     lut = XoptLut(cm, cfg)
-    entries, consumers = graph.table()
+    entries, consumers = graph.entries, graph.consumers
     out_set = set(graph.outputs)
     back = _backward_factors(e_b)
     gsig: Dict[int, float] = {}
@@ -184,7 +184,7 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     # rho seed of each node's input-fed routes: its anchor's rho shifted by
     # the unrounded bit offset of its longest path to a sink, a path given
     # as (length, add, sub and sqrt crossings, sink id)
-    entries, consumers = graph.table()
+    entries, consumers = graph.entries, graph.consumers
     longest: Dict[int, Tuple[int, int, int, int, int]] = {}
     seed: Dict[int, float] = {}
     for node in reversed(graph.nodes):

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -83,8 +84,8 @@ class TestRecord:
         assert len(g.outputs) == 32
         assert ExprGraph.load_jsonl(buf).outputs == g.outputs
 
-    def test_record_drops_the_node_table(self):
-        # a run builds the node table; a node recorded after it must run
+    def test_node_recorded_after_a_run_executes(self):
+        # record keeps the views current; a node recorded after a run must run
         g, x, n11, n12, n21, n22, n31, n41 = fig3_style_graph()
         vals = {i: Fraction(i + 2, 3) for i in x}
         first = execute(g, {n: 20 for n in g.non_input_ids()}, vals)
@@ -95,7 +96,40 @@ class TestRecord:
         again = execute(g, {n: 20 for n in g.non_input_ids()}, vals)
         assert again.output_ids == [n41, sq]
         assert again.floats[sq] == pytest.approx(math.sqrt(2), rel=2 ** -20)
-        assert g.table()[1][x[4]] == [n22, sq]
+        assert g.consumers[x[4]] == [n22, sq]
+
+    def test_mark_output_rejects_unknown_id(self):
+        g = ExprGraph()
+        a, b = g.add_input(), g.add_input()
+        s = g.record("add", [a, b])
+        for bad in (99, 3, -1):
+            with pytest.raises(ValueError, match="unknown node id"):
+                g.mark_output(bad)
+        assert g.outputs == [s]
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_views_equal_a_rebuild_from_nodes(self, n):
+        # the precoder, its JSON-lines reload, and a reload without the
+        # "output" keys, whose outputs are then the implicit ones
+        g = build_zf_graph(n, n).graph
+        buf = io.StringIO()
+        g.dump_jsonl(buf)
+        lines = buf.getvalue().splitlines()
+        unmarked = [json.dumps({k: v for k, v in json.loads(line).items() if k != "output"})
+                    for line in lines]
+        for h in (g, ExprGraph.load_jsonl(lines), ExprGraph.load_jsonl(unmarked)):
+            consumers = [[] for _ in h.nodes]
+            for node in h.nodes:
+                for o in node.operands:
+                    consumers[o].append(node.id)
+            assert h.entries == [(node, node.op, *(node.operands + (None, None))[:2])
+                                 for node in h.nodes]
+            assert h.consumers == consumers
+            assert h.inputs == [node.id for node in h.nodes if node.op is OpKind.INPUT]
+        used = {o for node in h.nodes for o in node.operands}
+        assert h.outputs == [node.id for node in h.nodes
+                             if node.op is not OpKind.INPUT and node.id not in used]
+        assert len(h.outputs) > len(g.outputs) == 2 * n * n
 
 
 class TestTopoStats:
@@ -112,6 +146,21 @@ class TestTopoStats:
         g.add_input(); g.add_input()
         st = topo_stats(g)
         assert st.depth == 0 and st.total_arith == 0
+
+    @pytest.mark.parametrize("graph", ["zf8", "inputs-only"])
+    def test_widths_and_depth_follow_the_steps(self, graph):
+        if graph == "zf8":
+            g = build_zf_graph(8, 8).graph
+        else:
+            g = ExprGraph()
+            g.add_input(); g.add_input()
+        widths = {}
+        for n in g.nodes:
+            widths[n.step[0]] = max(widths.get(n.step[0], 0), n.step[1])
+        st = topo_stats(g)
+        assert st.level_widths == widths
+        assert list(st.level_widths) == list(widths)
+        assert st.depth == max(n.step[0] for n in g.nodes)
 
 
 class TestExecute:
@@ -287,6 +336,17 @@ class TestFailures:
             with pytest.raises(GraphExecutionError) as ei:
                 run_it()
             assert (ei.value.node_id, ei.value.reason) == (s, "error variance left float range")
+
+    def test_missing_input_fails_its_node(self):
+        g = ExprGraph()
+        a, b = g.add_input(), g.add_input()
+        s = g.record("add", [a, b])
+        for run_it in (lambda: execute(g, {s: 20}, {a: Fraction(1)}),
+                       lambda: execute(g, {s: 20}, {a: Fraction(1), b: Fraction(2)}, {a: 20}),
+                       lambda: _online(g, {a: Fraction(1)}, 20, EbfpParams())):
+            with pytest.raises(GraphExecutionError) as ei:
+                run_it()
+            assert (ei.value.node_id, ei.value.reason) == (b, "no input value or input precision")
 
     def test_policy_and_model_exceptions_propagate(self, monkeypatch):
         # a bug in the caller's policy or in the error model is not a node failure
