@@ -104,6 +104,8 @@ class ExprGraph:
     def mark_output(self, node_id: int) -> None:
         if not 0 <= node_id < len(self.nodes):
             raise ValueError(f"unknown node id {node_id}")
+        if node_id in self._explicit_outputs:
+            raise ValueError(f"node {node_id} is already an output")
         self._explicit_outputs.append(node_id)
 
     @property

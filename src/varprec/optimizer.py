@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,6 +122,57 @@ def _backward_factors(e_b: int) -> Dict[OpKind, float]:
             for op in DEFAULT_WEIGHTS}
 
 
+# graph -> ((len(nodes), outputs), {e_b: _reverse_sweep}); a new shape replaces it
+_SWEEPS: "weakref.WeakKeyDictionary[ExprGraph, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _alpha_free(graph: ExprGraph, e_b: int):
+    """:func:`_reverse_sweep`, run once per graph shape and ``e_b``."""
+    shape = (len(graph.nodes), tuple(graph.outputs))
+    held = _SWEEPS.get(graph)
+    if held is None or held[0] != shape:
+        held = _SWEEPS[graph] = (shape, {})
+    if e_b not in held[1]:
+        held[1][e_b] = _reverse_sweep(graph, e_b)
+    return held[1][e_b]
+
+
+def _reverse_sweep(graph: ExprGraph, e_b: int):
+    """What both planners know before alpha and values: G_sigma of every
+    node in reverse id order; the non-input ids in that order, with per op
+    kind their positions among them and their G_sigma; and (id, op, sink,
+    EPS ** (2 * bit offset)) of each node with an input operand, the offset
+    of its longest path (length, add, sub and sqrt crossings, sink id)."""
+    entries, consumers = graph.entries, graph.consumers
+    out_set = set(graph.outputs)
+    back = _backward_factors(e_b)
+    unit = UtilityConfig().gsigma_unit
+    add_rate, sub_rate = ops_per_bit("add", e_b), ops_per_bit("sub", e_b)
+    gsig: Dict[int, float] = {}
+    longest: Dict[int, Tuple[int, int, int, int, int]] = {}
+    ids, by_op, seeds = [], {}, []
+    for node in reversed(graph.nodes):
+        terms = [-unit] if node.id in out_set else []
+        best = None if consumers[node.id] else (0, 0, 0, 0, node.id)
+        for cid in consumers[node.id]:
+            c = entries[cid][1]
+            terms.append(gsig[cid] * back[c])
+            n, n_add, n_sub, n_sqrt, sink = longest[cid]
+            if best is None or n + 1 > best[0]:
+                best = (n + 1, n_add + (c is _ADD), n_sub + (c is _SUB),
+                        n_sqrt + (c is _SQRT), sink)
+        g = min(terms, default=0.0)  # sensitivities are negative: min = most demanding
+        gsig[node.id], longest[node.id] = g, best
+        if node.op is not _INPUT:
+            by_op.setdefault(node.op, []).append((len(ids), g))
+            ids.append(node.id)
+        if any(entries[o][1] is _INPUT for o in node.operands):
+            off = seed_bit_offset(*best[1:4], add_rate, sub_rate)
+            seeds.append((node.id, node.op, best[4], EPS ** (2.0 * off)))
+    groups = [(op, *map(np.array, zip(*pos_g))) for op, pos_g in by_op.items()]
+    return gsig, ids, groups, seeds
+
+
 def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
                 e_b: int = 10) -> PrecisionPlan:
     """Value-free precision assignment by a reverse sweep of expectation
@@ -130,23 +182,16 @@ def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     sensitivity (the precision the worst path requires): on a tree this is
     the plain one-consumer recursion, and on a DAG it avoids double-counting
     reuse whose error contributions are strongly correlated downstream.
+
+    The sweep never reads alpha, so it runs once per graph and ``e_b``; a
+    plan looks rho = -G_sigma/alpha up in the ladder, as :meth:`XoptLut.lookup`.
     """
     lut = XoptLut(cm, cfg)
-    entries, consumers = graph.entries, graph.consumers
-    out_set = set(graph.outputs)
-    back = _backward_factors(e_b)
-    gsig: Dict[int, float] = {}
-    assignment: Dict[int, int] = {}
-    for node in reversed(graph.nodes):
-        terms = []
-        if node.id in out_set:
-            terms.append(-cfg.gsigma_unit)
-        terms.extend(gsig[cid] * back[entries[cid][1]] for cid in consumers[node.id])
-        g = min(terms, default=0.0)  # sensitivities are negative: min = most demanding
-        gsig[node.id] = g
-        if node.op is not _INPUT:
-            assignment[node.id] = lut.lookup(-g / cfg.alpha, node.op)
-    return PrecisionPlan(assignment, gsig)
+    gsig, ids, groups, _ = _alpha_free(graph, e_b)
+    xs = np.empty(len(ids), dtype=np.int64)
+    for op, pos, g in groups:
+        xs[pos] = np.searchsorted(lut.thresholds[op], -g / cfg.alpha, "left")
+    return PrecisionPlan({nid: x for nid, x in zip(ids, (xs + cfg.x_min).tolist())}, dict(gsig))
 
 
 def seed_bit_offset(n_add: int, n_sub: int, n_sqrt: int, add_rate: int,
@@ -180,27 +225,10 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     """
     lut = XoptLut(cm, cfg)
     final_x = final_step_precision(graph, cfg, cm, lut)
-    add_rate, sub_rate = ops_per_bit("add", e_b), ops_per_bit("sub", e_b)
-    # rho seed of each node's input-fed routes: its anchor's rho shifted by
-    # the unrounded bit offset of its longest path to a sink, a path given
-    # as (length, add, sub and sqrt crossings, sink id)
-    entries, consumers = graph.entries, graph.consumers
-    longest: Dict[int, Tuple[int, int, int, int, int]] = {}
-    seed: Dict[int, float] = {}
-    for node in reversed(graph.nodes):
-        best = None if consumers[node.id] else (0, 0, 0, 0, node.id)
-        for cid in consumers[node.id]:
-            n, n_add, n_sub, n_sqrt, sink = longest[cid]
-            c = entries[cid][1]
-            if best is None or n + 1 > best[0]:
-                best = (n + 1, n_add + (c is _ADD), n_sub + (c is _SUB),
-                        n_sqrt + (c is _SQRT), sink)
-        longest[node.id] = best
-        if node.op is not _INPUT:
-            # a sink that is not an output (isolated chain) anchors mid-range
-            anchor = final_x.get(best[4], (cfg.x_min + cfg.x_max) // 2)
-            off = seed_bit_offset(*best[1:4], add_rate, sub_rate)
-            seed[node.id] = lut.reverse(anchor, node.op) * EPS ** (2.0 * off)
+    mid = (cfg.x_min + cfg.x_max) // 2  # anchor of a sink that is not an output
+    seed = {nid: lut.reverse(final_x.get(sink, mid), op) * factor
+            for nid, op, sink, factor in _alpha_free(graph, e_b)[3]}
+    entries = graph.entries
     # mul/div/sqrt move rho by a constant; add/sub by the operand values
     fixed_forward = {op: speculation_factor(op.value, "forward", e_b)
                      for op in (_MUL, _DIV, _SQRT)}
@@ -277,12 +305,12 @@ def random_blockwise_plan(graph: ExprGraph, rng: np.random.Generator,
 def plan_metrics(graph: ExprGraph, plan, cm: ComplexityModel) -> Tuple[float, float]:
     """(complexity-weighted average precision, total complexity)."""
     assignment = getattr(plan, "assignment", plan)
-    total = 0.0
-    wsum = 0.0
-    for nid in graph.non_input_ids():
-        w = cm.weight(graph.nodes[nid].op)
-        total += w * assignment[nid]
-        wsum += w
+    weight = {op: cm.weight(op) for op in DEFAULT_WEIGHTS}
+    total = wsum = 0.0
+    for node, op, _, _ in graph.entries:
+        if op is not _INPUT:
+            total += weight[op] * assignment[node.id]
+            wsum += weight[op]
     return (total / wsum if wsum else 0.0), total
 
 

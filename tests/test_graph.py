@@ -107,6 +107,23 @@ class TestRecord:
                 g.mark_output(bad)
         assert g.outputs == [s]
 
+    def test_mark_output_rejects_a_repeat(self):
+        # a repeated output would be lost by the JSON-lines round trip,
+        # which keeps one output index per node
+        g = ExprGraph()
+        a, b = g.add_input(), g.add_input()
+        s = g.record("add", [a, b])
+        p = g.record("mul", [s, a])
+        g.mark_output(p)
+        g.mark_output(s)
+        for again in (p, s):
+            with pytest.raises(ValueError, match="already an output"):
+                g.mark_output(again)
+        buf = io.StringIO()
+        g.dump_jsonl(buf)
+        buf.seek(0)
+        assert g.outputs == ExprGraph.load_jsonl(buf).outputs == [p, s]
+
     @pytest.mark.parametrize("n", [4, 8])
     def test_views_equal_a_rebuild_from_nodes(self, n):
         # the precoder, its JSON-lines reload, and a reload without the

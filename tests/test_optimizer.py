@@ -1,15 +1,18 @@
 """Tests for the precision-assignment machinery."""
 
+import gc
 import io
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from varprec import optimizer
 from varprec.ebfp import EbfpParams
-from varprec.errormodel import EPS, ops_per_bit
+from varprec.errormodel import EPS, ops_per_bit, speculation_factor
 from varprec.graph import ExprGraph, GraphExecutionError, OpKind, execute
 from varprec.mimo import ChannelMatrix, build_zf_graph, gen_channel
 from varprec.optimizer import (
@@ -210,6 +213,122 @@ class TestOffline:
                               for j in range(len(nids)) for d in (-1, 1)])
             dq = np.abs(modeled_utility_batch(g, steps, nids, cfg, CM) - u_off).max()
             assert u_off - u_best <= dq + 1e-18
+
+
+def reference_offline(graph, cfg, e_b=10):
+    """offline_vpc as one reverse sweep per call with a bisect lookup per
+    node: (assignment, gsigma)."""
+    lut = XoptLut(CM, cfg)
+    back = {op: speculation_factor(op.value, "backward", e_b)
+            for op in OpKind if op is not OpKind.INPUT}
+    out_set = set(graph.outputs)
+    gsig, assignment = {}, {}
+    for node in reversed(graph.nodes):
+        terms = [-cfg.gsigma_unit] if node.id in out_set else []
+        terms += [gsig[c] * back[graph.nodes[c].op] for c in graph.consumers[node.id]]
+        gsig[node.id] = g = min(terms, default=0.0)
+        if node.op is not OpKind.INPUT:
+            assignment[node.id] = lut.lookup(-g / cfg.alpha, node.op)
+    return assignment, gsig
+
+
+def implicit_output_graph():
+    """Two unmarked sinks fed by a shared product, beside an isolated chain."""
+    g = ExprGraph()
+    a, b = g.add_input(), g.add_input()
+    m = g.record("mul", [a, b])
+    g.record("add", [g.record("sqrt", [m]), a])
+    g.record("div", [m, b])
+    g.record("sub", [g.record("mul", [a, a]), b])
+    return g
+
+
+def assert_reference_plan(graph, cfg, e_b=10):
+    plan = offline_vpc(graph, cfg, CM, e_b)
+    assignment, gsig = reference_offline(graph, cfg, e_b)
+    # list equality also compares the key order
+    assert list(plan.assignment.items()) == list(assignment.items())
+    assert list(plan.gsigma.items()) == list(gsig.items())
+    assert all(type(x) is int for x in plan.assignment.values())
+    return plan
+
+
+class TestOfflineSweep:
+    """offline_vpc keeps its alpha-free sweep per graph and e_b; each plan
+    equals a fresh sweep with a per-node bisect, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_equals_reference_over_alphas_and_bounds(self, n):
+        g = build_zf_graph(n, n).graph
+        alphas = np.geomspace(1e-22, 1e5, 28 if n < 8 else 7)
+        for x_min, x_max in ((2, 64), (4, 64), (1, 30)):
+            for alpha in alphas:
+                assert_reference_plan(g, UtilityConfig(float(alpha), x_min, x_max))
+
+    def test_implicit_outputs_equal_reference(self):
+        g = implicit_output_graph()
+        assert len(g.outputs) == 3
+        for alpha in np.geomspace(1e-22, 1e5, 28):
+            for e_b in (8, 10):
+                assert_reference_plan(g, UtilityConfig(float(alpha)), e_b)
+
+    def test_growth_after_a_plan_is_planned(self):
+        g, fresh = implicit_output_graph(), implicit_output_graph()
+        vals = {0: Fraction(5, 3), 1: Fraction(7, 4)}
+        offline_vpc(g, CFG, CM)
+        online_vpc(g, CFG, CM, vals)
+        for h in (g, fresh):
+            h.mark_output(2)
+        assert offline_vpc(g, CFG, CM) == offline_vpc(fresh, CFG, CM)
+        for h in (g, fresh):
+            h.record("mul", [2, h.record("sqrt", [0])])
+        assert offline_vpc(g, CFG, CM) == assert_reference_plan(fresh, CFG)
+        assert online_vpc(g, CFG, CM, vals)[1] == online_vpc(fresh, CFG, CM, vals)[1]
+
+    def test_each_e_b_has_its_own_sweep(self):
+        g = build_zf_graph(2, 2).graph
+        plans = {e_b: assert_reference_plan(g, CFG, e_b) for e_b in (10, 8, 12)}
+        assert plans[10].gsigma != plans[8].gsigma != plans[12].gsigma
+        for e_b in (8, 10, 12):
+            assert offline_vpc(g, CFG, CM, e_b) == plans[e_b]
+
+    def test_returned_gsigma_is_the_callers(self):
+        g = build_zf_graph(2, 2).graph
+        first = offline_vpc(g, CFG, CM)
+        want = reference_offline(g, CFG)
+        first.gsigma.clear()
+        first.assignment.clear()
+        again = offline_vpc(g, CFG, CM)
+        assert (again.assignment, again.gsigma) == want
+
+    def test_sweep_is_freed_with_its_graph(self):
+        g = implicit_output_graph()
+        offline_vpc(g, CFG, CM)
+        online_vpc(g, CFG, CM, {0: Fraction(5, 3), 1: Fraction(7, 4)})
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+
+    def test_one_sweep_per_graph_and_e_b(self, monkeypatch):
+        sweeps = []
+        sweep = optimizer._reverse_sweep
+
+        def counted(graph, e_b):
+            sweeps.append(e_b)
+            return sweep(graph, e_b)
+
+        monkeypatch.setattr(optimizer, "_reverse_sweep", counted)
+        zfg = build_zf_graph(2, 2)
+        g = zfg.graph
+        for e_b in (10, 8):
+            for alpha in np.geomspace(1e-20, 1e4, 64):
+                offline_vpc(g, UtilityConfig(float(alpha), 2, 64), CM, e_b)
+        # the online planner takes its seed factors from the same sweep
+        vals = zfg.input_values(gen_channel(np.random.default_rng(0), 2, 2))
+        for alpha in (1e-13, 1e-9):
+            online_vpc(g, UtilityConfig(alpha), CM, vals, 8, zfg.input_precisions())
+        assert sweeps == [10, 8]
 
 
 class TestOnline:
