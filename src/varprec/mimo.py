@@ -7,10 +7,11 @@ sum rate and bit error rate against a reference-precision run.
 
 Complex bookkeeping: the op set has no negation, so the builder carries a
 symbolic sign per scalar sub-expression and folds it into add/sub operand
-order.  Conjugation is therefore free, the Gram matrix is built with
-Hermitian sharing (G[j][i] reuses G[i][j]'s nodes), and diagonal Gram
-entries have structurally zero imaginary parts, which keeps the recorded
-graph clear of guaranteed exact cancellations.
+order.  Conjugation is therefore free and the Gram matrix is built with
+Hermitian sharing (G[j][i] reuses G[i][j]'s nodes).  Entries that are real
+by algebra (the diagonals of the Gram matrix, of each Schur complement and
+of the inverse) get no imaginary node, so the graph has no node that
+reaches no output, repeats an earlier node or is zero by algebra.
 """
 
 from __future__ import annotations
@@ -114,12 +115,9 @@ class ComplexEmitter:
         return Ref(self._rec("mul", [a.node, b.node]), a.sign * b.sign)
 
     def rdiv(self, a: Ref, b: Ref) -> Ref:
-        if b.is_zero:
-            raise ValueError("structural division by zero")
+        """a / b for a pivot b, which is always a recorded node."""
         if a.is_zero:
             return ZERO
-        if b.one:
-            return Ref(a.node, a.sign * b.sign, a.one)
         return Ref(self._rec("div", [a.node, b.node]), a.sign * b.sign)
 
     def cadd(self, a: CRef, b: CRef) -> CRef:
@@ -128,22 +126,17 @@ class ComplexEmitter:
     def csub(self, a: CRef, b: CRef) -> CRef:
         return CRef(self.rsub(a.re, b.re), self.rsub(a.im, b.im))
 
+    def cmul_re(self, a: CRef, b: CRef) -> Ref:
+        """Re(a * b), for a product known to be real."""
+        return self.rsub(self.rmul(a.re, b.re), self.rmul(a.im, b.im))
+
     def cmul(self, a: CRef, b: CRef) -> CRef:
         # a * conj(a) collapses to |a|^2: exactly real by construction
         if a.re == b.re and a.im == b.im.flip():
             mag = self.radd(self.rmul(a.re, a.re), self.rmul(a.im, a.im))
             return CRef(mag, ZERO)
-        re = self.rsub(self.rmul(a.re, b.re), self.rmul(a.im, b.im))
         im = self.radd(self.rmul(a.re, b.im), self.rmul(a.im, b.re))
-        return CRef(re, im)
-
-    def cdiv(self, a: CRef, b: CRef) -> CRef:
-        # conjugate method: a * conj(b) over |b|^2, then two real divisions
-        if b.im.is_zero:
-            return CRef(self.rdiv(a.re, b.re), self.rdiv(a.im, b.re))
-        den = self.radd(self.rmul(b.re, b.re), self.rmul(b.im, b.im))
-        num = self.cmul(a, b.conj())
-        return CRef(self.rdiv(num.re, den), self.rdiv(num.im, den))
+        return CRef(self.cmul_re(a, b), im)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +224,11 @@ def build_zf_graph(k_users: int, n_t: int) -> ZfGraph:
     The recorded graph is value-free, so pivots are the diagonal entries
     (sound for the Hermitian positive definite Gram of a generic channel);
     a vanishing pivot surfaces at execution as a division-by-zero error for
-    the offending node.
+    the offending node.  After step i the rows below i hold the Schur
+    complement of G's leading (i+1)x(i+1) block, and the right-hand block of
+    rows 0..i holds that block's inverse.  Both are Hermitian, so their
+    diagonals are real: only those real parts are recorded, every pivot is
+    real, and a row is normalized by two real divisions per entry.
     """
     if not 1 <= k_users <= n_t:
         raise ValueError("need 1 <= k_users <= n_t")
@@ -265,20 +262,18 @@ def build_zf_graph(k_users: int, n_t: int) -> ZfGraph:
                                             for j in range(k)]
                            for i in range(k)]
     for i in range(k):
-        pivot = A[i][i]
-        if pivot.re.is_zero and pivot.im.is_zero:
-            raise ValueError("structurally singular Gram matrix")
-        A[i] = [em.cdiv(entry, pivot) if m != i else CRef(one, ZERO)
-                for m, entry in enumerate(A[i])]
+        pivot = A[i][i].re
+        A[i] = [CRef(em.rdiv(e.re, pivot), em.rdiv(e.im, pivot)) if m != i else CRef(one, ZERO)
+                for m, e in enumerate(A[i])]
         for j in range(k):
             if j == i:
                 continue
             factor = A[j][i]
-            if factor.re.is_zero and factor.im.is_zero:
-                continue
-            A[j] = [entry if m == i else em.csub(entry, em.cmul(factor, A[i][m]))
-                    for m, entry in enumerate(A[j])]
-            A[j][i] = CRef(ZERO, ZERO)
+            # the diagonals of [Schur complement | running inverse] are real
+            A[j] = [CRef(ZERO, ZERO) if m == i else
+                    CRef(em.rsub(e.re, em.cmul_re(factor, A[i][m])), ZERO) if m in (j, k + j)
+                    else em.csub(e, em.cmul(factor, A[i][m]))
+                    for m, e in enumerate(A[j])]
     ginv = [row[k:] for row in A]
 
     # part 3: W = H^H Ginv

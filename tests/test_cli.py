@@ -219,9 +219,9 @@ class TestPareto:
         return sim_config_from_args(A)
 
     def test_online_cells_reuse_probe_runs(self, monkeypatch):
-        # the online cells of demos/desk.cfg run 52 probe plans in their
+        # the online cells of demos/desk.cfg run 48 probe plans in their
         # anchor walks; a trial channel the walk probed (the first 4 of 20)
-        # takes the walk's run at the calibrated alpha: 52 + 6 * 16 runs
+        # takes the walk's run at the calibrated alpha: 48 + 6 * 16 runs
         cfg = self.desk_config()
         inputs = mimo.sweep_inputs(cfg)
         calls = []
@@ -234,7 +234,7 @@ class TestPareto:
         monkeypatch.setattr(mimo, "online_vpc", counted)
         for ti in range(len(cfg.sweep)):
             mimo.sweep_cell(cfg, inputs, "online", ti)
-        assert (cfg.trials, len(cfg.sweep), len(calls)) == (20, 6, 148)
+        assert (cfg.trials, len(cfg.sweep), len(calls)) == (20, 6, 144)
 
     def test_random_blockwise_follows_target(self):
         # each part draws around its cell's target, so the realized average
@@ -265,7 +265,7 @@ class TestPinnedOutputs:
         cfgf.write_text(self.DESK)
         assert main(["--out-dir", str(tmp_path), "pareto", "--config", str(cfgf)]) == 0
         assert self.digest(tmp_path / "pareto.csv") == \
-            "fd9dc0ee19d50f9cdaeb29ef4d786dc41c2833e22ace8e9ed328946c92e0b722"
+            "b7dc8983ec2a2e9847065d4ae517470e4b6565d8b045cbb365f91474b95e4062"
 
     def test_histogram_4x4(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), "histogram", "--nt", "4", "--k", "4",
@@ -273,11 +273,11 @@ class TestPinnedOutputs:
         assert {name: self.digest(tmp_path / name) for name in
                 ("histogram.csv", "histogram_plan.csv", "histogram_graph.jsonl")} == {
             "histogram.csv":
-                "400e8f9ae0025af589628c3fa9166b1e17f2d6db0d4721084beb137ac2d0cae1",
+                "99d4ee6a040b2c8e33deefe40fbc527e8b676f57cf2ccf54c3524a9814881c70",
             "histogram_plan.csv":
-                "9f43b47deb8559807801b3be1d70249c8c87e85d3d1c071c1c68fdb6f6dfe1d2",
+                "14ac1d52739d611c0cb5eee6856afc5e21b3b80db3ab72fc74acf92db914edd5",
             "histogram_graph.jsonl":
-                "3bb50dae421c2cb8cb720c3bd6b146b231a2a070a7e8faf911beb0b60818924e"}
+                "10b5752a68a647415b86125d478862671eb69da5c116ee3586754b064effc769"}
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failed_trials(self, tmp_path, monkeypatch, threads):
@@ -291,7 +291,7 @@ class TestPinnedOutputs:
         rows = read_csv(tmp_path / "pareto.csv")[1:]
         assert {r[0] for r in rows if int(r[-1]) > 0} == set(mimo.SCHEMES)
         assert self.digest(tmp_path / "pareto.csv") == \
-            "8e84d3bd5b9345481df7f773226a118435a8540070f31dcdfddd844011eca263"
+            "789a624deef204030b4f0a9dc15bf7b5d7bbb557c9407623a26dc32ba4bae578"
 
 
 class TestHistogram:

@@ -126,27 +126,38 @@ class TestRecord:
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_views_equal_a_rebuild_from_nodes(self, n):
-        # the precoder, its JSON-lines reload, and a reload without the
-        # "output" keys, whose outputs are then the implicit ones
-        g = build_zf_graph(n, n).graph
-        buf = io.StringIO()
-        g.dump_jsonl(buf)
-        lines = buf.getvalue().splitlines()
-        unmarked = [json.dumps({k: v for k, v in json.loads(line).items() if k != "output"})
-                    for line in lines]
-        for h in (g, ExprGraph.load_jsonl(lines), ExprGraph.load_jsonl(unmarked)):
-            consumers = [[] for _ in h.nodes]
-            for node in h.nodes:
-                for o in node.operands:
-                    consumers[o].append(node.id)
-            assert h.entries == [(node, node.op, *(node.operands + (None, None))[:2])
-                                 for node in h.nodes]
-            assert h.consumers == consumers
-            assert h.inputs == [node.id for node in h.nodes if node.op is OpKind.INPUT]
-        used = {o for node in h.nodes for o in node.operands}
-        assert h.outputs == [node.id for node in h.nodes
-                             if node.op is not OpKind.INPUT and node.id not in used]
-        assert len(h.outputs) > len(g.outputs) == 2 * n * n
+        # the precoder and a small graph with a dead sink, each as recorded,
+        # reloaded from JSON lines, and reloaded without the "output" keys,
+        # whose outputs are then the implicit ones
+        d = ExprGraph()
+        a, b = d.add_input(), d.add_input()
+        s = d.record("add", [a, b])
+        dead = d.record("mul", [a, b])
+        d.mark_output(s)
+        zf = build_zf_graph(n, n).graph
+        implicit = {}
+        for g in (zf, d):
+            buf = io.StringIO()
+            g.dump_jsonl(buf)
+            lines = buf.getvalue().splitlines()
+            unmarked = [json.dumps({k: v for k, v in json.loads(line).items() if k != "output"})
+                        for line in lines]
+            for h in (g, ExprGraph.load_jsonl(lines), ExprGraph.load_jsonl(unmarked)):
+                consumers = [[] for _ in h.nodes]
+                for node in h.nodes:
+                    for o in node.operands:
+                        consumers[o].append(node.id)
+                assert h.entries == [(node, node.op, *(node.operands + (None, None))[:2])
+                                     for node in h.nodes]
+                assert h.consumers == consumers
+                assert h.inputs == [node.id for node in h.nodes if node.op is OpKind.INPUT]
+            used = {o for node in h.nodes for o in node.operands}
+            assert h.outputs == [node.id for node in h.nodes
+                                 if node.op is not OpKind.INPUT and node.id not in used]
+            implicit[g] = h.outputs
+        assert implicit[d] == [s, dead] and d.outputs == [s]
+        # the precoder has no dead sink: its implicit outputs are the marked ones
+        assert sorted(implicit[zf]) == sorted(zf.outputs) and len(zf.outputs) == 2 * n * n
 
 
 class TestTopoStats:
@@ -563,8 +574,8 @@ class TestHotPath:
             monkeypatch.setattr(EbfpParams, name, property(boom))
         monkeypatch.setattr(EbfpNumber, "is_saturated", property(boom))
         assert _digest(execute(zfg.graph, fixed_plan(zfg.graph, 24), vals, ip)) == \
-            "8f7724aab4869743c8e880864a91d29db8d5a913aa4f47e6319e4b164ccf1e43"
+            "736c9b8b688fae8354a764f1863477f2f3db919d354bdc0f5b5c0daf2f9c4a62"
         assert _digest(*online_vpc(zfg.graph, cfg, cm, vals, 10, ip)) == \
-            "23c6d30eae3aebeddff6679b59e473e627420926dd727179b31c91c115358de1"
+            "02c11a99e7ecd77c41aaad15cbd371b38e41d6bdceb05da8052f5a523108ad1a"
         assert _digest(plan=offline_vpc(zfg.graph, cfg, cm, 10)) == \
-            "5e551562a1c2d683d82aa9cdf4a984b4bf3d1701084bd2a3bb267b629c8d030f"
+            "0ae62963e9fb1c87044944b65b6639a5ae654fe2448628a4578030652820472d"
