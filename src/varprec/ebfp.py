@@ -168,23 +168,6 @@ def _round_sqrt_sig(M: int, s: int) -> Tuple[int, int]:
     return m, e_sci
 
 
-def _build(sign: int, m: int, e_sci: int, params: EbfpParams, n_blocks: int) -> EbfpNumber:
-    """Assemble a number from a rounded mantissa m = value * 2**(s - e_sci)."""
-    f = params.block_bits
-    e = -(-e_sci // f)  # ceil
-    z = e * f - e_sci
-    top = 1 << (params.exponent_bits - 2)  # max_block_exp; min_block_exp is 1 - top
-    if e > top:
-        return EbfpNumber(sign, 0, 0, n_blocks, params, Flag.OVERFLOW)
-    if e < 1 - top:
-        return EbfpNumber(sign, 0, 0, n_blocks, params, Flag.UNDERFLOW)
-    width = n_blocks * f - z
-    s = m.bit_length()
-    if width < s:
-        raise ValueError("mantissa wider than the fraction field")
-    return EbfpNumber(sign, e, m << (width - s), n_blocks, params, _NORMAL)
-
-
 def encode(value, params: EbfpParams = DEFAULT_PARAMS, n_blocks: int = None) -> EbfpNumber:
     """Convert an exact rational to eBFP with the given fraction block count.
 
@@ -207,10 +190,16 @@ def encode(value, params: EbfpParams = DEFAULT_PARAMS, n_blocks: int = None) -> 
     z = e * f - e_sci0
     m, e_sci = _round_sig_rational(num, den, n_blocks * f - z)
     if e_sci != e_sci0:
-        # the carry made a power of two: one significant bit, which _build
-        # stores at the realigned block exponent
-        m = 1
-    return _build(sign, m, e_sci, params, n_blocks)
+        # the carry made a power of two: one significant bit, stored at the
+        # realigned block exponent
+        m, e = 1, -(-e_sci // f)
+        z = e * f - e_sci
+    top = 1 << (params.exponent_bits - 2)  # max_block_exp; min_block_exp is 1 - top
+    if e > top:
+        return EbfpNumber(sign, 0, 0, n_blocks, params, Flag.OVERFLOW)
+    if e < 1 - top:
+        return EbfpNumber(sign, 0, 0, n_blocks, params, Flag.UNDERFLOW)
+    return EbfpNumber(sign, e, m << (n_blocks * f - z - m.bit_length()), n_blocks, params, _NORMAL)
 
 
 def decode(n: EbfpNumber) -> Fraction:
@@ -234,31 +223,6 @@ def blocks_for_precision(x: int, params: EbfpParams) -> int:
     return -(-(x + f) // f)
 
 
-def _store(sign: int, m: int, e_sci: int, x: int, params: EbfpParams) -> EbfpNumber:
-    """The tail every rounding ends in: ``sign * m * 2**(e_sci - x - 1)``,
-    m of x+1 significant bits (0 for an exact zero), stored in the fewest
-    blocks that hold x+1 bits after the alignment zeros of ``e_sci`` (a zero
-    takes :func:`blocks_for_precision`)."""
-    if m == 0:
-        return EbfpNumber(1, 0, 0, min(params.max_blocks, blocks_for_precision(x, params)),
-                          params, _ZERO)
-    f = params.block_bits
-    n_blocks = -(-(x + 1 + -(-e_sci // f) * f - e_sci) // f)
-    if n_blocks > params.max_blocks:
-        raise ValueError("precision exceeds max_blocks for these parameters")
-    return _build(sign, m, e_sci, params, n_blocks)
-
-
-def _round_exact(sign: int, num: int, den: int, e2: int, x: int,
-                 params: EbfpParams) -> EbfpNumber:
-    """Round the exact value ``sign * num/den * 2**e2`` (num >= 0, den > 0)
-    to precision x."""
-    if num == 0:
-        return _store(1, 0, 0, x, params)
-    m, e_sci = _round_sig_rational(num, den, x + 1)
-    return _store(sign, m, e_sci + e2, x, params)
-
-
 def round_to_precision(value, x: int, params: EbfpParams = DEFAULT_PARAMS) -> EbfpNumber:
     """Round an exact rational to precision x (relative error <= 2**(-x-1)).
 
@@ -268,7 +232,86 @@ def round_to_precision(value, x: int, params: EbfpParams = DEFAULT_PARAMS) -> Eb
     if x < 1:
         raise ValueError("precision x must be >= 1")
     v = Fraction(value)
-    return _round_exact(1 if v > 0 else -1, abs(v.numerator), v.denominator, 0, x, params)
+    # num/den is a quotient of two integers, each an unnormalized operand
+    # with its field at exponent 0: apply reads only sign, field and
+    # (block_exp - n_blocks) * F
+    return apply("div", EbfpNumber(1 if v > 0 else -1, 0, abs(v.numerator), 0, params),
+                 EbfpNumber(1, 0, v.denominator, 0, params), x)
+
+
+def apply(op: str, a: EbfpNumber, b: Optional[EbfpNumber], x: int) -> EbfpNumber:
+    """``a op b`` (``b`` unused by sqrt) formed exactly, rounded half to
+    even to x+1 significant bits and stored in the fewest blocks that hold
+    them after the alignment zeros of its exponent.
+
+    This is :func:`arith` without its checks: ``op`` must name an
+    operation, x be at least 1, no operand be saturated, a divisor be
+    nonzero and the operand of sqrt not negative.  The integer results of
+    add, sub and mul round by one shift and a half-to-even test on the
+    bits shifted out; div and sqrt round their exact ratio and root.
+    """
+    params = a.params
+    f = params.block_bits
+    s = x + 1
+    ea = (a.block_exp - a.n_blocks) * f
+    if op == "sqrt":
+        sign, m = 1, a.field
+        if m:
+            # a = m * 2**ea; make the exponent even and take an exact
+            # correctly-rounded integer square root
+            if ea & 1:
+                m <<= 1
+                ea -= 1
+            m, e_sci = _round_sqrt_sig(m, s)
+            e_sci += ea >> 1
+    else:
+        eb = (b.block_exp - b.n_blocks) * f
+        if op == "div":
+            sign, m = a.sign * b.sign, a.field
+            if m:
+                m, e_sci = _round_sig_rational(m, b.field, s)
+                e_sci += ea - eb
+        else:
+            if op == "mul":
+                sign, n, e2 = a.sign * b.sign, a.field * b.field, ea + eb
+            else:
+                va = a.sign * a.field
+                vb = b.sign * b.field if op == "add" else -b.sign * b.field
+                if ea >= eb:
+                    n, e2 = (va << (ea - eb)) + vb, eb
+                else:
+                    n, e2 = va + (vb << (eb - ea)), ea
+                sign = 1 if n > 0 else -1
+                n = abs(n)
+            # keep the top s bits of n; t's last bit is the first one
+            # shifted out, and any bit below it breaks a tie upwards
+            k = n.bit_length() - s
+            if k > 0:
+                t = n >> (k - 1)
+                m = t >> 1
+                if t & 1 and (m & 1 or n & ((1 << (k - 1)) - 1)):
+                    m += 1
+                    if m >> s:  # carried to 2**s
+                        m >>= 1
+                        k += 1
+            else:
+                m = n << -k
+            e_sci = e2 + k + s
+    # the stored value is sign * m * 2**(e_sci - s), with m of exactly s bits
+    if not m:
+        return EbfpNumber(1, 0, 0, min(params.max_blocks, blocks_for_precision(x, params)),
+                          params, _ZERO)
+    e = -(-e_sci // f)
+    z = e * f - e_sci
+    n_blocks = -(-(s + z) // f)
+    if n_blocks > params.max_blocks:
+        raise ValueError("precision exceeds max_blocks for these parameters")
+    top = 1 << (params.exponent_bits - 2)
+    if e > top:
+        return EbfpNumber(sign, 0, 0, n_blocks, params, Flag.OVERFLOW)
+    if e < 1 - top:
+        return EbfpNumber(sign, 0, 0, n_blocks, params, Flag.UNDERFLOW)
+    return EbfpNumber(sign, e, m << (n_blocks * f - z - s), n_blocks, params, _NORMAL)
 
 
 _OPS = {"add", "sub", "mul", "div", "sqrt"}
@@ -285,54 +328,28 @@ def arith(op: str, a: EbfpNumber, b: Optional[EbfpNumber] = None,
     the exponent difference and add the signed fields at the smaller one;
     div keeps the field ratio at ``e_a - e_b``; sqrt takes an exact
     correctly-rounded integer square root.  One round-to-nearest-even to
-    x_target+1 significant bits then stores it.  Saturation in any operand
-    poisons the result.
+    x_target+1 significant bits then stores it (:func:`apply`, after this
+    function's checks).  Saturation in any operand poisons the result.
     """
     if op not in _OPS:
         raise ValueError(f"unknown op {op!r}")
     if x_target < 1:
         raise ValueError("precision x must be >= 1")
-    params = a.params
-    f = params.block_bits
     if op == "sqrt":
         if a.flags in _SATURATED:
-            return EbfpNumber(a.sign, 0, 0, a.n_blocks, params, a.flags)
-        M = a.field
-        if M == 0:
-            return _store(1, 0, 0, x_target, params)
-        if a.sign < 0:
+            return EbfpNumber(a.sign, 0, 0, a.n_blocks, a.params, a.flags)
+        if a.sign < 0 and a.field:
             raise ValueError("sqrt of a negative value")
-        # a = M * 2**e2; make the exponent even and take an exact
-        # correctly-rounded integer square root
-        e2 = (a.block_exp - a.n_blocks) * f
-        if e2 & 1:
-            M <<= 1
-            e2 -= 1
-        m, e_sci = _round_sqrt_sig(M, x_target + 1)
-        return _store(1, m, e_sci + e2 // 2, x_target, params)
-
-    if b is None:
-        raise ValueError(f"{op} needs two operands")
-    if a.flags in _SATURATED or b.flags in _SATURATED:
-        o = a if a.flags in _SATURATED else b
-        flag = Flag.OVERFLOW if Flag.OVERFLOW in (a.flags, b.flags) else Flag.UNDERFLOW
-        return EbfpNumber(o.sign, 0, 0, o.n_blocks, params, flag)
-    ma, mb = a.field, b.field
-    ea = (a.block_exp - a.n_blocks) * f
-    eb = (b.block_exp - b.n_blocks) * f
-    if op == "mul":
-        return _round_exact(a.sign * b.sign, ma * mb, 1, ea + eb, x_target, params)
-    if op == "div":
-        if mb == 0:
-            raise ZeroDivisionError("division by an eBFP zero")
-        return _round_exact(a.sign * b.sign, ma, mb, ea - eb, x_target, params)
-    va = a.sign * ma
-    vb = b.sign * mb if op == "add" else -b.sign * mb
-    if ea >= eb:
-        n, e2 = (va << (ea - eb)) + vb, eb
     else:
-        n, e2 = va + (vb << (eb - ea)), ea
-    return _round_exact(1 if n > 0 else -1, abs(n), 1, e2, x_target, params)
+        if b is None:
+            raise ValueError(f"{op} needs two operands")
+        if a.flags in _SATURATED or b.flags in _SATURATED:
+            o = a if a.flags in _SATURATED else b
+            flag = Flag.OVERFLOW if Flag.OVERFLOW in (a.flags, b.flags) else Flag.UNDERFLOW
+            return EbfpNumber(o.sign, 0, 0, o.n_blocks, a.params, flag)
+        if op == "div" and b.field == 0:
+            raise ZeroDivisionError("division by an eBFP zero")
+    return apply(op, a, b, x_target)
 
 
 @dataclass(frozen=True)

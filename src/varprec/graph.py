@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .ebfp import EbfpNumber, EbfpParams, DEFAULT_PARAMS, Flag, arith, decode, round_to_precision
+from .ebfp import EbfpNumber, EbfpParams, DEFAULT_PARAMS, Flag, apply, decode, round_to_precision
 from .errormodel import (
     addsub_variance,
     input_error_variance,
@@ -220,9 +220,10 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
     two-stage model.  A node that cannot be computed raises a
     :class:`GraphExecutionError` naming it: a non-finite input, an input
     precision the geometry cannot hold, division by an eBFP zero, the square
-    root of a negative value, a precision beyond the block budget,
-    saturation, a value outside float's normal range, or an infinite error
-    variance.  An exception raised by ``choose`` or the error model propagates.
+    root of a negative value, a chosen precision below 1 or beyond the block
+    budget, saturation, a value outside float's normal range, or an infinite
+    error variance.  An exception raised by ``choose`` or the error model
+    propagates.
     """
     values: Dict[int, EbfpNumber] = {}
     floats, errors, degenerate = {}, {}, []
@@ -238,12 +239,15 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
             fa = floats[i]
             fb = floats.get(j)
             x = choose(node, fa, fb)
+            if x < 1:
+                raise GraphExecutionError(nid, "precision x must be >= 1")
         try:
             if op is _INPUT:
                 x = input_precision if isinstance(input_precision, int) else input_precision[nid]
                 out = round_to_precision(input_values[nid], x, params)
             else:
-                out = arith(op, a, b, x)
+                # operands are never saturated: a saturated result fails its node
+                out = apply(op, a, b, x)
             values[nid] = out
             floats[nid] = fc = _shadow(out)
         except (ValueError, ArithmeticError) as e:

@@ -365,6 +365,14 @@ def operands(draw, params: EbfpParams):
     return round_to_precision(sign * m * Fraction(2) ** e, x_in, params)
 
 
+def integer(v: int, params: EbfpParams) -> EbfpNumber:
+    """The nonzero integer v stored exactly: its field holds the bits of |v|
+    at exponent 0, so a kernel result's shift is the bits it drops of the
+    exact integer."""
+    nb = -(-abs(v).bit_length() // params.block_bits)
+    return EbfpNumber(1 if v > 0 else -1, nb, abs(v), nb, params)
+
+
 class TestIntegerKernel:
     """arith forms the exact result from integer fields and exponents; it
     must store exactly what rounding the rational result once would."""
@@ -398,6 +406,73 @@ class TestIntegerKernel:
             assert stored(got) == reference_arith(op, a, tiny, x)
             up = (sign > 0) == (op == "add")
             assert decode(got) == (1 + Fraction(1, 2 ** x) if up else 1)
+
+    @pytest.mark.parametrize("f", [1, 4, 8])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_exact_fit(self, f, op):
+        # an integer result of exactly x+1 bits is stored as it is
+        p, x = EbfpParams(f, 10, 80), 37
+        want = (1 << x) + 0b1011
+        a, b = {"add": (want - 5, 5), "sub": (want + 5, 5), "mul": (want, 1)}[op]
+        a, b = integer(a, p), integer(b, p)
+        got = arith(op, a, b, x)
+        assert stored(got) == reference_arith(op, a, b, x)
+        assert decode(got) == want
+
+    @pytest.mark.parametrize("f", [1, 4, 8])
+    @pytest.mark.parametrize("shift", [1, 65])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_ties_go_to_even(self, f, shift, op):
+        # (m + 1/2) * 2**shift with m of x+1 bits: the even neighbour wins,
+        # below for an even m and above for an odd one
+        p, x = EbfpParams(f, 10, 256), 30
+        half = 1 << (shift - 1)
+        for m in ((1 << x) + 6, (1 << x) + 7):
+            a, b = {"add": (m << shift, half), "sub": ((m + 1) << shift, half),
+                    "mul": (2 * m + 1, half)}[op]
+            a, b = integer(a, p), integer(b, p)
+            got = arith(op, a, b, x)
+            assert stored(got) == reference_arith(op, a, b, x)
+            assert decode(got) == (m + (m & 1)) << shift
+            if shift > 1 and op == "add":
+                # off the half by the lowest bit: no tie, whatever m's parity
+                for d, up in ((1, True), (-1, False)):
+                    a, b = integer(m << shift, p), integer(half + d, p)
+                    got = arith(op, a, b, x)
+                    assert stored(got) == reference_arith(op, a, b, x)
+                    assert decode(got) == (m + up) << shift
+
+    @pytest.mark.parametrize("f", [1, 4, 8])
+    def test_carry_crosses_a_block_boundary(self, f):
+        # x+2 one-bits round up to 2**(x+2); with x+2 a multiple of F the
+        # leading bit moves into a new block, behind F-1 alignment zeros
+        p = EbfpParams(f, 10, 80)
+        x = 6 * f - 2
+        n = (1 << (x + 2)) - 1
+        below = arith("mul", integer(n - 1, p), integer(1, p), x)
+        assert decode(below) == n - 1  # x+1 one-bits, stored as they are
+        for op, a, b in (("add", n - 1, 1), ("sub", n + 1, 1), ("mul", n, 1)):
+            a, b = integer(a, p), integer(b, p)
+            got = arith(op, a, b, x)
+            assert stored(got) == reference_arith(op, a, b, x)
+            assert decode(got) == n + 1
+            assert got.block_exp == below.block_exp + 1
+            assert got.n_blocks == below.n_blocks + (f > 1)
+
+    @pytest.mark.parametrize("f", [1, 4, 8])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "sqrt"])
+    def test_block_budget_edge(self, f, op):
+        # the highest precision that fits takes exactly max_blocks blocks;
+        # one bit more exceeds the budget
+        p = EbfpParams(f, 10, 6)
+        a, b = integer((1 << 6 * f) - 3, p), integer((1 << 6 * f - 1) + 5, p)
+        got = {x: outcome(lambda: stored(arith(op, a, b, x))) for x in range(1, 6 * f + 1)}
+        over = min(x for x, r in got.items() if r[0] is ValueError)
+        assert over > 1 and all(got[x][0] is not ValueError for x in range(1, over))
+        assert got[over - 1] == reference_arith(op, a, b, over - 1)
+        assert got[over - 1][3] == 6
+        assert got[over] == outcome(reference_arith, op, a, b, over) == \
+            (ValueError, "precision exceeds max_blocks for these parameters")
 
     def test_zero_results_share_block_count(self):
         # every exact-zero result at x=40 needs 41 blocks and gets max_blocks

@@ -4,13 +4,15 @@ import hashlib
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from varprec.ebfp import EbfpNumber, EbfpParams, decode, encode, round_to_precision
+from varprec import ebfp
+from varprec.ebfp import EbfpNumber, EbfpParams, Flag, arith, decode, encode, round_to_precision
 from varprec.graph import (
     ExprGraph,
     GraphExecutionError,
@@ -19,7 +21,12 @@ from varprec.graph import (
     run,
     topo_stats,
 )
-from varprec.errormodel import input_error_variance, propagate_full_precision, rounding_variance
+from varprec.errormodel import (
+    addsub_variance,
+    input_error_variance,
+    propagate_full_precision,
+    rounding_variance,
+)
 from varprec.mimo import build_zf_graph, gen_channel
 from varprec.optimizer import ComplexityModel, UtilityConfig, fixed_plan, offline_vpc, online_vpc
 
@@ -480,6 +487,95 @@ class TestProperties:
         assert hits >= 0.6 * total
 
 
+def _reference_run(g, plan, vals, xin, params):
+    """What :func:`run` computes, from the checked scalar operations: per
+    node ``arith`` (an input's rounding), then ``float(decode(...))``, then
+    the error-model laws.  Returns the run's stored values, floats, errors
+    and zero nodes, or the failing node's ``(id, reason)``."""
+    values, floats, errors, zeros = {}, {}, {}, []
+    for n in g.nodes:
+        i, j = (n.operands + (None, None))[:2]
+        try:
+            if n.op is OpKind.INPUT:
+                x = xin
+                v = round_to_precision(vals[n.id], x, params)
+            else:
+                a, b = values[i], values.get(j)
+                if n.op is OpKind.DIV and decode(b) == 0:
+                    return n.id, "division by zero"
+                if n.op is OpKind.SQRT and decode(a) < 0:
+                    return n.id, "sqrt of a negative value"
+                x = plan[n.id]
+                v = arith(n.op.value, a, b, x)
+            if v.is_saturated:
+                return n.id, v.flags.value
+            exact = decode(v)
+            if 0 < abs(exact) < Fraction(2) ** -1022:
+                return n.id, "value left float range"
+            fc = float(exact)
+        except OverflowError:
+            return n.id, "value left float range"
+        except ValueError as e:
+            return n.id, str(e)
+        values[n.id], floats[n.id] = v, fc
+        if n.op is OpKind.INPUT:
+            e = input_error_variance(x)
+        elif v.flags is Flag.ZERO:
+            zeros.append(n.id)
+            e = 0.0
+        elif n.op in (OpKind.ADD, OpKind.SUB):
+            e = rounding_variance(addsub_variance(floats[i], floats[j], fc, errors[i], errors[j]), x)
+        else:
+            e = rounding_variance(propagate_full_precision(
+                n.op, floats[i], floats.get(j), errors[i], errors.get(j)), x)
+        if not math.isfinite(e):
+            return n.id, "error variance left float range"
+        errors[n.id] = e
+    return [(v.sign, v.block_exp, v.field, v.n_blocks, v.flags) for v in values.values()], \
+        repr(floats), repr(errors), zeros
+
+
+REFERENCE_FAILURES = {"saturated-overflow", "saturated-underflow", "value left float range",
+                      "precision exceeds max_blocks for these parameters", "division by zero",
+                      "sqrt of a negative value"}
+
+
+class TestAgainstReference:
+    def test_run_matches_the_checked_operations(self):
+        # run calls the unchecked kernel and takes floats by ldexp; node by
+        # node it must store, float, propagate and fail as the checked path
+        rng = np.random.default_rng(1)
+        reasons, compared = set(), 0
+        for f in (1, 4, 8):
+            for e_bits in (6, 10, 13):
+                params = EbfpParams(f, e_bits, 8)
+                # inputs over most of the range, so chains of ops leave it
+                span = min(params.max_block_exp * f, 1022) * 3 // 5
+                for _ in range(30):
+                    g = _random_graph(rng, n_ops=10)
+                    vals = {i: (-1 if rng.random() < 0.1 else 1)
+                            * Fraction(int(rng.integers(1, 2 ** 40)), 2 ** 40)
+                            * Fraction(2) ** int(rng.integers(-span, span + 1)) for i in g.inputs}
+                    xin = int(rng.integers(1, 7 * f + 1))
+                    plan = {nid: int(rng.integers(1, 7 * f + 1)) for nid in g.non_input_ids()}
+                    if rng.random() < 0.25:  # one node past the block budget
+                        plan[int(rng.choice(list(plan)))] = 8 * f
+                    want = _reference_run(g, plan, vals, xin, params)
+                    try:
+                        res = execute(g, plan, vals, xin, params)
+                    except GraphExecutionError as err:
+                        got = err.node_id, err.reason
+                        reasons.add(err.reason)
+                    else:
+                        got = [(v.sign, v.block_exp, v.field, v.n_blocks, v.flags)
+                               for v in res.values.values()], \
+                            repr(res.floats), repr(res.errors), res.degenerate_zero
+                        compared += 1
+                    assert got == want
+        assert compared >= 100
+        assert reasons >= REFERENCE_FAILURES
+
+
 class _Shadow(Exception):
     """Carries the operand float that run hands to a precision policy."""
 
@@ -561,7 +657,10 @@ class TestHotPath:
     def test_no_property_or_consumer_rebuild_per_node(self, monkeypatch):
         # the executor and both planners read flags by identity, take the
         # exponent bounds from the geometry's fields and the consumers from
-        # the node table, and their outputs stay the same bit for bit
+        # the node table, and their outputs stay the same bit for bit.  The
+        # executor calls the unchecked kernel, never the checked arith, and
+        # add, sub and mul round by a shift: the only exact divisions are
+        # one per div node and one per nonzero input's rounding
         zfg = build_zf_graph(4, 4)
         h = gen_channel(np.random.default_rng(3), 4, 4)
         vals, ip = zfg.input_values(h), zfg.input_precisions()
@@ -573,9 +672,20 @@ class TestHotPath:
         for name in ("min_block_exp", "max_block_exp", "exp_offset"):
             monkeypatch.setattr(EbfpParams, name, property(boom))
         monkeypatch.setattr(EbfpNumber, "is_saturated", property(boom))
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "varprec" and getattr(module, "arith", None) is ebfp.arith:
+                monkeypatch.setattr(module, "arith", boom)
+        divisions = []
+        exact_division = ebfp._round_sig_rational
+        monkeypatch.setattr(ebfp, "_round_sig_rational",
+                            lambda *args: divisions.append(args) or exact_division(*args))
+        per_run = sum(n.op is OpKind.DIV for n in zfg.graph.nodes) + \
+            sum(vals[i] != 0 for i in zfg.graph.inputs)
         assert _digest(execute(zfg.graph, fixed_plan(zfg.graph, 24), vals, ip)) == \
             "736c9b8b688fae8354a764f1863477f2f3db919d354bdc0f5b5c0daf2f9c4a62"
+        assert len(divisions) == per_run
         assert _digest(*online_vpc(zfg.graph, cfg, cm, vals, 10, ip)) == \
             "02c11a99e7ecd77c41aaad15cbd371b38e41d6bdceb05da8052f5a523108ad1a"
+        assert len(divisions) == 2 * per_run
         assert _digest(plan=offline_vpc(zfg.graph, cfg, cm, 10)) == \
             "0ae62963e9fb1c87044944b65b6639a5ae654fe2448628a4578030652820472d"
