@@ -6,9 +6,11 @@ representable range is fixed by the exponent width E alone; precision is
 chosen per value through the number of fraction blocks.  All arithmetic is
 performed exact-then-round: a stored value is an integer field times a
 power of two, so the exact result of an operation is formed in integer
-arithmetic (a ratio of two integers for division), and a single
-round-to-nearest-even brings it back to the target precision; the only
-error of an operation is that final rounding step.
+arithmetic, and a single round-to-nearest-even brings it back to the
+target precision; the only error of an operation is that final rounding
+step.  There is one rounding rule, a shift with a half-to-even test on
+the bits shifted out; a quotient or a square root is first rounded to odd
+(truncated to two bits more or longer, its last bit set if inexact).
 """
 
 from __future__ import annotations
@@ -107,73 +109,25 @@ class EbfpNumber:
         return f"EbfpNumber({'+' if self.sign > 0 else '-'}|e={self.block_exp}|{float(v):.6g})"
 
 
-def _sci_exponent(num: int, den: int) -> int:
-    """e with 2**(e-1) <= num/den < 2**e for positive integers num, den."""
-    e = num.bit_length() - den.bit_length()
-    if (num >= den << e) if e >= 0 else ((num << -e) >= den):
-        e += 1
-    return e
-
-
-def _round_sig_rational(num: int, den: int, s: int) -> Tuple[int, int]:
-    """Round num/den (both positive) to s significant bits, half-to-even.
-
-    Returns (m, e_sci) with 2**(s-1) <= m < 2**s and the rounded value equal
-    to m * 2**(e_sci - s).
-    """
-    e_sci = _sci_exponent(num, den)
-    shift = s - e_sci
-    if shift >= 0:
-        q, r = divmod(num << shift, den)
+def _quotient(num: int, den: int, s: int) -> Tuple[int, int]:
+    """num/den (num >= 0, den > 0) rounded to odd as n * 2**e2: truncated to
+    at least s + 2 bits, the last bit set if inexact (Boldo & Melquiond,
+    IEEE TC 2008), so rounding n to s bits rounds num/den correctly."""
+    sh = s + 1 + den.bit_length() - num.bit_length()
+    if sh >= 0:
+        q, r = divmod(num << sh, den)
     else:
-        q, r = divmod(num, den << -shift)
-    # round half to even on the exact remainder
-    r2 = 2 * r
-    d = den if shift >= 0 else den << -shift
-    if r2 > d or (r2 == d and q & 1):
-        q += 1
-    if q == 1 << s:
-        q >>= 1
-        e_sci += 1
-    return q, e_sci
-
-
-def _round_sqrt_sig(M: int, s: int) -> Tuple[int, int]:
-    """Round sqrt(M) (M positive integer) to s significant bits, half-even.
-
-    Returns (m, e_sci) with the rounded value m * 2**(e_sci - s).  Ties are
-    resolved exactly: sqrt(M) equals a representable midpoint only when
-    4*M is a perfect square of the right scale, which is decided in integer
-    arithmetic.
-    """
-    t = math.isqrt(M)
-    e_sci = t.bit_length()
-    d = s - e_sci
-    # target m = nearest integer to sqrt(M) * 2**d
-    if d >= 0:
-        scaled = M << (2 * d)
-        m = math.isqrt(scaled)
-        # nearest: compare sqrt(scaled) with m + 1/2  <=>  4*scaled with (2m+1)^2
-        lhs, mid2 = 4 * scaled, (2 * m + 1) ** 2
-    else:
-        m = t >> -d
-        lhs, mid2 = 4 * M, ((2 * m + 1) ** 2) << (-2 * d)
-    if lhs > mid2:
-        m += 1
-    elif lhs == mid2 and m & 1:
-        m += 1
-    if m == 1 << s:
-        m >>= 1
-        e_sci += 1
-    return m, e_sci
+        q, r = divmod(num, den << -sh)
+    return (q << 1) + (r != 0), ~sh  # ~sh == -sh - 1
 
 
 def encode(value, params: EbfpParams = DEFAULT_PARAMS, n_blocks: int = None) -> EbfpNumber:
     """Convert an exact rational to eBFP with the given fraction block count.
 
-    The significand keeps ``n_blocks*F - z`` significant bits, where z is the
-    number of leading zeros imposed by block alignment; rounding is to
-    nearest, ties to even.  Out-of-range exponents saturate via flags.
+    The value is rounded to nearest, ties to even, on the grid of its
+    n_blocks*F field bits below the block exponent of its leading bit, so
+    the significand keeps ``n_blocks*F - z`` bits after the z alignment
+    zeros.  Out-of-range exponents saturate via flags.
     """
     if n_blocks is None:
         n_blocks = params.max_blocks
@@ -183,23 +137,24 @@ def encode(value, params: EbfpParams = DEFAULT_PARAMS, n_blocks: int = None) -> 
     if v == 0:
         return EbfpNumber(1, 0, 0, n_blocks, params, _ZERO)
     sign = 1 if v > 0 else -1
-    num, den = abs(v.numerator), v.denominator
     f = params.block_bits
-    e_sci0 = _sci_exponent(num, den)
-    e = -(-e_sci0 // f)
-    z = e * f - e_sci0
-    m, e_sci = _round_sig_rational(num, den, n_blocks * f - z)
-    if e_sci != e_sci0:
-        # the carry made a power of two: one significant bit, stored at the
-        # realigned block exponent
-        m, e = 1, -(-e_sci // f)
-        z = e * f - e_sci
+    w = n_blocks * f
+    n, e2 = _quotient(abs(v.numerator), v.denominator, w)
+    e = -(-(n.bit_length() + e2) // f)
+    # n has at least w + 2 bits, so k >= 2: apply's shift test on the grid
+    k = (e - n_blocks) * f - e2
+    t = n >> (k - 1)
+    m = t >> 1
+    if t & 1 and (m & 1 or n & ((1 << (k - 1)) - 1)):
+        m += 1
+        if m >> w:  # carried to 2**w: the leading 1 opens the next block
+            e, m = e + 1, 1 << (w - f)
     top = 1 << (params.exponent_bits - 2)  # max_block_exp; min_block_exp is 1 - top
     if e > top:
         return EbfpNumber(sign, 0, 0, n_blocks, params, Flag.OVERFLOW)
     if e < 1 - top:
         return EbfpNumber(sign, 0, 0, n_blocks, params, Flag.UNDERFLOW)
-    return EbfpNumber(sign, e, m << (n_blocks * f - z - m.bit_length()), n_blocks, params, _NORMAL)
+    return EbfpNumber(sign, e, m, n_blocks, params, _NORMAL)
 
 
 def decode(n: EbfpNumber) -> Fraction:
@@ -246,61 +201,63 @@ def apply(op: str, a: EbfpNumber, b: Optional[EbfpNumber], x: int) -> EbfpNumber
 
     This is :func:`arith` without its checks: ``op`` must name an
     operation, x be at least 1, no operand be saturated, a divisor be
-    nonzero and the operand of sqrt not negative.  The integer results of
-    add, sub and mul round by one shift and a half-to-even test on the
-    bits shifted out; div and sqrt round their exact ratio and root.
+    nonzero and the operand of sqrt not negative.  Every op rounds by one
+    shift and a half-to-even test on the bits shifted out: the exact
+    integer results of add, sub and mul, and the quotient of div and the
+    root of sqrt rounded to odd at x+3 bits or more.
     """
     params = a.params
     f = params.block_bits
     s = x + 1
     ea = (a.block_exp - a.n_blocks) * f
     if op == "sqrt":
-        sign, m = 1, a.field
-        if m:
-            # a = m * 2**ea; make the exponent even and take an exact
-            # correctly-rounded integer square root
-            if ea & 1:
-                m <<= 1
-                ea -= 1
-            m, e_sci = _round_sqrt_sig(m, s)
-            e_sci += ea >> 1
+        sign, n, e2 = 1, a.field, ea
+        if n:
+            # make the exponent even and give the root at least s + 1 bits,
+            # then round it to odd: truncated, its last bit set if inexact
+            n, e2 = n << (e2 & 1), e2 & ~1
+            d = s + 1 - (n.bit_length() + 1 >> 1)
+            if d > 0:
+                n, e2 = n << 2 * d, e2 - 2 * d
+            r = math.isqrt(n)
+            n, e2 = (r << 1) + (r * r != n), (e2 >> 1) - 1
     else:
         eb = (b.block_exp - b.n_blocks) * f
         if op == "div":
-            sign, m = a.sign * b.sign, a.field
-            if m:
-                m, e_sci = _round_sig_rational(m, b.field, s)
-                e_sci += ea - eb
+            sign, n = a.sign * b.sign, a.field
+            if n:
+                n, e2 = _quotient(n, b.field, s)
+                e2 += ea - eb
+        elif op == "mul":
+            sign, n, e2 = a.sign * b.sign, a.field * b.field, ea + eb
         else:
-            if op == "mul":
-                sign, n, e2 = a.sign * b.sign, a.field * b.field, ea + eb
+            va = a.sign * a.field
+            vb = b.sign * b.field if op == "add" else -b.sign * b.field
+            if ea >= eb:
+                n, e2 = (va << (ea - eb)) + vb, eb
             else:
-                va = a.sign * a.field
-                vb = b.sign * b.field if op == "add" else -b.sign * b.field
-                if ea >= eb:
-                    n, e2 = (va << (ea - eb)) + vb, eb
-                else:
-                    n, e2 = va + (vb << (eb - ea)), ea
-                sign = 1 if n > 0 else -1
-                n = abs(n)
-            # keep the top s bits of n; t's last bit is the first one
-            # shifted out, and any bit below it breaks a tie upwards
-            k = n.bit_length() - s
-            if k > 0:
-                t = n >> (k - 1)
-                m = t >> 1
-                if t & 1 and (m & 1 or n & ((1 << (k - 1)) - 1)):
-                    m += 1
-                    if m >> s:  # carried to 2**s
-                        m >>= 1
-                        k += 1
-            else:
-                m = n << -k
-            e_sci = e2 + k + s
-    # the stored value is sign * m * 2**(e_sci - s), with m of exactly s bits
-    if not m:
+                n, e2 = va + (vb << (eb - ea)), ea
+            sign = 1 if n > 0 else -1
+            n = abs(n)
+    # the exact result, or for div and sqrt its round to odd, is n * 2**e2
+    if not n:
         return EbfpNumber(1, 0, 0, min(params.max_blocks, blocks_for_precision(x, params)),
                           params, _ZERO)
+    # keep the top s bits of n; t's last bit is the first one shifted out,
+    # and any bit below it breaks a tie upwards
+    k = n.bit_length() - s
+    if k > 0:
+        t = n >> (k - 1)
+        m = t >> 1
+        if t & 1 and (m & 1 or n & ((1 << (k - 1)) - 1)):
+            m += 1
+            if m >> s:  # carried to 2**s
+                m >>= 1
+                k += 1
+    else:
+        m = n << -k
+    # the stored value is sign * m * 2**(e_sci - s), with m of exactly s bits
+    e_sci = e2 + k + s
     e = -(-e_sci // f)
     z = e * f - e_sci
     n_blocks = -(-(s + z) // f)
@@ -326,8 +283,9 @@ def arith(op: str, a: EbfpNumber, b: Optional[EbfpNumber] = None,
     exact result is formed in integers: mul multiplies the fields at
     ``e_a + e_b``; add and sub shift the operand of larger exponent left by
     the exponent difference and add the signed fields at the smaller one;
-    div keeps the field ratio at ``e_a - e_b``; sqrt takes an exact
-    correctly-rounded integer square root.  One round-to-nearest-even to
+    div divides the fields at ``e_a - e_b`` and sqrt takes an integer
+    square root, each truncated to at least x_target+3 bits with a last bit
+    set when inexact (round to odd).  One round-to-nearest-even to
     x_target+1 significant bits then stores it (:func:`apply`, after this
     function's checks).  Saturation in any operand poisons the result.
     """

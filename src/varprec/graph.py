@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -206,6 +207,14 @@ def _shadow(n: EbfpNumber) -> float:
     raise ValueError("value left float range")
 
 
+def _precision(nid: int, x) -> int:
+    """x as an ``int`` (from a numpy integer, say), or the node fails."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise GraphExecutionError(nid, f"precision {x!r} is not an integer") from None
+
+
 def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], int],
         input_values: Mapping[int, Fraction], input_precision=53,
         params: EbfpParams = DEFAULT_PARAMS) -> ExecutionResult:
@@ -220,13 +229,14 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
     two-stage model.  A node that cannot be computed raises a
     :class:`GraphExecutionError` naming it: a non-finite input, an input
     precision the geometry cannot hold, division by an eBFP zero, the square
-    root of a negative value, a chosen precision below 1 or beyond the block
-    budget, saturation, a value outside float's normal range, or an infinite
-    error variance.  An exception raised by ``choose`` or the error model
-    propagates.
+    root of a negative value, a precision that is not an integer, a chosen
+    precision below 1 or beyond the block budget, saturation, a value
+    outside float's normal range, or an infinite error variance.  An
+    exception raised by ``choose`` or the error model propagates.
     """
     values: Dict[int, EbfpNumber] = {}
     floats, errors, degenerate = {}, {}, []
+    per_input = hasattr(input_precision, "keys")  # dict.update's test for a mapping
     for node, op, i, j in graph.entries:
         nid = node.id
         if op is not _INPUT:
@@ -239,11 +249,15 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
             fa = floats[i]
             fb = floats.get(j)
             x = choose(node, fa, fb)
+            if type(x) is not int:
+                x = _precision(nid, x)
             if x < 1:
                 raise GraphExecutionError(nid, "precision x must be >= 1")
         try:
             if op is _INPUT:
-                x = input_precision if isinstance(input_precision, int) else input_precision[nid]
+                x = input_precision[nid] if per_input else input_precision
+                if type(x) is not int:
+                    x = _precision(nid, x)
                 out = round_to_precision(input_values[nid], x, params)
             else:
                 # operands are never saturated: a saturated result fails its node

@@ -345,9 +345,12 @@ def modeled_utility_batch(graph: ExprGraph, plans: np.ndarray, node_order: Seque
     return err + cfg.alpha * cost
 
 
+_CSV_HEADER = ["node_id", "op", "step_n", "step_k", "x", "g_sigma"]
+
+
 def plan_to_csv(graph: ExprGraph, plan: PrecisionPlan, fh) -> None:
     w = csv.writer(fh)
-    w.writerow(["node_id", "op", "step_n", "step_k", "x", "g_sigma"])
+    w.writerow(_CSV_HEADER)
     gs = plan.gsigma or {}
     for nid in graph.non_input_ids():
         node = graph.nodes[nid]
@@ -356,12 +359,21 @@ def plan_to_csv(graph: ExprGraph, plan: PrecisionPlan, fh) -> None:
 
 
 def plan_from_csv(fh) -> PrecisionPlan:
+    """The plan :func:`plan_to_csv` wrote; a row it cannot read raises a
+    ValueError naming the row's line."""
     rd = csv.reader(fh)
-    header = next(rd)
+    if next(rd, None) != _CSV_HEADER:
+        raise ValueError(f"row 1: the header is not {','.join(_CSV_HEADER)}")
     assignment: Dict[int, int] = {}
     gs: Dict[int, float] = {}
     for row in rd:
-        nid, x = int(row[0]), int(row[4])
+        if len(row) < 6:
+            raise ValueError(f"row {rd.line_num}: {len(row)} cells, want 6")
+        try:
+            nid, x = int(row[0]), int(row[4])
+        except ValueError:
+            raise ValueError(f"row {rd.line_num}: node id {row[0]!r} or precision "
+                             f"{row[4]!r} is not an integer") from None
         assignment[nid] = x
         if row[5] not in ("", "''"):
             try:

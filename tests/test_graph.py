@@ -383,6 +383,29 @@ class TestFailures:
                 run_it()
             assert (ei.value.node_id, ei.value.reason) == (b, "no input value or input precision")
 
+    def test_precision_that_is_not_an_int(self):
+        # a numpy integer runs as the int it holds, from the plan, from
+        # one input precision or from a mapping; anything else fails the
+        # node that reads it, naming the value
+        g = ExprGraph()
+        a, b = g.add_input(), g.add_input()
+        m = g.record("mul", [a, b])
+        d = g.record("div", [m, b])
+        vals = {a: Fraction(355, 113), b: Fraction(-7, 3)}
+        want = execute(g, {m: 24, d: 30}, vals, 40)
+        for plan, xin in (({m: np.int64(24), d: np.int32(30)}, 40),
+                          ({m: 24, d: 30}, np.int64(40)),
+                          ({m: 24, d: 30}, {a: np.int64(40), b: np.uint8(40)})):
+            got = execute(g, plan, vals, xin)
+            assert (got.values, got.floats, got.errors) == (want.values, want.floats, want.errors)
+        for plan, xin, node, bad in (({m: 24, d: 30.0}, 40, d, "30.0"),
+                                     ({m: 24.0, d: 30}, 40, m, "24.0"),
+                                     ({m: 24, d: 30}, 40.0, a, "40.0"),
+                                     ({m: 24, d: 30}, {a: 40, b: "40"}, b, "'40'")):
+            with pytest.raises(GraphExecutionError) as ei:
+                execute(g, plan, vals, xin)
+            assert (ei.value.node_id, ei.value.reason) == (node, f"precision {bad} is not an integer")
+
     def test_policy_and_model_exceptions_propagate(self, monkeypatch):
         # a bug in the caller's policy or in the error model is not a node failure
         g, a, b, m = _mul_graph()
@@ -659,8 +682,8 @@ class TestHotPath:
         # exponent bounds from the geometry's fields and the consumers from
         # the node table, and their outputs stay the same bit for bit.  The
         # executor calls the unchecked kernel, never the checked arith, and
-        # add, sub and mul round by a shift: the only exact divisions are
-        # one per div node and one per nonzero input's rounding
+        # every op rounds by a shift: the only integer divisions are one per
+        # div node and one per nonzero input's rounding
         zfg = build_zf_graph(4, 4)
         h = gen_channel(np.random.default_rng(3), 4, 4)
         vals, ip = zfg.input_values(h), zfg.input_precisions()
@@ -676,8 +699,8 @@ class TestHotPath:
             if name.split(".")[0] == "varprec" and getattr(module, "arith", None) is ebfp.arith:
                 monkeypatch.setattr(module, "arith", boom)
         divisions = []
-        exact_division = ebfp._round_sig_rational
-        monkeypatch.setattr(ebfp, "_round_sig_rational",
+        exact_division = ebfp._quotient
+        monkeypatch.setattr(ebfp, "_quotient",
                             lambda *args: divisions.append(args) or exact_division(*args))
         per_run = sum(n.op is OpKind.DIV for n in zfg.graph.nodes) + \
             sum(vals[i] != 0 for i in zfg.graph.inputs)

@@ -513,6 +513,19 @@ class TestPlans:
         with pytest.raises(ValueError, match="node 2"):
             plan_from_csv(io.StringIO(header + "2,add,1,1,12,not-a-number\n"))
 
+    @pytest.mark.parametrize("text, row", [
+        ("", 1),
+        ("2,add,1,1,12,\n", 1),  # no header
+        ("node_id,op,step_n,step_k,precision,g_sigma\n", 1),
+        ("node_id,op,step_n,step_k,x,g_sigma\n2,add,1,1,12,\n3,mul,2,1,9\n", 3),
+        ("node_id,op,step_n,step_k,x,g_sigma\n2,add,1,1,12,\n\n", 3),
+        ("node_id,op,step_n,step_k,x,g_sigma\nn2,add,1,1,12,\n", 2),
+        ("node_id,op,step_n,step_k,x,g_sigma\n2,add,1,1,12.0,\n", 2),
+    ])
+    def test_csv_rejects_what_it_cannot_read(self, text, row):
+        with pytest.raises(ValueError, match=f"^row {row}: "):
+            plan_from_csv(io.StringIO(text))
+
 
 def rates(e_b):
     return ops_per_bit("add", e_b), ops_per_bit("sub", e_b)
