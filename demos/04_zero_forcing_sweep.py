@@ -23,7 +23,7 @@ cfg = SimConfig(n_t=4, k_users=4, snr_db=10.0, trials=6, seed=2,
                 sweep=(3, 6, 12, 32), schemes=("fixed", "offline", "online"))
 print(f"\nsweeping {len(cfg.sweep)} targets x {len(cfg.schemes)} schemes over "
       f"{cfg.trials} frozen channels (SNR {cfg.snr_db:.0f} dB)...")
-points = pareto_sweep(cfg, progress=lambda s: print(f"  {s}"))
+points = pareto_sweep(cfg)
 ref = reference_rate(cfg)
 
 print(f"\nreference-precision sum rate: {ref:.3f} bit/s/Hz")

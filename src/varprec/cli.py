@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import json
@@ -35,7 +36,6 @@ from .mimo import (
     build_zf_graph,
     gen_channel,
     online_alpha,
-    pareto_sweep,
     precision_histogram,
     sweep_cell,
     sweep_inputs,
@@ -155,8 +155,7 @@ def parse_config(path: Path) -> dict:
 #: config key -> (SimConfig field, parser of its text); a pareto flag sets
 #: the key of its name (``--scheme`` sets ``schemes``)
 CONFIG_KEYS = {
-    "nt": ("n_t", int), "n_t": ("n_t", int), "k": ("k_users", int),
-    "k_users": ("k_users", int), "snr_db": ("snr_db", float),
+    "nt": ("n_t", int), "k": ("k_users", int), "snr_db": ("snr_db", float),
     "trials": ("trials", int), "seed": ("seed", int),
     "x_min": ("x_min", int), "x_max": ("x_max", int),
     "e_b": ("e_b", int), "storage_bits": ("storage_bits", int),
@@ -191,8 +190,8 @@ _cell_inputs: Optional[Tuple[SimConfig, SweepInputs]] = None
 
 
 def _run_cell(cell: tuple) -> SweepPoint:
-    """One (config, scheme, target index) cell of the sweep, in a pool
-    worker: the same point the serial sweep computes for it."""
+    """One (config, scheme, target index) cell of the sweep, in this process
+    or in a pool worker: the same point :func:`pareto_sweep` computes for it."""
     global _cell_inputs
     cfg_dict, scheme, ti = cell
     cfg = SimConfig(**cfg_dict)
@@ -216,13 +215,14 @@ def cmd_pareto(args) -> int:
         return 2
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if threads > 1:
-        cells = [(asdict(cfg), s, ti)
-                 for s in cfg.schemes for ti in range(len(cfg.sweep))]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(_run_cell, cells))
-    else:
-        points = pareto_sweep(cfg, progress=lambda s: print(f"  {s}", flush=True))
+    cells = [(asdict(cfg), s, ti) for s in cfg.schemes for ti in range(len(cfg.sweep))]
+    points = []
+    with contextlib.ExitStack() as stack:
+        mapper = (stack.enter_context(concurrent.futures.ProcessPoolExecutor(threads)).map
+                  if threads > 1 else map)
+        for p in mapper(_run_cell, cells):
+            print(f"  {p.scheme} @ {p.target_avg_bits:g} bits", flush=True)
+            points.append(p)
     out = out_dir / "pareto.csv"
     with out.open("w", newline="") as fh:
         w = csv.writer(fh)

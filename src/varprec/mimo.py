@@ -51,7 +51,6 @@ class Ref:
 
     node: Optional[int]
     sign: int = 1
-    one: bool = False
 
     @property
     def is_zero(self) -> bool:
@@ -60,7 +59,7 @@ class Ref:
     def flip(self) -> "Ref":
         if self.is_zero:
             return self
-        return Ref(self.node, -self.sign, self.one)
+        return Ref(self.node, -self.sign)
 
 
 ZERO = Ref(None)
@@ -76,17 +75,11 @@ class CRef:
 
 
 class ComplexEmitter:
-    """Records real ops for complex arithmetic with sign/zero/one folding."""
+    """Records real ops for complex arithmetic with sign/zero folding."""
 
     def __init__(self, graph: ExprGraph):
         self.graph = graph
         self.part: Optional[str] = None
-        self._one: Optional[int] = None
-
-    def one_ref(self) -> Ref:
-        if self._one is None:
-            self._one = self.graph.add_input()
-        return Ref(self._one, 1, one=True)
 
     def _rec(self, op, operands) -> int:
         return self.graph.record(op, operands, part=self.part)
@@ -108,10 +101,6 @@ class ComplexEmitter:
     def rmul(self, a: Ref, b: Ref) -> Ref:
         if a.is_zero or b.is_zero:
             return ZERO
-        if a.one:
-            return Ref(b.node, a.sign * b.sign, b.one)
-        if b.one:
-            return Ref(a.node, a.sign * b.sign, a.one)
         return Ref(self._rec("mul", [a.node, b.node]), a.sign * b.sign)
 
     def rdiv(self, a: Ref, b: Ref) -> Ref:
@@ -184,7 +173,7 @@ class ZfGraph:
     gram_refs: List[List[CRef]]       # k x k Gram product
     ginv_refs: List[List[CRef]]       # k x k inverse
     w_refs: List[List[CRef]]          # n_t x k precoder
-    one_node: Optional[int]
+    one_node: int                     # the constant 1, dividend of each 1/pivot
 
     def input_values(self, h: ChannelMatrix) -> Dict[int, Fraction]:
         vals: Dict[int, Fraction] = {}
@@ -193,14 +182,12 @@ class ZfGraph:
                 r = self.h_refs[i][j]
                 vals[r.re.node] = h.re[i][j]
                 vals[r.im.node] = h.im[i][j]
-        if self.one_node is not None:
-            vals[self.one_node] = Fraction(1)
+        vals[self.one_node] = Fraction(1)
         return vals
 
     def input_precisions(self, storage_bits: int = 53) -> Dict[int, int]:
         prec = {nid: storage_bits for nid in self.graph.inputs}
-        if self.one_node is not None:
-            prec[self.one_node] = CONST_PRECISION
+        prec[self.one_node] = CONST_PRECISION
         return prec
 
     def _entry(self, result: ExecutionResult, ref: CRef) -> complex:
@@ -256,7 +243,8 @@ def build_zf_graph(k_users: int, n_t: int) -> ZfGraph:
 
     # part 2: inverse by Gauss-Jordan on [G | I], diagonal pivots
     em.part = "inverse"
-    one = em.one_ref()
+    one_node = g.add_input()
+    one = Ref(one_node)
     k = k_users
     A: List[List[CRef]] = [list(gram[i]) + [CRef(one, ZERO) if j == i else CRef(ZERO, ZERO)
                                             for j in range(k)]
@@ -289,14 +277,11 @@ def build_zf_graph(k_users: int, n_t: int) -> ZfGraph:
             row.append(acc)
         w.append(row)
 
-    seen = set()
     for row in w:
         for ref in row:
-            for r in (ref.re, ref.im):
-                if not r.is_zero and r.node not in seen:
-                    seen.add(r.node)
-                    g.mark_output(r.node)
-    return ZfGraph(g, k_users, n_t, h, [list(r) for r in gram], ginv, w, em._one)
+            g.mark_output(ref.re.node)
+            g.mark_output(ref.im.node)
+    return ZfGraph(g, k_users, n_t, h, [list(r) for r in gram], ginv, w, one_node)
 
 
 def zf_reference(h: ChannelMatrix, zfg: ZfGraph) -> Tuple[np.ndarray, ExecutionResult]:
@@ -599,7 +584,7 @@ def sweep_cell(cfg: SimConfig, inputs: SweepInputs, scheme: str, ti: int) -> Swe
     )
 
 
-def pareto_sweep(cfg: SimConfig, progress: Callable[[str], None] = None) -> List[SweepPoint]:
+def pareto_sweep(cfg: SimConfig) -> List[SweepPoint]:
     """Run every (scheme, target average precision) cell over paired channels.
 
     Channel matrices are generated once from the seed and reused across all
@@ -608,15 +593,9 @@ def pareto_sweep(cfg: SimConfig, progress: Callable[[str], None] = None) -> List
     matching integer precision directly.  :func:`sweep_cell` says how a
     trial that fails to compute is scored.
     """
-    say = progress or (lambda s: None)
-    say(f"reference precoders for {cfg.trials} channels")
     inputs = sweep_inputs(cfg)
-    points: List[SweepPoint] = []
-    for scheme in cfg.schemes:
-        for ti, target in enumerate(cfg.sweep):
-            say(f"{scheme} @ {target} bits")
-            points.append(sweep_cell(cfg, inputs, scheme, ti))
-    return points
+    return [sweep_cell(cfg, inputs, scheme, ti)
+            for scheme in cfg.schemes for ti in range(len(cfg.sweep))]
 
 
 def reference_rate(cfg: SimConfig) -> float:

@@ -10,6 +10,7 @@ import pytest
 
 from varprec import cli, mimo
 from varprec.cli import main, parse_config, sim_config_from_args
+from varprec.graph import GraphExecutionError
 
 
 def read_csv(path):
@@ -136,15 +137,18 @@ class TestPareto:
             assert main(["--out-dir", str(d)] + args) == 0
         assert (a / "pareto.csv").read_bytes() == (b / "pareto.csv").read_bytes()
 
-    def test_workers_match_serial(self, tmp_path, monkeypatch):
+    def test_workers_match_serial(self, tmp_path, monkeypatch, capsys):
         # every scheme, two targets: random-blockwise draws depend on the
-        # target's index
+        # target's index; either way, one progress line per finished cell
         serial, two = tmp_path / "serial", tmp_path / "two"
         args = ["pareto", "--nt", "2", "--k", "2", "--trials", "3", "--sweep", "4,8"]
+        cells = [f"  {s} @ {t} bits" for s in mimo.SCHEMES for t in (4, 8)]
         monkeypatch.delenv("VARPREC_THREADS", raising=False)
         assert main(["--out-dir", str(serial)] + args) == 0
+        assert capsys.readouterr().out.splitlines()[:-1] == cells
         monkeypatch.setenv("VARPREC_THREADS", "2")
         assert main(["--out-dir", str(two)] + args) == 0
+        assert capsys.readouterr().out.splitlines()[:-1] == cells
         assert (serial / "pareto.csv").read_bytes() == (two / "pareto.csv").read_bytes()
 
     def test_bad_thread_count_usage_error(self, tmp_path, monkeypatch, capsys):
@@ -170,10 +174,11 @@ class TestPareto:
         ("ber_symbols = -1\n", []),
         ("e_b = 1\n", []),
         ("storage_bits = 0\n", []),
+        ("n_t = 2\n", []),
     ], ids=["unknown-key", "k-above-nt", "no-users", "unknown-scheme", "zero-trials",
             "line-without-equals", "x-min-above-x-max", "x-min-below-1",
             "target-below-x-min", "target-above-x-max", "snr-nan", "negative-ber-symbols",
-            "e-b-below-2", "storage-bits-below-1"])
+            "e-b-below-2", "storage-bits-below-1", "n-t-spelling"])
     def test_bad_config_usage_error(self, tmp_path, monkeypatch, capsys, config, flags):
         monkeypatch.delenv("VARPREC_THREADS", raising=False)
         cfgf = tmp_path / "sim.cfg"
@@ -307,6 +312,15 @@ class TestHistogram:
         assert main(["--out-dir", str(tmp_path), "histogram"]) == 2
         assert main(["--out-dir", str(tmp_path), "histogram", "--nt", "2",
                      "--k", "3"]) == 2
+
+    def test_failed_online_run_exits_1(self, tmp_path, monkeypatch, capsys):
+        def fails(graph, *args, **kwargs):
+            raise GraphExecutionError(graph.outputs[0], "division by zero")
+
+        monkeypatch.setattr(mimo, "online_vpc", fails)
+        assert main(["--out-dir", str(tmp_path), "histogram", "--nt", "2", "--k", "2"]) == 1
+        assert "online plan cannot be computed" in capsys.readouterr().err
+        assert not (tmp_path / "histogram.csv").exists()
 
     @pytest.mark.parametrize("target", ["1", "200"])
     def test_target_outside_bounds_usage_error(self, tmp_path, capsys, target):

@@ -552,6 +552,30 @@ class TestSpecTable:
         assert abs(got - ref) / ref < 0.05
 
 
+ONE_F1 = encode(Fraction(1), P1, 4)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: EbfpParams(block_bits=0), "block_bits must be >= 1"),
+        (lambda: EbfpParams(exponent_bits=1), "exponent_bits must be >= 2"),
+        (lambda: EbfpParams(max_blocks=1), "max_blocks must be >= 2"),
+        (lambda: arith("pow", ONE_F1, ONE_F1, 8), "unknown op 'pow'"),
+        (lambda: arith("add", ONE_F1, ONE_F1, 0), "precision x must be >= 1"),
+        (lambda: arith("mul", ONE_F1, None, 8), "mul needs two operands"),
+        (lambda: round_to_precision(Fraction(1, 3), 0, P1), "precision x must be >= 1"),
+        (lambda: encode(Fraction(1), P1, 0), r"n_blocks must be in \[1, 80\]"),
+        (lambda: encode(Fraction(1), P1, 81), r"n_blocks must be in \[1, 80\]"),
+        (lambda: parse_vector("+|256|1.2.0", P1), "block wider than F bits"),
+        (lambda: parse_vector("+|71|1ff.00", P8), "block wider than F bits"),
+    ], ids=["block-bits-0", "exponent-bits-1", "max-blocks-1", "unknown-op", "arith-x-0",
+            "binary-without-b", "round-x-0", "encode-0-blocks", "encode-too-many-blocks",
+            "parse-block-2-at-f1", "parse-block-9-bits-at-f8"])
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 class TestSerialization:
     GOLDEN = [
         (Fraction(1), 4, "+|256|1.0.0.0"),

@@ -81,6 +81,22 @@ class TestRecord:
         assert [n.operands for n in g2.nodes] == [n.operands for n in g.nodes]
         assert [n.step for n in g2.nodes] == [n.step for n in g.nodes]
 
+    def test_jsonl_skips_blank_lines(self):
+        g, *_ = fig3_style_graph()
+        buf = io.StringIO()
+        g.dump_jsonl(buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        g2 = ExprGraph.load_jsonl(["\n", *lines[:3], "  \n", *lines[3:], "\n"])
+        assert [(n.op, n.operands, n.step) for n in g2.nodes] == \
+            [(n.op, n.operands, n.step) for n in g.nodes]
+
+    @pytest.mark.parametrize("ids", [[0, 2], [1], [0, 0]], ids=["gap", "not-from-0", "repeat"])
+    def test_jsonl_rejects_ids_that_are_not_dense(self, ids):
+        lines = [json.dumps({"id": i, "op": "input", "operands": [], "step": [0, i + 1]})
+                 for i in ids]
+        with pytest.raises(ValueError, match="node ids must be dense"):
+            ExprGraph.load_jsonl(lines)
+
     def test_jsonl_roundtrip_keeps_outputs(self):
         # the 4x4 precoder marks its 32 outputs; its unmarked sinks must not
         # become outputs on reload
@@ -283,6 +299,16 @@ class TestExecute:
         s = g.record("add", [a, b])
         with pytest.raises(GraphExecutionError):
             execute(g, {}, {a: Fraction(1), b: Fraction(2)})
+
+    @pytest.mark.parametrize("x", [0, -3])
+    def test_plan_precision_below_one_reports_node(self, x):
+        g = ExprGraph()
+        a, b = g.add_input(), g.add_input()
+        s = g.record("add", [a, b])
+        p = g.record("mul", [s, b])
+        with pytest.raises(GraphExecutionError) as ei:
+            execute(g, {s: 10, p: x}, {a: Fraction(1), b: Fraction(2)})
+        assert (ei.value.node_id, ei.value.reason) == (p, "precision x must be >= 1")
 
     def test_input_precision_beyond_geometry_reports_input(self):
         # 53 bits need more blocks than EbfpParams(1, 10, 20) holds

@@ -119,6 +119,24 @@ class TestGraphStructure:
         assert [i for i, r in rep.items() if r != i] == []
 
     @pytest.mark.parametrize("k,n_t", SHAPES)
+    def test_outputs_and_the_constant_one(self, k, n_t):
+        # the recorder marks every W part without a zero or repeat check,
+        # and records the constant 1 only as the dividend of each 1/pivot
+        zfg = build_zf_graph(k, n_t)
+        g = zfg.graph
+        w_nodes = [r.node for row in zfg.w_refs for ref in row for r in (ref.re, ref.im)]
+        assert len(g.outputs) == 2 * n_t * k
+        assert g.outputs == w_nodes
+        assert all(0 <= nid < len(g.nodes) for nid in w_nodes)
+        assert len(set(w_nodes)) == len(w_nodes)
+        one = zfg.one_node
+        assert one in g.inputs
+        users = [n for n in g.nodes if one in n.operands]
+        assert len(users) == k
+        assert all(n.op is OpKind.DIV and n.part == "inverse" and n.operands[0] == one
+                   and n.operands[1] != one for n in users)
+
+    @pytest.mark.parametrize("k,n_t", SHAPES)
     def test_real_diagonals_and_no_exact_zero(self, k, n_t):
         zfg = build_zf_graph(k, n_t)
         for i in range(k):

@@ -66,6 +66,17 @@ def random_tree_graph(rng, n_ops):
     return g
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(x_min=10, x_max=4), "need 1 <= x_min <= x_max"),
+    (dict(x_min=0), "need 1 <= x_min <= x_max"),
+    (dict(alpha=0.0), "alpha must be positive"),
+    (dict(alpha=-1e-9), "alpha must be positive"),
+], ids=["x-min-above-x-max", "x-min-0", "alpha-0", "alpha-negative"])
+def test_utility_config_rejects(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        UtilityConfig(**kwargs)
+
+
 class TestLut:
     def test_clamps(self):
         lut = XoptLut(CM, CFG)
