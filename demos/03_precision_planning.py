@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from varprec.ebfp import decode
-from varprec.graph import ExprGraph, execute, topo_stats
+from varprec.graph import ExprGraph, execute, predicted_errors, topo_stats
 from varprec.optimizer import (
     ComplexityModel,
     UtilityConfig,
@@ -70,6 +70,6 @@ for name, plan in plans.items():
     res = res_on if name == "online" else execute(g, plan, vals, input_precision=53)
     got = decode(res.values[r1])
     err = abs(got - ref_val) / ref_val
-    pred = res.errors[r1] ** 0.5
+    pred = predicted_errors(g, res)[r1] ** 0.5
     print(f"{name:>10}: result {float(got):.10f}, rel err {float(err):.2e}, "
           f"predicted sigma {pred:.2e}")

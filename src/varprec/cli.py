@@ -56,18 +56,12 @@ TABLE2_CASES = [
 ]
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def write_manifest(out_dir: Path, command: str, params: dict, outputs: list) -> Path:
     manifest = {
         "command": command,
         "params": params,
         "version": __version__,
-        "outputs": {p.name: _sha256(p) for p in outputs},
+        "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs},
     }
     path = out_dir / f"{command}.manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

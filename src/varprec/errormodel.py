@@ -194,6 +194,8 @@ def ops_per_bit(op: str, e_b: int) -> int:
         f = speculation_factor("sub", "backward", e_b)
     else:
         raise ValueError("ops_per_bit is defined for add and sub")
+    if f <= 0:  # the backward sub factor below e_b = 4
+        raise ValueError(f"no {op} ops per bit at e_b = {e_b}: factor {f:.3g} is not positive")
     return round(math.log(EPS * EPS) / abs(math.log(f)))
 
 

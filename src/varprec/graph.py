@@ -2,12 +2,12 @@
 
 An algorithm is recorded once as a DAG of basic arithmetic operations
 (inputs at level 0, each operation one node), then executed any number of
-times under different precision plans.  Execution produces values through
-the exact-then-round scalar arithmetic and, alongside, propagates
-relative-error variances through the stochastic error model, so every run
-yields both numbers and their predicted error statistics.  One loop,
-:func:`run`, does this for every precision policy: :func:`execute` looks
-each node up in a plan, and the online planner decides while it runs.
+times under different precision plans.  Execution computes values only,
+through the exact-then-round scalar arithmetic.  One loop, :func:`run`,
+does this for every precision policy: :func:`execute` looks each node up
+in a plan, and the online planner decides while it runs.  The stochastic
+error model is a separate pass over what a run computed:
+:func:`predicted_errors` gives each node's relative-error variance.
 """
 
 from __future__ import annotations
@@ -174,12 +174,11 @@ class ExecutionResult:
     values: Dict[int, EbfpNumber]
     #: each node's value as a float, equal to ``float(decode(values[i]))``
     floats: Dict[int, float]
-    #: each node's predicted relative-error variance (the mean is zero)
-    errors: Dict[int, float]
+    #: each node's precision in bits, inputs included
+    precisions: Dict[int, int]
     output_ids: List[int]
-    #: nodes whose value is exactly zero, where the relative-error frame is
-    #: degenerate (variance recorded as 0; the exact zero value contributes
-    #: nothing to any downstream variance)
+    #: operations whose value is exactly zero, where the relative-error
+    #: frame is degenerate (see :func:`predicted_errors`)
     degenerate_zero: List[int] = field(default_factory=list)
 
     def output_fractions(self) -> List[Fraction]:
@@ -223,19 +222,18 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
     operands (``b`` is None for sqrt).
 
     Input values are stored at ``input_precision`` bits (an int, or a
-    mapping from input id to bits) and given the corresponding pure-storage
-    error variance; every interior node is computed by exact-then-round
-    arithmetic at its chosen precision, and its error variance follows the
-    two-stage model.  A node that cannot be computed raises a
-    :class:`GraphExecutionError` naming it: a non-finite input, an input
-    precision the geometry cannot hold, division by an eBFP zero, the square
-    root of a negative value, a precision that is not an integer, a chosen
-    precision below 1 or beyond the block budget, saturation, a value
-    outside float's normal range, or an infinite error variance.  An
-    exception raised by ``choose`` or the error model propagates.
+    mapping from input id to bits); every interior node is computed by
+    exact-then-round arithmetic at its chosen precision.  Values only: the
+    error model is :func:`predicted_errors`.  A node that cannot be
+    computed raises a :class:`GraphExecutionError` naming it: a non-finite
+    input, an input precision the geometry cannot hold, division by an eBFP
+    zero, the square root of a negative value, a precision that is not an
+    integer, a chosen precision below 1 or beyond the block budget,
+    saturation, or a value outside float's normal range.  An exception
+    raised by ``choose`` propagates.
     """
     values: Dict[int, EbfpNumber] = {}
-    floats, errors, degenerate = {}, {}, []
+    floats, xs, degenerate = {}, {}, []
     per_input = hasattr(input_precision, "keys")  # dict.update's test for a mapping
     for node, op, i, j in graph.entries:
         nid = node.id
@@ -246,9 +244,7 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
                 raise GraphExecutionError(nid, "division by zero")
             if op is _SQRT and a.sign < 0:
                 raise GraphExecutionError(nid, "sqrt of a negative value")
-            fa = floats[i]
-            fb = floats.get(j)
-            x = choose(node, fa, fb)
+            x = choose(node, floats[i], floats.get(j))
             if type(x) is not int:
                 x = _precision(nid, x)
             if x < 1:
@@ -262,28 +258,40 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
             else:
                 # operands are never saturated: a saturated result fails its node
                 out = apply(op, a, b, x)
-            values[nid] = out
-            floats[nid] = fc = _shadow(out)
+            values[nid], xs[nid] = out, x
+            floats[nid] = _shadow(out)
         except (ValueError, ArithmeticError) as e:
             raise GraphExecutionError(nid, str(e))
         except KeyError:  # only an input looks anything up here
             raise GraphExecutionError(nid, "no input value or input precision")
+        if out.flags is _ZERO and op is not _INPUT:
+            degenerate.append(nid)
+    return ExecutionResult(values, floats, xs, graph.outputs, degenerate)
+
+
+def predicted_errors(graph: ExprGraph, result: ExecutionResult) -> Dict[int, float]:
+    """Each node's predicted relative-error variance (the mean is zero) by
+    the two-stage model, over a run of ``graph``.  An exact-zero operation
+    has no relative-error frame: its variance is 0, and it contributes
+    nothing downstream.  A variance that is not finite fails its node."""
+    floats, xs, errors = result.floats, result.precisions, {}
+    for node, op, i, j in graph.entries:
+        nid, fc, x = node.id, floats[node.id], xs[node.id]
         if op is _INPUT:
             v = input_error_variance(x)
-        elif out.flags is _ZERO:
-            # exact zero: the relative-error frame is singular, but the value is exact and inert
-            degenerate.append(nid)
+        elif fc == 0.0:
             v = 0.0
         elif op is _ADD or op is _SUB:
-            # the frame is the stored result, not fa ± fb: operands wider
+            # the frame is the stored result, not a ± b: operands wider
             # than 53 bits can collide in float while their exact sum is not 0
-            v = rounding_variance(addsub_variance(fa, fb, fc, errors[i], errors[j]), x)
+            v = rounding_variance(addsub_variance(floats[i], floats[j], fc, errors[i], errors[j]), x)
         else:
-            v = rounding_variance(propagate_full_precision(op, fa, fb, errors[i], errors.get(j)), x)
+            v = rounding_variance(propagate_full_precision(
+                op, floats[i], floats.get(j), errors[i], errors.get(j)), x)
         if not math.isfinite(v):
             raise GraphExecutionError(nid, "error variance left float range")
         errors[nid] = v
-    return ExecutionResult(values, floats, errors, graph.outputs, degenerate)
+    return errors
 
 
 def execute(graph: ExprGraph, plan, input_values: Mapping[int, Fraction],

@@ -403,8 +403,8 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if not math.isfinite(self.snr_db) or self.ber_symbols < 0:
             raise ValueError("need a finite snr_db and ber_symbols >= 0")
-        if not 1 <= self.x_min <= self.x_max or self.e_b < 2 or self.storage_bits < 1:
-            raise ValueError("need 1 <= x_min <= x_max, e_b >= 2 and storage_bits >= 1")
+        if not 1 <= self.x_min <= self.x_max or self.e_b < 4 or self.storage_bits < 1:
+            raise ValueError("need 1 <= x_min <= x_max, e_b >= 4 and storage_bits >= 1")
         bad = [t for t in self.sweep if not self.x_min <= t <= self.x_max]
         if bad:
             raise ValueError(f"target {bad[0]:g} outside [x_min, x_max] = "

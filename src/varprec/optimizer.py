@@ -85,11 +85,10 @@ class XoptLut:
     def __init__(self, cm: ComplexityModel, cfg: UtilityConfig):
         self.cfg = cfg
         scale = 2.0 * math.log(EPS) / (1.0 - EPS ** -2)
-        self.thresholds: Dict[OpKind, List[float]] = {}
-        for op in DEFAULT_WEIGHTS:
-            w = cm.weight(op)
-            self.thresholds[op] = [scale * w * EPS ** (2 * x)
-                                   for x in range(cfg.x_min, cfg.x_max)]
+        self.base = {op: scale * cm.weight(op) for op in DEFAULT_WEIGHTS}
+        self.thresholds: Dict[OpKind, List[float]] = {
+            op: [b * EPS ** (2 * x) for x in range(cfg.x_min, cfg.x_max)]
+            for op, b in self.base.items()}
 
     def lookup(self, rho: float, op) -> int:
         """Smallest x whose threshold is >= rho, clamped to the bounds."""
@@ -98,11 +97,10 @@ class XoptLut:
 
     def reverse(self, x: int, op) -> float:
         """Representative rho for a precision: the geometric midpoint of the
-        bin that maps to x (bins have ratio EPS**2, so midpoint = top/EPS)."""
-        t = self.thresholds[op]
-        if x >= self.cfg.x_max:
-            return t[-1] * EPS
-        return t[x - self.cfg.x_min] / EPS
+        bin that maps to x (bins have ratio EPS**2, so midpoint = top/EPS).
+        The open bin of x_max is taken one rung wide, so a one-rung ladder
+        (x_min == x_max) has a midpoint too."""
+        return self.base[op] * EPS ** (2 * min(x, self.cfg.x_max)) / EPS
 
 
 def final_step_precision(graph: ExprGraph, cfg: UtilityConfig,
@@ -233,7 +231,6 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     fixed_forward = {op: speculation_factor(op.value, "forward", e_b)
                      for op in (_MUL, _DIV, _SQRT)}
     rho: Dict[int, float] = {}
-    assignment: Dict[int, int] = {}
 
     def choose(node, va: float, vb: Optional[float]) -> int:
         op = node.op
@@ -275,12 +272,11 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
                 wsum += weight
             x = lut.lookup(total / wsum, op)
             rho[node.id] = lut.reverse(x, op)
-        assignment[node.id] = x
         return x
 
     result = run(graph, choose, input_values, input_precision, params)
     gsigma = {nid: -cfg.alpha * r if r else 0.0 for nid, r in rho.items()}
-    return result, PrecisionPlan(assignment, gsigma)
+    return result, PrecisionPlan({nid: result.precisions[nid] for nid in rho}, gsigma)
 
 
 def fixed_plan(graph: ExprGraph, x: int) -> PrecisionPlan:

@@ -173,12 +173,15 @@ class TestPareto:
         ("snr_db = nan\n", []),
         ("ber_symbols = -1\n", []),
         ("e_b = 1\n", []),
+        # the backward sub factor is negative below e_b = 4: no planner runs
+        ("e_b = 2\nschemes = offline,online\n", []),
+        ("e_b = 3\nschemes = offline,online\n", []),
         ("storage_bits = 0\n", []),
         ("n_t = 2\n", []),
     ], ids=["unknown-key", "k-above-nt", "no-users", "unknown-scheme", "zero-trials",
             "line-without-equals", "x-min-above-x-max", "x-min-below-1",
             "target-below-x-min", "target-above-x-max", "snr-nan", "negative-ber-symbols",
-            "e-b-below-2", "storage-bits-below-1", "n-t-spelling"])
+            "e-b-below-2", "e-b-2", "e-b-3", "storage-bits-below-1", "n-t-spelling"])
     def test_bad_config_usage_error(self, tmp_path, monkeypatch, capsys, config, flags):
         monkeypatch.delenv("VARPREC_THREADS", raising=False)
         cfgf = tmp_path / "sim.cfg"
@@ -187,6 +190,17 @@ class TestPareto:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "pareto.csv").exists()
+
+    def test_one_rung_ladder_runs(self, tmp_path, monkeypatch):
+        # x_min == x_max: every rho maps to the one precision, so every
+        # scheme's plan is the fixed plan at it
+        monkeypatch.delenv("VARPREC_THREADS", raising=False)
+        cfgf = tmp_path / "sim.cfg"
+        cfgf.write_text("nt = 2\nk = 2\ntrials = 2\nsweep = 8\nx_min = 8\nx_max = 8\n")
+        assert main(["--out-dir", str(tmp_path), "pareto", "--config", str(cfgf)]) == 0
+        rows = read_csv(tmp_path / "pareto.csv")[1:]
+        assert [r[0] for r in rows] == list(mimo.SCHEMES)
+        assert len({tuple(r[1:]) for r in rows}) == 1 and rows[0][2] == "8.0000"
 
     def test_unparsable_value_names_key(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("VARPREC_THREADS", raising=False)

@@ -18,6 +18,7 @@ from varprec.graph import (
     GraphExecutionError,
     OpKind,
     execute,
+    predicted_errors,
     run,
     topo_stats,
 )
@@ -224,7 +225,7 @@ class TestExecute:
         iv = input_error_variance(20)
         sc2 = propagate_full_precision("add", 1.0, 1.0, iv, iv)
         assert math.isclose(sc2, iv / 2)
-        assert math.isclose(res.errors[s], rounding_variance(sc2, 20))
+        assert math.isclose(predicted_errors(g, res)[s], rounding_variance(sc2, 20))
 
     def test_mul_by_one_identity(self):
         g = ExprGraph()
@@ -249,7 +250,7 @@ class TestExecute:
         s12c = propagate_full_precision("sub", 5.0, 3.0, iv, iv)
         s12 = rounding_variance(s12c, 12)
         s22c = s12 + iv + s12 * iv
-        assert math.isclose(res.errors[n22], rounding_variance(s22c, 12),
+        assert math.isclose(predicted_errors(g, res)[n22], rounding_variance(s22c, 12),
                             rel_tol=1e-12)
 
     def test_singular_subtraction_reports_node(self):
@@ -262,7 +263,7 @@ class TestExecute:
         res = execute(g, {s: 10}, {a: Fraction(2), b: Fraction(2)}, input_precision=30)
         assert res.degenerate_zero == [s]
         assert decode(res.values[s]) == 0
-        assert res.errors[s] == 0.0
+        assert predicted_errors(g, res)[s] == 0.0
 
     def test_zero_flows_through_consumers(self):
         g = ExprGraph()
@@ -291,7 +292,8 @@ class TestExecute:
         r1 = execute(g, plan, vals, input_precision=16)
         r2 = execute(g, plan, vals, input_precision=16)
         assert r1.values == r2.values
-        assert r1.errors == r2.errors
+        assert r1.precisions == r2.precisions
+        assert predicted_errors(g, r1) == predicted_errors(g, r2)
 
     def test_plan_must_cover(self):
         g = ExprGraph()
@@ -330,8 +332,8 @@ class TestExecute:
         c = Fraction(2) ** 600
         plain = execute(g, {s: 20}, {a: Fraction(3), b: Fraction(1)}, 53, params)
         scaled = execute(g, {s: 20}, {a: 3 * c, b: c}, 53, params)
-        assert plain.errors[s] > 0
-        assert scaled.errors[s] == plain.errors[s]
+        assert predicted_errors(g, plain)[s] > 0
+        assert predicted_errors(g, scaled)[s] == predicted_errors(g, plain)[s]
 
 
 def _mul_graph():
@@ -382,20 +384,21 @@ class TestFailures:
         vals, params = {a: 1 + Fraction(2) ** -530, b: Fraction(1)}, EbfpParams(8, 10, 80)
         for res in (execute(g, {s: 20}, vals, 560, params), _online(g, vals, 560, params)[0]):
             assert decode(res.values[s]) == Fraction(2) ** -530
-            assert math.isfinite(res.errors[s])
+            assert math.isfinite(predicted_errors(g, res)[s])
 
     def test_variance_beyond_float_range(self):
         # 2**500 at 1 bit minus its neighbour 2**-512 below: the result is a
-        # float, but its relative-error variance is about 2**2017
+        # float, but its relative-error variance is about 2**2017.  The run
+        # computes the value; the error model's pass fails the node
         g = ExprGraph()
         a, b = g.add_input(), g.add_input()
         s = g.record("sub", [a, b])
         vals = {a: Fraction(2) ** 500, b: Fraction(2) ** 500 - Fraction(2) ** -512}
         xin, params = {a: 1, b: 1016}, EbfpParams(8, 10, 200)
-        for run_it in (lambda: execute(g, {s: 20}, vals, xin, params),
-                       lambda: _online(g, vals, xin, params)):
+        for res in (execute(g, {s: 20}, vals, xin, params), _online(g, vals, xin, params)[0]):
+            assert decode(res.values[s]) == Fraction(2) ** -512
             with pytest.raises(GraphExecutionError) as ei:
-                run_it()
+                predicted_errors(g, res)
             assert (ei.value.node_id, ei.value.reason) == (s, "error variance left float range")
 
     def test_missing_input_fails_its_node(self):
@@ -423,7 +426,9 @@ class TestFailures:
                           ({m: 24, d: 30}, np.int64(40)),
                           ({m: 24, d: 30}, {a: np.int64(40), b: np.uint8(40)})):
             got = execute(g, plan, vals, xin)
-            assert (got.values, got.floats, got.errors) == (want.values, want.floats, want.errors)
+            assert (got.values, got.floats, got.precisions) == \
+                (want.values, want.floats, want.precisions)
+            assert predicted_errors(g, got) == predicted_errors(g, want)
         for plan, xin, node, bad in (({m: 24, d: 30.0}, 40, d, "30.0"),
                                      ({m: 24.0, d: 30}, 40, m, "24.0"),
                                      ({m: 24, d: 30}, 40.0, a, "40.0"),
@@ -433,7 +438,8 @@ class TestFailures:
             assert (ei.value.node_id, ei.value.reason) == (node, f"precision {bad} is not an integer")
 
     def test_policy_and_model_exceptions_propagate(self, monkeypatch):
-        # a bug in the caller's policy or in the error model is not a node failure
+        # a bug in the caller's policy, or in the error model under the
+        # variance pass, is not a node failure
         g, a, b, m = _mul_graph()
         vals = {a: Fraction(3), b: Fraction(5)}
 
@@ -447,8 +453,9 @@ class TestFailures:
             raise ValueError("model bug")
 
         monkeypatch.setattr("varprec.graph.propagate_full_precision", bad_model)
+        res = execute(g, {m: 20}, vals)
         with pytest.raises(ValueError, match="model bug"):  # GraphExecutionError is no ValueError
-            execute(g, {m: 20}, vals)
+            predicted_errors(g, res)
 
 
 def _random_graph(rng, n_ops=10, n_inputs=3):
@@ -523,7 +530,7 @@ class TestProperties:
                     continue
                 rel = float((decode(res.values[oid]) - rv) / rv)
                 zeros += rel == 0
-                pred = res.errors[oid]
+                pred = predicted_errors(g, res)[oid]
                 if pred > 0:
                     zs.append(rel / math.sqrt(pred))
             if len(zs) < 60 or zeros > 0.3 * len(zs):
@@ -537,16 +544,18 @@ class TestProperties:
 
 
 def _reference_run(g, plan, vals, xin, params):
-    """What :func:`run` computes, from the checked scalar operations: per
-    node ``arith`` (an input's rounding), then ``float(decode(...))``, then
-    the error-model laws.  Returns the run's stored values, floats, errors
-    and zero nodes, or the failing node's ``(id, reason)``."""
-    values, floats, errors, zeros = {}, {}, {}, []
+    """What :func:`run` and then :func:`predicted_errors` compute, from the
+    checked scalar operations: per node ``arith`` (an input's rounding),
+    then ``float(decode(...))``, then the error-model laws.  Returns the
+    stored values, floats, precisions, errors and zero nodes, or the
+    failing node's ``(id, reason)``: the first node whose value fails, else
+    the first whose variance does."""
+    values, floats, xs, errors, zeros, bad_variance = {}, {}, {}, {}, [], None
     for n in g.nodes:
         i, j = (n.operands + (None, None))[:2]
         try:
             if n.op is OpKind.INPUT:
-                x = xin
+                x = xin[n.id] if isinstance(xin, dict) else xin
                 v = round_to_precision(vals[n.id], x, params)
             else:
                 a, b = values[i], values.get(j)
@@ -566,7 +575,7 @@ def _reference_run(g, plan, vals, xin, params):
             return n.id, "value left float range"
         except ValueError as e:
             return n.id, str(e)
-        values[n.id], floats[n.id] = v, fc
+        values[n.id], floats[n.id], xs[n.id] = v, fc, x
         if n.op is OpKind.INPUT:
             e = input_error_variance(x)
         elif v.flags is Flag.ZERO:
@@ -577,11 +586,13 @@ def _reference_run(g, plan, vals, xin, params):
         else:
             e = rounding_variance(propagate_full_precision(
                 n.op, floats[i], floats.get(j), errors[i], errors.get(j)), x)
-        if not math.isfinite(e):
-            return n.id, "error variance left float range"
+        if not math.isfinite(e) and bad_variance is None:
+            bad_variance = n.id, "error variance left float range"
         errors[n.id] = e
+    if bad_variance:
+        return bad_variance
     return [(v.sign, v.block_exp, v.field, v.n_blocks, v.flags) for v in values.values()], \
-        repr(floats), repr(errors), zeros
+        repr(floats), xs, repr(errors), zeros
 
 
 REFERENCE_FAILURES = {"saturated-overflow", "saturated-underflow", "value left float range",
@@ -592,9 +603,10 @@ REFERENCE_FAILURES = {"saturated-overflow", "saturated-underflow", "value left f
 class TestAgainstReference:
     def test_run_matches_the_checked_operations(self):
         # run calls the unchecked kernel and takes floats by ldexp; node by
-        # node it must store, float, propagate and fail as the checked path
+        # node it and the variance pass must store, float, propagate and
+        # fail as the checked path.  Only the pass fails on a variance
         rng = np.random.default_rng(1)
-        reasons, compared = set(), 0
+        reasons, passes, compared = set(), set(), 0
         for f in (1, 4, 8):
             for e_bits in (6, 10, 13):
                 params = EbfpParams(f, e_bits, 8)
@@ -616,13 +628,54 @@ class TestAgainstReference:
                         got = err.node_id, err.reason
                         reasons.add(err.reason)
                     else:
-                        got = [(v.sign, v.block_exp, v.field, v.n_blocks, v.flags)
-                               for v in res.values.values()], \
-                            repr(res.floats), repr(res.errors), res.degenerate_zero
-                        compared += 1
+                        try:
+                            got = [(v.sign, v.block_exp, v.field, v.n_blocks, v.flags)
+                                   for v in res.values.values()], repr(res.floats), \
+                                res.precisions, repr(predicted_errors(g, res)), \
+                                res.degenerate_zero
+                            compared += 1
+                        except GraphExecutionError as err:
+                            got = err.node_id, err.reason
+                            passes.add(err.reason)
                     assert got == want
         assert compared >= 100
         assert reasons >= REFERENCE_FAILURES
+        assert passes <= {"error variance left float range"}
+
+    @pytest.mark.parametrize("then_divide_by_zero", [False, True])
+    def test_variance_failure_comes_from_the_pass(self, then_divide_by_zero):
+        # the variance of s leaves float range (see test_variance_beyond_float_range):
+        # the pass fails s, unless a later node's value fails the run first
+        g = ExprGraph()
+        a, b = g.add_input(), g.add_input()
+        s = g.record("sub", [a, b])
+        want = s, "error variance left float range"
+        if then_divide_by_zero:
+            want = g.record("div", [s, g.record("sub", [b, b])]), "division by zero"
+        vals = {a: Fraction(2) ** 500, b: Fraction(2) ** 500 - Fraction(2) ** -512}
+        xin, params = {a: 1, b: 1016}, EbfpParams(8, 10, 200)
+        plan = {nid: 20 for nid in g.non_input_ids()}
+        with pytest.raises(GraphExecutionError) as err:
+            predicted_errors(g, execute(g, plan, vals, xin, params))
+        assert (err.value.node_id, err.value.reason) == \
+            _reference_run(g, plan, vals, xin, params) == want
+
+    def test_pinned_variances(self):
+        # every node's variance on the 4x4 precoder under the reference,
+        # fixed, offline and online plans, as the error model has given them
+        # since it ran inside the executor
+        zfg = build_zf_graph(4, 4)
+        g, ip = zfg.graph, zfg.input_precisions()
+        cfg, cm = UtilityConfig(alpha=1e-9), ComplexityModel()
+        reprs = []
+        for seed in range(3):
+            vals = zfg.input_values(gen_channel(np.random.default_rng(seed), 4, 4))
+            runs = [execute(g, plan, vals, ip) for plan in
+                    (fixed_plan(g, 64), fixed_plan(g, 16), offline_vpc(g, cfg, cm, 10))]
+            runs.append(online_vpc(g, cfg, cm, vals, 10, ip)[0])
+            reprs += [repr(predicted_errors(g, res)) for res in runs]
+        assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == \
+            "feb7cb72008083c0fb6cd2d64e0f18c92411da1d846a162f2668c6fcedfab1fe"
 
 
 class _Shadow(Exception):
@@ -688,15 +741,15 @@ class TestRun:
         assert (err.value.node_id, err.value.reason) == (a, "value left float range")
 
 
-def _digest(result=None, plan=None) -> str:
+def _digest(graph, result=None, plan=None) -> str:
     """sha256 of a run's stored values, floats, variances and zero nodes,
     and of a plan's precisions and sensitivities."""
     parts = []
     if result is not None:
         parts += [[(v.sign, v.block_exp, v.field, v.n_blocks, v.flags.value)
                    for v in result.values.values()],
-                  list(result.floats.values()), list(result.errors.values()),
-                  result.degenerate_zero]
+                  list(result.floats.values()),
+                  list(predicted_errors(graph, result).values()), result.degenerate_zero]
     if plan is not None:
         parts += [plan.assignment, plan.gsigma]
     return hashlib.sha256(repr(parts).encode()).hexdigest()
@@ -730,11 +783,40 @@ class TestHotPath:
                             lambda *args: divisions.append(args) or exact_division(*args))
         per_run = sum(n.op is OpKind.DIV for n in zfg.graph.nodes) + \
             sum(vals[i] != 0 for i in zfg.graph.inputs)
-        assert _digest(execute(zfg.graph, fixed_plan(zfg.graph, 24), vals, ip)) == \
+        assert _digest(zfg.graph, execute(zfg.graph, fixed_plan(zfg.graph, 24), vals, ip)) == \
             "736c9b8b688fae8354a764f1863477f2f3db919d354bdc0f5b5c0daf2f9c4a62"
         assert len(divisions) == per_run
-        assert _digest(*online_vpc(zfg.graph, cfg, cm, vals, 10, ip)) == \
+        assert _digest(zfg.graph, *online_vpc(zfg.graph, cfg, cm, vals, 10, ip)) == \
             "02c11a99e7ecd77c41aaad15cbd371b38e41d6bdceb05da8052f5a523108ad1a"
         assert len(divisions) == 2 * per_run
-        assert _digest(plan=offline_vpc(zfg.graph, cfg, cm, 10)) == \
+        assert _digest(zfg.graph, plan=offline_vpc(zfg.graph, cfg, cm, 10)) == \
             "0ae62963e9fb1c87044944b65b6639a5ae654fe2448628a4578030652820472d"
+
+    def test_the_run_never_calls_the_error_model(self, monkeypatch):
+        # execute and online_vpc compute values only: the four variance laws
+        # fail wherever a varprec module holds them, and both still run the
+        # 4x4 precoder as they do without the laws; the variance pass, and
+        # only it, calls them
+        zfg = build_zf_graph(4, 4)
+        vals = zfg.input_values(gen_channel(np.random.default_rng(3), 4, 4))
+        ip, cfg, cm = zfg.input_precisions(), UtilityConfig(1e-9, 2, 64), ComplexityModel()
+        want = [execute(zfg.graph, fixed_plan(zfg.graph, 24), vals, ip),
+                online_vpc(zfg.graph, cfg, cm, vals, 10, ip)[0]]
+        laws = (addsub_variance, input_error_variance, propagate_full_precision,
+                rounding_variance)
+
+        def boom(*args):
+            raise AssertionError("the error model ran")
+
+        for name, module in list(sys.modules.items()):
+            for law in laws:
+                if name.split(".")[0] == "varprec" and \
+                        getattr(module, law.__name__, None) is law:
+                    monkeypatch.setattr(module, law.__name__, boom)
+        got = [execute(zfg.graph, fixed_plan(zfg.graph, 24), vals, ip),
+               online_vpc(zfg.graph, cfg, cm, vals, 10, ip)[0]]
+        for res, ref in zip(got, want):
+            assert (res.values, res.floats, res.precisions, res.degenerate_zero) == \
+                (ref.values, ref.floats, ref.precisions, ref.degenerate_zero)
+            with pytest.raises(AssertionError, match="the error model ran"):
+                predicted_errors(zfg.graph, res)

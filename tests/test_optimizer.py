@@ -13,7 +13,7 @@ import pytest
 from varprec import optimizer
 from varprec.ebfp import EbfpParams
 from varprec.errormodel import EPS, ops_per_bit, speculation_factor
-from varprec.graph import ExprGraph, GraphExecutionError, OpKind, execute
+from varprec.graph import ExprGraph, GraphExecutionError, OpKind, execute, predicted_errors
 from varprec.mimo import ChannelMatrix, build_zf_graph, gen_channel
 from varprec.optimizer import (
     ComplexityModel,
@@ -98,6 +98,29 @@ class TestLut:
         for op in ("add", "sub", "mul", "div", "sqrt"):
             for x in (CFG.x_min, 11, 37, CFG.x_max):
                 assert lut.lookup(lut.reverse(x, op), op) == x
+
+    def test_reverse_is_the_bin_midpoint(self):
+        # a bin's top threshold over EPS; the open bin of x_max is one rung
+        # wide, so its midpoint lies EPS above the last threshold
+        lut = XoptLut(CM, CFG)
+        for op in OpKind:
+            if op is OpKind.INPUT:
+                continue
+            t = lut.thresholds[op]
+            assert [lut.reverse(x, op) for x in range(CFG.x_min, CFG.x_max)] == \
+                [top / EPS for top in t]
+            assert lut.reverse(CFG.x_max, op) == lut.reverse(CFG.x_max + 5, op) == t[-1] * EPS
+
+    def test_one_rung_ladder(self):
+        # x_min == x_max: no threshold, every rho maps to the one precision,
+        # and that precision's bin still has a midpoint
+        cfg = UtilityConfig(alpha=1e-9, x_min=8, x_max=8)
+        lut = XoptLut(CM, cfg)
+        wide = XoptLut(CM, UtilityConfig(alpha=1e-9, x_min=2, x_max=8))
+        for op in ("add", "sub", "mul", "div", "sqrt"):
+            assert lut.thresholds[OpKind(op)] == []
+            assert {lut.lookup(r, op) for r in (0.0, 1.0, 1e300)} == {8}
+            assert lut.reverse(8, op) == wide.reverse(8, op)
 
     def test_threshold_tracks_continuous_stationary_point(self):
         # scanning the discrete per-node utility confirms the tabulated
@@ -391,7 +414,7 @@ class TestOnline:
         m = g.record("mul", [a, b])
         res, plan = online_vpc(g, CFG, CM, {a: Fraction(3, 2), b: Fraction(5, 2)})
         assert res.output_fractions()[0] == Fraction(15, 4)
-        assert res.errors[m] > 0
+        assert predicted_errors(g, res)[m] > 0
 
     def test_balanced_addition_raises_consumer_precision(self):
         # equal exponents take the exact-path factor (c/a)^2 = 4 for a
@@ -436,7 +459,8 @@ class TestOneExecutor:
                                        vals, 10, ip)
                 again = execute(zfg.graph, plan, vals, ip)
                 assert again.values == res.values
-                assert again.errors == res.errors
+                assert again.precisions == res.precisions
+                assert predicted_errors(zfg.graph, again) == predicted_errors(zfg.graph, res)
                 assert again.degenerate_zero == res.degenerate_zero
 
     def test_replay_with_input_rounded_at_storage(self):
@@ -449,7 +473,8 @@ class TestOneExecutor:
         res, plan = online_vpc(g, CFG, CM, vals, 10, 20)
         again = execute(g, plan, vals, 20)
         assert again.values == res.values
-        assert again.errors == res.errors
+        assert again.precisions == res.precisions
+        assert predicted_errors(g, again) == predicted_errors(g, res)
 
     @pytest.mark.parametrize("shift", [600, -600])
     def test_float_range_failure_names_node(self, shift):
