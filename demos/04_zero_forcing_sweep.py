@@ -11,7 +11,7 @@ channels.  A fuller sweep with CSV output is available through the CLI:
 import numpy as np
 
 from varprec.graph import topo_stats
-from varprec.mimo import SimConfig, build_zf_graph, pareto_sweep, reference_rate
+from varprec.mimo import SimConfig, build_zf_graph, pareto_sweep, reference_rate, sweep_inputs
 
 zfg = build_zf_graph(4, 4)
 st = topo_stats(zfg.graph)
@@ -23,8 +23,9 @@ cfg = SimConfig(n_t=4, k_users=4, snr_db=10.0, trials=6, seed=2,
                 sweep=(3, 6, 12, 32), schemes=("fixed", "offline", "online"))
 print(f"\nsweeping {len(cfg.sweep)} targets x {len(cfg.schemes)} schemes over "
       f"{cfg.trials} frozen channels (SNR {cfg.snr_db:.0f} dB)...")
-points = pareto_sweep(cfg)
-ref = reference_rate(cfg)
+inputs = sweep_inputs(cfg)  # channels and reference precoders, computed once
+points = pareto_sweep(cfg, inputs)
+ref = reference_rate(cfg, inputs)
 
 print(f"\nreference-precision sum rate: {ref:.3f} bit/s/Hz")
 print(f"{'scheme':>10} {'target':>7} {'realized':>9} {'complexity':>11} "

@@ -273,8 +273,11 @@ def predicted_errors(graph: ExprGraph, result: ExecutionResult) -> Dict[int, flo
     """Each node's predicted relative-error variance (the mean is zero) by
     the two-stage model, over a run of ``graph``.  An exact-zero operation
     has no relative-error frame: its variance is 0, and it contributes
-    nothing downstream.  A variance that is not finite fails its node."""
+    nothing downstream.  A variance that is not finite fails its node, and
+    so does the first node the run did not compute (recorded after it)."""
     floats, xs, errors = result.floats, result.precisions, {}
+    if len(floats) < len(graph.entries):  # a run computes a prefix of the ids
+        raise GraphExecutionError(len(floats), "the run did not compute this node")
     for node, op, i, j in graph.entries:
         nid, fc, x = node.id, floats[node.id], xs[node.id]
         if op is _INPUT:

@@ -584,7 +584,7 @@ def sweep_cell(cfg: SimConfig, inputs: SweepInputs, scheme: str, ti: int) -> Swe
     )
 
 
-def pareto_sweep(cfg: SimConfig) -> List[SweepPoint]:
+def pareto_sweep(cfg: SimConfig, inputs: Optional[SweepInputs] = None) -> List[SweepPoint]:
     """Run every (scheme, target average precision) cell over paired channels.
 
     Channel matrices are generated once from the seed and reused across all
@@ -593,14 +593,14 @@ def pareto_sweep(cfg: SimConfig) -> List[SweepPoint]:
     matching integer precision directly.  :func:`sweep_cell` says how a
     trial that fails to compute is scored.
     """
-    inputs = sweep_inputs(cfg)
+    inputs = inputs or sweep_inputs(cfg)
     return [sweep_cell(cfg, inputs, scheme, ti)
             for scheme in cfg.schemes for ti in range(len(cfg.sweep))]
 
 
-def reference_rate(cfg: SimConfig) -> float:
-    """Mean reference-precision sum rate over the sweep's channel set."""
-    _, channels, refs = sweep_inputs(cfg)
+def reference_rate(cfg: SimConfig, inputs: SweepInputs) -> float:
+    """Mean reference-precision sum rate over a sweep's inputs' channels."""
+    _, channels, refs = inputs
     return float(np.mean([sum_rate(h.as_complex(), w, cfg.snr_db)
                           for h, w in zip(channels, refs)]))
 

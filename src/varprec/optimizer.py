@@ -138,9 +138,10 @@ def _alpha_free(graph: ExprGraph, e_b: int):
 def _reverse_sweep(graph: ExprGraph, e_b: int):
     """What both planners know before alpha and values: G_sigma of every
     node in reverse id order; the non-input ids in that order, with per op
-    kind their positions among them and their G_sigma; and (id, op, sink,
+    kind their positions among them and their G_sigma; (id, op, sink,
     EPS ** (2 * bit offset)) of each node with an input operand, the offset
-    of its longest path (length, add, sub and sqrt crossings, sink id)."""
+    of its longest path (length, add, sub and sqrt crossings, sink id); and
+    per node id its operand ids, None where the operand is an input."""
     entries, consumers = graph.entries, graph.consumers
     out_set = set(graph.outputs)
     back = _backward_factors(e_b)
@@ -149,6 +150,8 @@ def _reverse_sweep(graph: ExprGraph, e_b: int):
     gsig: Dict[int, float] = {}
     longest: Dict[int, Tuple[int, int, int, int, int]] = {}
     ids, by_op, seeds = [], {}, []
+    routes = [tuple(None if o is None or entries[o][1] is _INPUT else o for o in e[2:])
+              for e in entries]
     for node in reversed(graph.nodes):
         terms = [-unit] if node.id in out_set else []
         best = None if consumers[node.id] else (0, 0, 0, 0, node.id)
@@ -168,7 +171,7 @@ def _reverse_sweep(graph: ExprGraph, e_b: int):
             off = seed_bit_offset(*best[1:4], add_rate, sub_rate)
             seeds.append((node.id, node.op, best[4], EPS ** (2.0 * off)))
     groups = [(op, *map(np.array, zip(*pos_g))) for op, pos_g in by_op.items()]
-    return gsig, ids, groups, seeds
+    return gsig, ids, groups, seeds, routes
 
 
 def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
@@ -185,7 +188,7 @@ def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     plan looks rho = -G_sigma/alpha up in the ladder, as :meth:`XoptLut.lookup`.
     """
     lut = XoptLut(cm, cfg)
-    gsig, ids, groups, _ = _alpha_free(graph, e_b)
+    gsig, ids, groups, _, _ = _alpha_free(graph, e_b)
     xs = np.empty(len(ids), dtype=np.int64)
     for op, pos, g in groups:
         xs[pos] = np.searchsorted(lut.thresholds[op], -g / cfg.alpha, "left")
@@ -212,67 +215,61 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
 
     The policy runs in rho = -G_sigma/alpha: alpha enters only through the
     output nodes' final-step precision (the anchors), so the plan is a
-    function of the anchors and the operand values.  Input-fed operand
-    routes are seeded from the anchor plus a path-length bit offset;
-    interior routes advance rho by the forward factor of the node's own
-    kind, with the add/sub factor taken from the operand exponents when
-    they differ and computed exactly when they coincide.  The decisions
-    are a precision policy for :func:`graph.run`, so each node executes at
-    its decided precision before any consumer is visited.  The reported
-    G_sigma is ``-alpha * rho`` (0.0 at exact-zero results).
+    function of the anchors and the operand values.  An input operand's
+    route is seeded from its anchor plus a path-length bit offset; an
+    interior one advances its operand's rho by a forward factor, constant
+    for mul/div/sqrt and operand^2/result^2 for add/sub.  Each node's
+    decision is one bisection in the ladder, and its rho is then the
+    midpoint of its rung: midpoints and seeds are tables per call, seed
+    offsets and input operands per graph and ``e_b``.  The decisions are a
+    precision policy for :func:`graph.run`, so each node executes at its
+    decided precision before any consumer is visited.  The reported G_sigma
+    is ``-alpha * rho`` (0.0 at exact-zero results).
     """
     lut = XoptLut(cm, cfg)
+    x_min, th = cfg.x_min, lut.thresholds
+    # each rung's bin midpoint, mid_rho[op][x - x_min] = lut.reverse(x, op)
+    mid_rho = {op: [t / EPS for t in th[op]] + [lut.reverse(cfg.x_max, op)] for op in th}
     final_x = final_step_precision(graph, cfg, cm, lut)
-    mid = (cfg.x_min + cfg.x_max) // 2  # anchor of a sink that is not an output
-    seed = {nid: lut.reverse(final_x.get(sink, mid), op) * factor
-            for nid, op, sink, factor in _alpha_free(graph, e_b)[3]}
-    entries = graph.entries
+    mid = (x_min + cfg.x_max) // 2  # anchor of a sink that is not an output
+    _, _, _, seeds, routes = _alpha_free(graph, e_b)
+    seed = {nid: mid_rho[op][final_x.get(sink, mid) - x_min] * factor
+            for nid, op, sink, factor in seeds}
     # mul/div/sqrt move rho by a constant; add/sub by the operand values
-    fixed_forward = {op: speculation_factor(op.value, "forward", e_b)
-                     for op in (_MUL, _DIV, _SQRT)}
+    f_mul, f_div, f_sqrt = (speculation_factor(op, "forward", e_b)
+                            for op in ("mul", "div", "sqrt"))
     rho: Dict[int, float] = {}
 
     def choose(node, va: float, vb: Optional[float]) -> int:
-        op = node.op
-        if op is _ADD:
-            vc = va + vb
-        elif op is _SUB:
-            vc = va - vb
-        elif op is _MUL:
-            vc = va * vb
-        elif op is _DIV:
-            vc = va / vb
+        op, nid = node.op, node.id
+        i, j = routes[nid]  # None for an input operand, whose route is the seed
+        if op is _ADD or op is _SUB:
+            vc = va + vb if op is _ADD else va - vb
+            if vc:
+                # weighted by operand magnitude, so the dominant operand's
+                # route wins when the exponents differ greatly; a route moves
+                # by operand^2/result^2, clipped at 1 so the recursion stays
+                # bounded where the frame shrinks
+                wa, wb, qa, qb = abs(va), abs(vb), (va / vc) ** 2, (vb / vc) ** 2
+                r = ((seed[nid] if i is None else rho[i] * (qa if qa < 1.0 else 1.0)) * wa
+                     + (seed[nid] if j is None else rho[j] * (qb if qb < 1.0 else 1.0)) * wb
+                     ) / (wa + wb)
+        elif op is _SQRT:
+            vc = va  # sqrt(va) is 0 where va is
+            if vc:
+                r = seed[nid] if i is None else rho[i] * f_sqrt
         else:
-            vc = math.sqrt(va)
-
-        if vc == 0:
-            # exact-zero result: no relative-error frame, nothing to plan;
-            # compute at the floor and mark the node degenerate
-            x = cfg.x_min
-            rho[node.id] = 0.0
-        else:
-            # merge-weighted mean of the operand routes; for add/sub the
-            # weight is the operand magnitude, so the dominant operand's
-            # route wins when the exponents differ greatly and the
-            # attenuated non-dominant route fades out
-            total = wsum = 0.0
-            for oid, v_op in zip(node.operands, (va, vb)):
-                if op is _ADD or op is _SUB:
-                    weight = abs(v_op)
-                    # operand^2/result^2 (exactly 1 beside an exact zero),
-                    # clipped at 1 so the recursion stays bounded where the
-                    # frame shrinks and the cheap exponent rule is invalid
-                    factor = min(1.0, (v_op / vc) ** 2)
-                else:
-                    weight, factor = 1.0, fixed_forward[op]
-                if entries[oid][1] is _INPUT:
-                    total += seed[node.id] * weight
-                else:
-                    total += rho[oid] * factor * weight
-                wsum += weight
-            x = lut.lookup(total / wsum, op)
-            rho[node.id] = lut.reverse(x, op)
-        return x
+            vc = va * vb if op is _MUL else va / vb
+            if vc:
+                f = f_mul if op is _MUL else f_div
+                r = ((seed[nid] if i is None else rho[i] * f)
+                     + (seed[nid] if j is None else rho[j] * f)) / 2.0
+        if not vc:  # an exact-zero result has no relative-error frame
+            rho[nid] = 0.0
+            return x_min
+        k = bisect_left(th[op], r)
+        rho[nid] = mid_rho[op][k]
+        return x_min + k
 
     result = run(graph, choose, input_values, input_precision, params)
     gsigma = {nid: -cfg.alpha * r if r else 0.0 for nid, r in rho.items()}

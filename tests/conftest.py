@@ -1,0 +1,10 @@
+"""Hypothesis profiles.  ``HYPOTHESIS_PROFILE=ci`` draws the same examples
+on every run, so a failure in CI reproduces locally under the same profile;
+without it the default profile draws new examples each run."""
+
+import os
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

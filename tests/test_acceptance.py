@@ -34,6 +34,7 @@ from varprec.mimo import (
     online_alpha,
     pareto_sweep,
     reference_rate,
+    sweep_inputs,
     zf_reference,
 )
 from varprec.optimizer import (
@@ -301,8 +302,9 @@ def sweep_results():
     t0 = time.time()
     cfg = SimConfig(n_t=4, k_users=4, snr_db=10.0, trials=20, seed=ACCEPT_SEED,
                     sweep=SWEEP_TARGETS, schemes=("fixed", "offline", "online"))
-    points = pareto_sweep(cfg)
-    ref = reference_rate(cfg)
+    inputs = sweep_inputs(cfg)
+    points = pareto_sweep(cfg, inputs)
+    ref = reference_rate(cfg, inputs)
     return cfg, points, ref, time.time() - t0
 
 

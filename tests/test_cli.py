@@ -3,10 +3,13 @@
 import csv
 import hashlib
 import json
+import math
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from varprec import cli, mimo
 from varprec.cli import main, parse_config, sim_config_from_args
@@ -263,6 +266,54 @@ class TestPareto:
         avgs = [mimo.sweep_cell(cfg, inputs, "random-blockwise", ti).realized_avg_bits
                 for ti in range(len(cfg.sweep))]
         assert avgs == sorted(avgs) and len(set(avgs)) == len(avgs), avgs
+
+
+@st.composite
+def _pareto_configs(draw):
+    """A small pareto config inside SimConfig's bounds; in about half the
+    draws one key is moved just past them."""
+    nt, x_min = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    x_max = draw(st.integers(x_min, 20))
+    config = {
+        "nt": nt, "k": draw(st.integers(1, nt)), "trials": draw(st.integers(1, 2)),
+        "seed": draw(st.integers(0, 9)), "snr_db": draw(st.sampled_from([10.0, -5.0, 40.0])),
+        "x_min": x_min, "x_max": x_max, "e_b": draw(st.integers(4, 14)),
+        "storage_bits": draw(st.integers(1, 90)), "ber_symbols": draw(st.integers(0, 8)),
+        "sweep": draw(st.lists(st.integers(x_min, x_max), min_size=1, max_size=2)),
+        "schemes": draw(st.lists(st.sampled_from(mimo.SCHEMES), min_size=1, max_size=4,
+                                 unique=True)),
+    }
+    if draw(st.booleans()):
+        key, bad = draw(st.sampled_from([
+            ("k", nt + 1), ("k", 0), ("trials", 0), ("snr_db", math.nan),
+            ("snr_db", math.inf), ("x_min", 0), ("x_min", x_max + 1), ("e_b", 3),
+            ("e_b", 1), ("storage_bits", 0), ("ber_symbols", -1),
+            ("sweep", [x_max + 1]), ("sweep", [x_min - 1]), ("schemes", ["bogus"])]))
+        config[key] = bad
+    return config
+
+
+class TestEveryAcceptedConfig:
+    @given(_pareto_configs())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_runs_and_every_other_exits_2(self, monkeypatch, config):
+        # the failure contract through the CLI: a config SimConfig accepts
+        # runs to its pareto.csv, and any other is a usage error
+        monkeypatch.delenv("VARPREC_THREADS", raising=False)
+        fields = {cli.CONFIG_KEYS[k][0]: v for k, v in config.items()}
+        try:
+            mimo.SimConfig(**fields)
+            want = 0
+        except ValueError:
+            want = 2
+        text = "".join(f"{k} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
+                       for k, v in config.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "sim.cfg").write_text(text)
+            rc = main(["--out-dir", tmp, "pareto", "--config", str(Path(tmp) / "sim.cfg")])
+            assert rc == want
+            assert (Path(tmp) / "pareto.csv").exists() == (want == 0)
 
 
 class TestPinnedOutputs:

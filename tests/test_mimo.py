@@ -269,6 +269,23 @@ class TestSweep:
             cells.append(sweep_cell(cfg, sweep_inputs(cfg), "random-blockwise", 0))
         assert repr(cells[0]) == repr(cells[1])  # ber is NaN
 
+    def test_one_reference_per_channel(self, monkeypatch):
+        # the sweep and its reference rate share one set of inputs: each
+        # channel's 64-bit reference precoder is computed once
+        cfg = SimConfig(n_t=2, k_users=2, trials=3, seed=4, sweep=(6,), schemes=("fixed",))
+        refs = []
+
+        def counted(*args):
+            refs.append(args[0])
+            return zf_reference(*args)
+        monkeypatch.setattr(mimo, "zf_reference", counted)
+        inputs = sweep_inputs(cfg)
+        pareto_sweep(cfg, inputs)
+        rate = mimo.reference_rate(cfg, inputs)
+        assert refs == inputs[1]
+        assert rate == np.mean([sum_rate(h.as_complex(), w, cfg.snr_db)
+                                for h, w in zip(inputs[1], inputs[2])])
+
     def test_online_matches_target(self):
         cfg = SimConfig(n_t=3, k_users=3, trials=3, seed=6, sweep=(10,),
                         schemes=("online",))

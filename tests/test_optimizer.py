@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varprec import optimizer
 from varprec.ebfp import EbfpParams
 from varprec.errormodel import EPS, ops_per_bit, speculation_factor
-from varprec.graph import ExprGraph, GraphExecutionError, OpKind, execute, predicted_errors
+from varprec.graph import ExprGraph, GraphExecutionError, OpKind, execute, predicted_errors, run
 from varprec.mimo import ChannelMatrix, build_zf_graph, gen_channel
 from varprec.optimizer import (
     ComplexityModel,
@@ -494,6 +495,109 @@ class TestOneExecutor:
         assert zfg.graph.nodes[ex.value.node_id].op is not OpKind.INPUT
         assert "float range" in ex.value.reason
         assert "float range" in on.value.reason
+
+
+def reference_online_vpc(graph, cfg, input_values, e_b=10, input_precision=53):
+    """online_vpc written out as one generic operand loop: per operand a
+    weight, a forward factor and a test for an input, then a ladder lookup
+    and a ladder midpoint per node through XoptLut."""
+    lut = XoptLut(CM, cfg)
+    final_x = final_step_precision(graph, cfg, CM, lut)
+    mid = (cfg.x_min + cfg.x_max) // 2
+    seed = {nid: lut.reverse(final_x.get(sink, mid), op) * factor
+            for nid, op, sink, factor in optimizer._alpha_free(graph, e_b)[3]}
+    fixed_forward = {op: speculation_factor(op.value, "forward", e_b)
+                     for op in (OpKind.MUL, OpKind.DIV, OpKind.SQRT)}
+    rho = {}
+
+    def choose(node, va, vb):
+        op = node.op
+        vc = {OpKind.ADD: lambda: va + vb, OpKind.SUB: lambda: va - vb,
+              OpKind.MUL: lambda: va * vb, OpKind.DIV: lambda: va / vb,
+              OpKind.SQRT: lambda: math.sqrt(va)}[op]()
+        if vc == 0:
+            rho[node.id] = 0.0
+            return cfg.x_min
+        total = wsum = 0.0
+        for oid, v_op in zip(node.operands, (va, vb)):
+            if op in (OpKind.ADD, OpKind.SUB):
+                weight, factor = abs(v_op), min(1.0, (v_op / vc) ** 2)
+            else:
+                weight, factor = 1.0, fixed_forward[op]
+            if graph.nodes[oid].op is OpKind.INPUT:
+                total += seed[node.id] * weight
+            else:
+                total += rho[oid] * factor * weight
+            wsum += weight
+        x = lut.lookup(total / wsum, op)
+        rho[node.id] = lut.reverse(x, op)
+        return x
+
+    result = run(graph, choose, input_values, input_precision)
+    gsigma = {nid: -cfg.alpha * r if r else 0.0 for nid, r in rho.items()}
+    return result, PrecisionPlan({nid: result.precisions[nid] for nid in rho}, gsigma)
+
+
+def online_outcome(plan_fn, *args):
+    """Everything a planner returns, in key order and with floats by repr,
+    or the node and reason it failed with."""
+    try:
+        res, plan = plan_fn(*args)
+    except GraphExecutionError as err:
+        return err.node_id, err.reason
+    return (list(plan.assignment.items()), repr(list(plan.gsigma.items())),
+            list(res.values.items()), repr(list(res.floats.items())), res.degenerate_zero)
+
+
+# small dyadic and non-dyadic values, repeated often enough that add/sub
+# cancel exactly; zero, so that some div fails and some add keeps one side
+_VALUES = st.sampled_from([Fraction(v) for v in (1, -1, 2, 3, 0)] + [Fraction(1, 3), Fraction(-5, 7)]) \
+    | st.builds(lambda m, e: Fraction(m) * Fraction(2) ** e,
+                st.integers(-2 ** 60, 2 ** 60), st.integers(-300, 300))
+
+
+@st.composite
+def online_cases(draw):
+    """A random graph over 1-3 inputs with 1-12 ops and a few marked outputs
+    (so some sink is no output and takes the mid anchor), its input values
+    and precisions, a utility config and an e_b."""
+    g = ExprGraph()
+    ids = [g.add_input() for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(1, 12))):
+        op = draw(st.sampled_from(["add", "sub", "mul", "div", "sqrt"]))
+        pick = st.sampled_from(ids)
+        ids.append(g.record(op, [draw(pick)] if op == "sqrt" else [draw(pick), draw(pick)]))
+    for oid in draw(st.lists(st.sampled_from(g.non_input_ids()), unique=True, max_size=2)):
+        g.mark_output(oid)
+    vals = {i: draw(_VALUES) for i in g.inputs}
+    xin = draw(st.integers(1, 64) | st.just(53))
+    x_min = draw(st.integers(1, 12))
+    cfg = UtilityConfig(draw(st.sampled_from([1e-20, 1e-13, 1e-11, 1e-9, 1e-5, 1.0])),
+                        x_min, draw(st.integers(x_min, 64)))
+    return g, cfg, vals, draw(st.integers(4, 14)), xin
+
+
+class TestOnlineAgainstReference:
+    """online_vpc's per-kind branches and ladder tables decide as the
+    generic operand loop does, bit for bit: the same precisions, G_sigma,
+    values and failures."""
+
+    @given(online_cases())
+    @settings(max_examples=600, deadline=None)
+    def test_random_graphs(self, case):
+        g, cfg, vals, e_b, xin = case
+        assert online_outcome(online_vpc, g, cfg, CM, vals, e_b, xin) == \
+            online_outcome(reference_online_vpc, g, cfg, vals, e_b, xin)
+
+    @pytest.mark.parametrize("alpha", [1e-13, 1e-11, 1e-9])
+    def test_precoder_4x4(self, alpha):
+        zfg = build_zf_graph(4, 4)
+        ip, cfg = zfg.input_precisions(), UtilityConfig(alpha)
+        for seed in range(2):
+            vals = zfg.input_values(gen_channel(np.random.default_rng(seed), 4, 4))
+            got = online_outcome(online_vpc, zfg.graph, cfg, CM, vals, 10, ip)
+            assert len(got) == 5  # the precoder runs
+            assert got == online_outcome(reference_online_vpc, zfg.graph, cfg, vals, 10, ip)
 
 
 class TestPlans:
