@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .ebfp import DEFAULT_PARAMS, blocks_for_precision
 from .graph import ExecutionResult, ExprGraph, GraphExecutionError, execute
 from .optimizer import (
     ComplexityModel,
@@ -405,6 +406,9 @@ class SimConfig:
             raise ValueError("need a finite snr_db and ber_symbols >= 0")
         if not 1 <= self.x_min <= self.x_max or self.e_b < 4 or self.storage_bits < 1:
             raise ValueError("need 1 <= x_min <= x_max, e_b >= 4 and storage_bits >= 1")
+        for key in ("storage_bits", "x_max"):  # wider, every trial fails
+            if blocks_for_precision(getattr(self, key), DEFAULT_PARAMS) > DEFAULT_PARAMS.max_blocks:
+                raise ValueError(f"{key} needs more blocks than the default geometry has")
         bad = [t for t in self.sweep if not self.x_min <= t <= self.x_max]
         if bad:
             raise ValueError(f"target {bad[0]:g} outside [x_min, x_max] = "
@@ -493,9 +497,8 @@ def online_alpha(zfg: ZfGraph, cfg: SimConfig, probe: Sequence[ChannelMatrix],
     plan fails is left out; if every one fails, the average reads
     ``cfg.x_min``."""
     ucfg = _plan_cfg(cfg, 1.0)
-    lut, op = XoptLut(CM, ucfg), zfg.graph.nodes[zfg.graph.outputs[0]].op
-    alpha_at = {x: ucfg.gsigma_unit / lut.reverse(x, op)
-                for x in range(cfg.x_min, cfg.x_max + 1)}
+    mids = XoptLut(CM, ucfg).mid_rho[zfg.graph.nodes[zfg.graph.outputs[0]].op]
+    alpha_at = {x: ucfg.gsigma_unit / m for x, m in enumerate(mids, cfg.x_min)}
 
     @functools.cache
     def runs_at(x):
@@ -536,6 +539,7 @@ def sweep_cell(cfg: SimConfig, inputs: SweepInputs, scheme: str, ti: int) -> Swe
         draw_rng = np.random.default_rng((cfg.seed, 31, ti))
         hi = min(cfg.x_max, 2 * round(target) - cfg.x_min)
 
+    cell_metrics = plan_metrics(zfg.graph, plan, CM) if scheme in ("fixed", "offline") else None
     n_bits = 2 * cfg.k_users * cfg.ber_symbols
     rates, avgs, totals = [], [], []
     errors = failures = 0
@@ -551,7 +555,7 @@ def sweep_cell(cfg: SimConfig, inputs: SweepInputs, scheme: str, ti: int) -> Swe
             except GraphExecutionError:
                 result = None
         if plan is not None:
-            a, tot = plan_metrics(zfg.graph, plan, CM)
+            a, tot = cell_metrics or plan_metrics(zfg.graph, plan, CM)
             avgs.append(a)
             totals.append(tot)
         if result is None:

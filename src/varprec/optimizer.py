@@ -14,12 +14,13 @@ planner walks forwards during execution using the actual operand values.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,16 +85,12 @@ class XoptLut:
 
     def __init__(self, cm: ComplexityModel, cfg: UtilityConfig):
         self.cfg = cfg
-        scale = 2.0 * math.log(EPS) / (1.0 - EPS ** -2)
-        self.base = {op: scale * cm.weight(op) for op in DEFAULT_WEIGHTS}
-        self.thresholds: Dict[OpKind, List[float]] = {
-            op: [b * EPS ** (2 * x) for x in range(cfg.x_min, cfg.x_max)]
-            for op, b in self.base.items()}
+        self.base, self.thresholds, self.arrays, self.mid_rho = _ladder(
+            cfg.x_min, cfg.x_max, tuple(map(cm.weight, DEFAULT_WEIGHTS)))
 
     def lookup(self, rho: float, op) -> int:
         """Smallest x whose threshold is >= rho, clamped to the bounds."""
-        t = self.thresholds[op]
-        return self.cfg.x_min + bisect_left(t, rho)
+        return self.cfg.x_min + bisect_left(self.thresholds[op], rho)
 
     def reverse(self, x: int, op) -> float:
         """Representative rho for a precision: the geometric midpoint of the
@@ -101,6 +98,17 @@ class XoptLut:
         The open bin of x_max is taken one rung wide, so a one-rung ladder
         (x_min == x_max) has a midpoint too."""
         return self.base[op] * EPS ** (2 * min(x, self.cfg.x_max)) / EPS
+
+
+@functools.lru_cache(maxsize=256)
+def _ladder(x_min: int, x_max: int, weights: Tuple[float, ...]):
+    """XoptLut's base, thresholds (as lists and arrays) and rung midpoints,
+    ``mid_rho[op][x - x_min] == reverse(x, op)``, shared by every lut: read only."""
+    scale = 2.0 * math.log(EPS) / (1.0 - EPS ** -2)
+    base = {op: scale * w for op, w in zip(DEFAULT_WEIGHTS, weights)}
+    th = {op: [b * EPS ** (2 * x) for x in range(x_min, x_max)] for op, b in base.items()}
+    mids = {op: [t / EPS for t in th[op] + [b * EPS ** (2 * x_max)]] for op, b in base.items()}
+    return base, th, {op: np.array(t, dtype=float) for op, t in th.items()}, mids
 
 
 def final_step_precision(graph: ExprGraph, cfg: UtilityConfig,
@@ -120,19 +128,28 @@ def _backward_factors(e_b: int) -> Dict[OpKind, float]:
             for op in DEFAULT_WEIGHTS}
 
 
-# graph -> ((len(nodes), outputs), {e_b: _reverse_sweep}); a new shape replaces it
+# graph -> ((len(nodes), marked outputs), id tables, {e_b: _reverse_sweep}); a new shape replaces it
 _SWEEPS: "weakref.WeakKeyDictionary[ExprGraph, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _held(graph: ExprGraph) -> tuple:
+    """(shape, (non-input ids, their part tags, {op: ids}), sweeps by e_b) of the graph."""
+    shape = (len(graph.nodes), tuple(graph._explicit_outputs))  # these fix the outputs
+    held = _SWEEPS.get(graph)
+    if held is None or held[0] != shape:
+        ids, by_op = graph.non_input_ids(), {}
+        for nid in ids:
+            by_op.setdefault(graph.nodes[nid].op, []).append(nid)
+        held = _SWEEPS[graph] = (shape, (ids, [graph.nodes[i].part for i in ids], by_op), {})
+    return held
 
 
 def _alpha_free(graph: ExprGraph, e_b: int):
     """:func:`_reverse_sweep`, run once per graph shape and ``e_b``."""
-    shape = (len(graph.nodes), tuple(graph.outputs))
-    held = _SWEEPS.get(graph)
-    if held is None or held[0] != shape:
-        held = _SWEEPS[graph] = (shape, {})
-    if e_b not in held[1]:
-        held[1][e_b] = _reverse_sweep(graph, e_b)
-    return held[1][e_b]
+    sweeps = _held(graph)[2]
+    if e_b not in sweeps:
+        sweeps[e_b] = _reverse_sweep(graph, e_b)
+    return sweeps[e_b]
 
 
 def _reverse_sweep(graph: ExprGraph, e_b: int):
@@ -185,14 +202,15 @@ def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     reuse whose error contributions are strongly correlated downstream.
 
     The sweep never reads alpha, so it runs once per graph and ``e_b``; a
-    plan looks rho = -G_sigma/alpha up in the ladder, as :meth:`XoptLut.lookup`.
+    plan looks rho = -G_sigma/alpha up in the ladder, as :meth:`XoptLut.lookup`,
+    one ``searchsorted`` per op kind.
     """
-    lut = XoptLut(cm, cfg)
+    arrays = XoptLut(cm, cfg).arrays
     gsig, ids, groups, _, _ = _alpha_free(graph, e_b)
     xs = np.empty(len(ids), dtype=np.int64)
     for op, pos, g in groups:
-        xs[pos] = np.searchsorted(lut.thresholds[op], -g / cfg.alpha, "left")
-    return PrecisionPlan({nid: x for nid, x in zip(ids, (xs + cfg.x_min).tolist())}, dict(gsig))
+        xs[pos] = np.searchsorted(arrays[op], -g / cfg.alpha, "left")
+    return PrecisionPlan(dict(zip(ids, (xs + cfg.x_min).tolist())), dict(gsig))
 
 
 def seed_bit_offset(n_add: int, n_sub: int, n_sqrt: int, add_rate: int,
@@ -220,16 +238,14 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     interior one advances its operand's rho by a forward factor, constant
     for mul/div/sqrt and operand^2/result^2 for add/sub.  Each node's
     decision is one bisection in the ladder, and its rho is then the
-    midpoint of its rung: midpoints and seeds are tables per call, seed
-    offsets and input operands per graph and ``e_b``.  The decisions are a
+    midpoint of its rung: midpoints are tables per ladder, seeds per call,
+    seed offsets and input operands per graph and ``e_b``.  The decisions are a
     precision policy for :func:`graph.run`, so each node executes at its
     decided precision before any consumer is visited.  The reported G_sigma
     is ``-alpha * rho`` (0.0 at exact-zero results).
     """
     lut = XoptLut(cm, cfg)
-    x_min, th = cfg.x_min, lut.thresholds
-    # each rung's bin midpoint, mid_rho[op][x - x_min] = lut.reverse(x, op)
-    mid_rho = {op: [t / EPS for t in th[op]] + [lut.reverse(cfg.x_max, op)] for op in th}
+    x_min, th, mid_rho = cfg.x_min, lut.thresholds, lut.mid_rho
     final_x = final_step_precision(graph, cfg, cm, lut)
     mid = (x_min + cfg.x_max) // 2  # anchor of a sink that is not an output
     _, _, _, seeds, routes = _alpha_free(graph, e_b)
@@ -277,33 +293,28 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
 
 
 def fixed_plan(graph: ExprGraph, x: int) -> PrecisionPlan:
-    return PrecisionPlan({nid: x for nid in graph.non_input_ids()})
+    return PrecisionPlan(dict.fromkeys(_held(graph)[1][0], x))
 
 
 def random_blockwise_plan(graph: ExprGraph, rng: np.random.Generator,
                           x_min: int, x_max: int) -> PrecisionPlan:
     """One uniformly drawn precision per part tag (all nodes must be tagged)."""
-    parts = []
-    for nid in graph.non_input_ids():
-        part = graph.nodes[nid].part
-        if part is None:
-            raise ValueError(f"node {nid} has no part tag")
-        if part not in parts:
-            parts.append(part)
-    draw = {p: int(rng.integers(x_min, x_max + 1)) for p in sorted(parts)}
-    return PrecisionPlan({nid: draw[graph.nodes[nid].part]
-                          for nid in graph.non_input_ids()})
+    ids, parts, _ = _held(graph)[1]
+    if None in parts:
+        raise ValueError(f"node {ids[parts.index(None)]} has no part tag")
+    draw = {p: int(rng.integers(x_min, x_max + 1)) for p in sorted(set(parts))}
+    return PrecisionPlan(dict(zip(ids, map(draw.__getitem__, parts))))
 
 
 def plan_metrics(graph: ExprGraph, plan, cm: ComplexityModel) -> Tuple[float, float]:
-    """(complexity-weighted average precision, total complexity)."""
+    """(complexity-weighted average precision, total complexity), summed per
+    op kind: exact while every term is an integer-valued float below 2**53."""
     assignment = getattr(plan, "assignment", plan)
-    weight = {op: cm.weight(op) for op in DEFAULT_WEIGHTS}
     total = wsum = 0.0
-    for node, op, _, _ in graph.entries:
-        if op is not _INPUT:
-            total += weight[op] * assignment[node.id]
-            wsum += weight[op]
+    for op, ids in _held(graph)[1][2].items():
+        w = cm.weight(op)
+        total += w * sum(map(assignment.__getitem__, ids), 0.0)
+        wsum += w * len(ids)
     return (total / wsum if wsum else 0.0), total
 
 

@@ -180,11 +180,15 @@ class TestPareto:
         ("e_b = 2\nschemes = offline,online\n", []),
         ("e_b = 3\nschemes = offline,online\n", []),
         ("storage_bits = 0\n", []),
+        # the default geometry stores at most 79 bits: every trial would fail
+        ("storage_bits = 80\n", []),
+        ("x_max = 80\n", []),
         ("n_t = 2\n", []),
     ], ids=["unknown-key", "k-above-nt", "no-users", "unknown-scheme", "zero-trials",
             "line-without-equals", "x-min-above-x-max", "x-min-below-1",
             "target-below-x-min", "target-above-x-max", "snr-nan", "negative-ber-symbols",
-            "e-b-below-2", "e-b-2", "e-b-3", "storage-bits-below-1", "n-t-spelling"])
+            "e-b-below-2", "e-b-2", "e-b-3", "storage-bits-below-1", "storage-bits-80",
+            "x-max-80", "n-t-spelling"])
     def test_bad_config_usage_error(self, tmp_path, monkeypatch, capsys, config, flags):
         monkeypatch.delenv("VARPREC_THREADS", raising=False)
         cfgf = tmp_path / "sim.cfg"
@@ -287,7 +291,7 @@ def _pareto_configs(draw):
         key, bad = draw(st.sampled_from([
             ("k", nt + 1), ("k", 0), ("trials", 0), ("snr_db", math.nan),
             ("snr_db", math.inf), ("x_min", 0), ("x_min", x_max + 1), ("e_b", 3),
-            ("e_b", 1), ("storage_bits", 0), ("ber_symbols", -1),
+            ("e_b", 1), ("storage_bits", 0), ("storage_bits", 80), ("ber_symbols", -1),
             ("sweep", [x_max + 1]), ("sweep", [x_min - 1]), ("schemes", ["bogus"])]))
         config[key] = bad
     return config
@@ -348,6 +352,16 @@ class TestPinnedOutputs:
                 "14ac1d52739d611c0cb5eee6856afc5e21b3b80db3ab72fc74acf92db914edd5",
             "histogram_graph.jsonl":
                 "10b5752a68a647415b86125d478862671eb69da5c116ee3586754b064effc769"}
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_full_desk_pareto(self, tmp_path, monkeypatch, threads):
+        # demos/desk.cfg as README runs it: 20 trials at six targets, so six
+        # offline calibrations over the whole ladder and six online walks
+        monkeypatch.setenv("VARPREC_THREADS", threads)
+        desk = Path(__file__).resolve().parents[1] / "demos" / "desk.cfg"
+        assert main(["--out-dir", str(tmp_path), "pareto", "--config", str(desk)]) == 0
+        assert self.digest(tmp_path / "pareto.csv") == \
+            "44251a7c3d685f271125589d5885d44d5019babebd7c92b230050a529dace9b1"
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failed_trials(self, tmp_path, monkeypatch, threads):

@@ -286,6 +286,19 @@ class TestSweep:
         assert rate == np.mean([sum_rate(h.as_complex(), w, cfg.snr_db)
                                 for h, w in zip(inputs[1], inputs[2])])
 
+    def test_fixed_cell_scores_its_plan_once(self, monkeypatch):
+        # a fixed plan is the same in every trial: one plan_metrics call,
+        # and every trial counts its average
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return plan_metrics(*args)
+        monkeypatch.setattr(mimo, "plan_metrics", counted)
+        cfg = SimConfig(n_t=2, k_users=2, trials=3, seed=4, sweep=(6,), schemes=("fixed",))
+        point = pareto_sweep(cfg)[0]
+        assert len(calls) == 1 and point.realized_avg_bits == 6.0
+
     def test_online_matches_target(self):
         cfg = SimConfig(n_t=3, k_users=3, trials=3, seed=6, sweep=(10,),
                         schemes=("online",))

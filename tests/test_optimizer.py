@@ -1,10 +1,13 @@
 """Tests for the precision-assignment machinery."""
 
+import bisect
 import gc
 import io
 import itertools
 import math
+import random
 import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +20,7 @@ from varprec.errormodel import EPS, ops_per_bit, speculation_factor
 from varprec.graph import ExprGraph, GraphExecutionError, OpKind, execute, predicted_errors, run
 from varprec.mimo import ChannelMatrix, build_zf_graph, gen_channel
 from varprec.optimizer import (
+    DEFAULT_WEIGHTS,
     ComplexityModel,
     PrecisionPlan,
     UtilityConfig,
@@ -680,3 +684,129 @@ class TestSeedOffset:
         assert seed_bit_offset(200, 0, 0, *rates(8)) < 0
         assert seed_bit_offset(0, 200, 0, *rates(8)) > 0
         assert round(seed_bit_offset(1, 1, 0, *rates(8))) == 0
+
+
+@dataclass(frozen=True)
+class OtherWeights(ComplexityModel):
+    """Integer weights other than ``DEFAULT_WEIGHTS``: dearer adds, a cheap sqrt."""
+
+    def weight(self, op):
+        return {"add": 3.0, "sub": 4.0, "mul": 30.0, "div": 40.0, "sqrt": 20.0}[OpKind(op).value]
+
+
+def reference_plan_metrics(graph, plan, cm):
+    """plan_metrics as one weighted sum over the nodes in id order."""
+    assignment = getattr(plan, "assignment", plan)
+    weight = {op: cm.weight(op) for op in DEFAULT_WEIGHTS}
+    total = wsum = 0.0
+    for node in graph.nodes:
+        if node.op is not OpKind.INPUT:
+            total += weight[node.op] * assignment[node.id]
+            wsum += weight[node.op]
+    return (total / wsum if wsum else 0.0), total
+
+
+def reference_blockwise(graph, rng, x_min, x_max):
+    """random_blockwise_plan as a walk over the nodes: (assignment items) or
+    the ValueError's message."""
+    parts = []
+    for nid in graph.non_input_ids():
+        part = graph.nodes[nid].part
+        if part is None:
+            return f"node {nid} has no part tag"
+        if part not in parts:
+            parts.append(part)
+    draw = {p: int(rng.integers(x_min, x_max + 1)) for p in sorted(parts)}
+    return [(nid, draw[graph.nodes[nid].part]) for nid in graph.non_input_ids()]
+
+
+def fresh_ladder(cm, x_min, x_max):
+    """XoptLut's tables computed on the spot: (base, thresholds, midpoints)."""
+    scale = 2.0 * math.log(EPS) / (1.0 - EPS ** -2)
+    base = {op: scale * cm.weight(op) for op in DEFAULT_WEIGHTS}
+    th = {op: [b * EPS ** (2 * x) for x in range(x_min, x_max)] for op, b in base.items()}
+    mids = {op: [b * EPS ** (2 * x) / EPS for x in range(x_min, x_max + 1)]
+            for op, b in base.items()}
+    return base, th, mids
+
+
+#: the precision types a plan may hold: plain ints and numpy integers
+INT_TYPES = (int, np.int64, np.int32, np.uint8)
+
+
+def grow_tagged(g, rnd, n_ops, parts=("gram", "inverse", "precode")):
+    """Record n_ops random operations on g, each with a random part tag
+    (None in about one graph of ten)."""
+    untagged = rnd.random() < 0.1
+    for _ in range(n_ops):
+        op = rnd.choice(["add", "sub", "mul", "div", "sqrt"])
+        operands = [rnd.randrange(len(g.nodes)) for _ in range(1 if op == "sqrt" else 2)]
+        g.record(op, operands, None if untagged and rnd.random() < 0.2 else rnd.choice(parts))
+
+
+class TestTables:
+    """The ladder per bounds and weights and the id tables per graph are
+    caches: every plan and metric equals a fresh computation."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_ops=st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_plans_and_metrics_equal_the_node_loops(self, seed, n_ops):
+        rnd = random.Random(seed)
+        g = ExprGraph()
+        for _ in range(rnd.randint(1, 3)):
+            g.add_input()
+        grow_tagged(g, rnd, n_ops)
+        for _ in range(2):  # the second time round the graph has grown
+            ids = g.non_input_ids()
+            plan = {nid: rnd.choice(INT_TYPES)(rnd.randint(1, 200)) for nid in ids}
+            for cm in (CM, OtherWeights()):
+                want = reference_plan_metrics(g, plan, cm)
+                assert repr(plan_metrics(g, plan, cm)) == repr(want)
+                assert repr(plan_metrics(g, PrecisionPlan(plan), cm)) == repr(want)
+            x = rnd.randint(1, 200)
+            assert list(fixed_plan(g, x).assignment.items()) == [(nid, x) for nid in ids]
+            got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+            try:
+                got = list(random_blockwise_plan(g, got_rng, 2, 20).assignment.items())
+            except ValueError as e:
+                got = str(e)
+            assert got == reference_blockwise(g, want_rng, 2, 20)
+            assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+            grow_tagged(g, rnd, rnd.randint(1, 5))
+
+    @given(x_min=st.integers(1, 100), width=st.integers(0, 120), other=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_ladder_equals_a_fresh_computation(self, x_min, width, other):
+        # width 0 is the one-rung ladder
+        cm, cfg = (OtherWeights() if other else CM), UtilityConfig(1e-9, x_min, x_min + width)
+        lut = XoptLut(cm, cfg)
+        base, th, mids = fresh_ladder(cm, cfg.x_min, cfg.x_max)
+        assert (lut.base, lut.thresholds, lut.mid_rho) == (base, th, mids)
+        for op in th:
+            assert lut.arrays[op].dtype == np.float64 and lut.arrays[op].tolist() == th[op]
+            assert lut.mid_rho[op] == [lut.reverse(x, op) for x in range(x_min, cfg.x_max + 1)]
+            for rho in (0.0, th[op][0] if th[op] else 1.0, mids[op][-1], 1e300):
+                assert lut.lookup(rho, op) == x_min + bisect.bisect_left(th[op], rho)
+
+    def test_other_weights_get_their_own_ladder(self):
+        default, other = XoptLut(CM, CFG), XoptLut(OtherWeights(), CFG)
+        assert other.thresholds[OpKind.ADD] != default.thresholds[OpKind.ADD]
+        assert other.thresholds[OpKind.MUL] == default.thresholds[OpKind.MUL]
+        assert (other.base, other.thresholds, other.mid_rho) == \
+            fresh_ladder(OtherWeights(), CFG.x_min, CFG.x_max)
+        # a lut with the same bounds and weights shares the tables
+        assert XoptLut(CM, UtilityConfig(1e-3)).thresholds is default.thresholds
+        g = build_zf_graph(2, 2).graph
+        cheap, dear = (offline_vpc(g, CFG, cm).assignment for cm in (CM, OtherWeights()))
+        assert cheap != dear
+        assert cheap == offline_vpc(g, CFG, CM).assignment
+
+    def test_tables_are_freed_with_their_graph(self):
+        g, _ = chain("add", "mul", "sqrt")
+        plan = fixed_plan(g, 8)
+        plan_metrics(g, plan, CM)
+        assert g in optimizer._SWEEPS
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
