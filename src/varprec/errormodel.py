@@ -116,13 +116,6 @@ def w_pdf(w) -> float:
     return 0.5 * t + 0.25 * t * t
 
 
-def w_pdf_mass() -> float:
-    """Closed-form integral of w_pdf over [-1, 1] (plateau 3/4 + tails 1/4)."""
-    # tails: 2 * [ (1/2)(ln2 - 1/2) + (1/4)(3/2 - 2 ln2) ]
-    tails = 2.0 * (0.5 * (math.log(2.0) - 0.5) + 0.25 * (1.5 - 2.0 * math.log(2.0)))
-    return 0.75 + tails
-
-
 def w_pdf_second_moment() -> float:
     """Closed-form second moment of w_pdf: exactly 1/6."""
     plateau = 0.75 * (2.0 / 3.0) * 0.125          # 3/4 * int_{-1/2}^{1/2} w^2

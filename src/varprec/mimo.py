@@ -28,6 +28,7 @@ import numpy as np
 from .ebfp import DEFAULT_PARAMS, blocks_for_precision
 from .graph import ExecutionResult, ExprGraph, GraphExecutionError, execute
 from .optimizer import (
+    GSIGMA_UNIT,
     ComplexityModel,
     UtilityConfig,
     XoptLut,
@@ -297,13 +298,6 @@ def zf_reference(h: ChannelMatrix, zfg: ZfGraph) -> Tuple[np.ndarray, ExecutionR
     return zfg.w_matrix(res), res
 
 
-def gram_inverse_residual(zfg: ZfGraph, result: ExecutionResult) -> float:
-    """max |G Ginv - I| from the executed node values."""
-    G = zfg.matrix(result, zfg.gram_refs)
-    Gi = zfg.matrix(result, zfg.ginv_refs)
-    return float(np.abs(G @ Gi - np.eye(zfg.k_users)).max())
-
-
 # ---------------------------------------------------------------------------
 # link-level metrics
 
@@ -498,7 +492,7 @@ def online_alpha(zfg: ZfGraph, cfg: SimConfig, probe: Sequence[ChannelMatrix],
     ``cfg.x_min``."""
     ucfg = _plan_cfg(cfg, 1.0)
     mids = XoptLut(CM, ucfg).mid_rho[zfg.graph.nodes[zfg.graph.outputs[0]].op]
-    alpha_at = {x: ucfg.gsigma_unit / m for x, m in enumerate(mids, cfg.x_min)}
+    alpha_at = {x: GSIGMA_UNIT / m for x, m in enumerate(mids, cfg.x_min)}
 
     @functools.cache
     def runs_at(x):

@@ -20,24 +20,20 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .ebfp import EbfpParams, DEFAULT_PARAMS
-from .errormodel import (
-    EPS,
-    W_LIMIT_VAR,
-    input_error_variance,
-    ops_per_bit,
-    rounding_variance,
-    speculation_factor,
-)
+from .errormodel import EPS, W_LIMIT_VAR, ops_per_bit, speculation_factor
 from .graph import _ADD, _DIV, _INPUT, _MUL, _SQRT, _SUB, ExecutionResult, ExprGraph, OpKind, run
 
 
 DEFAULT_WEIGHTS = {OpKind.ADD: 1.0, OpKind.SUB: 1.0, OpKind.MUL: 30.0,
                    OpKind.DIV: 30.0, OpKind.SQRT: 80.0}
+
+#: folded rounding-law constant appearing in every G_sigma seed
+GSIGMA_UNIT = 2.0 * math.log(EPS) * EPS ** -2 * W_LIMIT_VAR
 
 
 @dataclass(frozen=True)
@@ -63,11 +59,6 @@ class UtilityConfig:
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
-    #: folded rounding-law constant appearing in every G_sigma seed
-    @property
-    def gsigma_unit(self) -> float:
-        return 2.0 * math.log(EPS) * EPS ** -2 * W_LIMIT_VAR
-
 
 @dataclass
 class PrecisionPlan:
@@ -81,51 +72,40 @@ class XoptLut:
     Thresholds are where the discrete utility's forward difference changes
     sign; they form a geometric ladder with ratio EPS**2, so multiplying rho
     by EPS**2 moves the answer up exactly one bit inside the open range.
+    ``mid_rho[op][x - x_min]`` is the representative rho of precision x: the
+    geometric midpoint of the bin that maps to x (bins have ratio EPS**2, so
+    midpoint = top/EPS).  The open bin of x_max is taken one rung wide, so a
+    one-rung ladder (x_min == x_max) has a midpoint too.
     """
 
     def __init__(self, cm: ComplexityModel, cfg: UtilityConfig):
         self.cfg = cfg
-        self.base, self.thresholds, self.arrays, self.mid_rho = _ladder(
+        self.thresholds, self.arrays, self.mid_rho = _ladder(
             cfg.x_min, cfg.x_max, tuple(map(cm.weight, DEFAULT_WEIGHTS)))
 
     def lookup(self, rho: float, op) -> int:
         """Smallest x whose threshold is >= rho, clamped to the bounds."""
         return self.cfg.x_min + bisect_left(self.thresholds[op], rho)
 
-    def reverse(self, x: int, op) -> float:
-        """Representative rho for a precision: the geometric midpoint of the
-        bin that maps to x (bins have ratio EPS**2, so midpoint = top/EPS).
-        The open bin of x_max is taken one rung wide, so a one-rung ladder
-        (x_min == x_max) has a midpoint too."""
-        return self.base[op] * EPS ** (2 * min(x, self.cfg.x_max)) / EPS
-
 
 @functools.lru_cache(maxsize=256)
 def _ladder(x_min: int, x_max: int, weights: Tuple[float, ...]):
-    """XoptLut's base, thresholds (as lists and arrays) and rung midpoints,
-    ``mid_rho[op][x - x_min] == reverse(x, op)``, shared by every lut: read only."""
+    """XoptLut's thresholds (as lists and arrays) and rung midpoints,
+    shared by every lut: read only."""
     scale = 2.0 * math.log(EPS) / (1.0 - EPS ** -2)
     base = {op: scale * w for op, w in zip(DEFAULT_WEIGHTS, weights)}
     th = {op: [b * EPS ** (2 * x) for x in range(x_min, x_max)] for op, b in base.items()}
     mids = {op: [t / EPS for t in th[op] + [b * EPS ** (2 * x_max)]] for op, b in base.items()}
-    return base, th, {op: np.array(t, dtype=float) for op, t in th.items()}, mids
+    return th, {op: np.array(t, dtype=float) for op, t in th.items()}, mids
 
 
 def final_step_precision(graph: ExprGraph, cfg: UtilityConfig,
-                         cm: ComplexityModel,
-                         lut: XoptLut = None) -> Dict[int, int]:
+                         cm: ComplexityModel) -> Dict[int, int]:
     """Optimal precision of every output node, whose G_sigma seed is
-    ``-cfg.gsigma_unit``: the anchors of the online plan."""
-    lut = lut or XoptLut(cm, cfg)
-    rho = cfg.gsigma_unit / cfg.alpha
+    ``-GSIGMA_UNIT``: the anchors of the online plan."""
+    lut = XoptLut(cm, cfg)
+    rho = GSIGMA_UNIT / cfg.alpha
     return {oid: lut.lookup(rho, graph.nodes[oid].op) for oid in graph.outputs}
-
-
-def _backward_factors(e_b: int) -> Dict[OpKind, float]:
-    """Expectation factor of each op kind on the reverse sweep, as used by
-    the offline planner and by the objective it optimizes."""
-    return {op: speculation_factor(op.value, "backward", e_b)
-            for op in DEFAULT_WEIGHTS}
 
 
 # graph -> ((len(nodes), marked outputs), id tables, {e_b: _reverse_sweep}); a new shape replaces it
@@ -161,8 +141,7 @@ def _reverse_sweep(graph: ExprGraph, e_b: int):
     per node id its operand ids, None where the operand is an input."""
     entries, consumers = graph.entries, graph.consumers
     out_set = set(graph.outputs)
-    back = _backward_factors(e_b)
-    unit = UtilityConfig().gsigma_unit
+    back = {op: speculation_factor(op.value, "backward", e_b) for op in DEFAULT_WEIGHTS}
     add_rate, sub_rate = ops_per_bit("add", e_b), ops_per_bit("sub", e_b)
     gsig: Dict[int, float] = {}
     longest: Dict[int, Tuple[int, int, int, int, int]] = {}
@@ -170,7 +149,7 @@ def _reverse_sweep(graph: ExprGraph, e_b: int):
     routes = [tuple(None if o is None or entries[o][1] is _INPUT else o for o in e[2:])
               for e in entries]
     for node in reversed(graph.nodes):
-        terms = [-unit] if node.id in out_set else []
+        terms = [-GSIGMA_UNIT] if node.id in out_set else []
         best = None if consumers[node.id] else (0, 0, 0, 0, node.id)
         for cid in consumers[node.id]:
             c = entries[cid][1]
@@ -246,7 +225,7 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     """
     lut = XoptLut(cm, cfg)
     x_min, th, mid_rho = cfg.x_min, lut.thresholds, lut.mid_rho
-    final_x = final_step_precision(graph, cfg, cm, lut)
+    final_x = final_step_precision(graph, cfg, cm)
     mid = (x_min + cfg.x_max) // 2  # anchor of a sink that is not an output
     _, _, _, seeds, routes = _alpha_free(graph, e_b)
     seed = {nid: mid_rho[op][final_x.get(sink, mid) - x_min] * factor
@@ -316,37 +295,6 @@ def plan_metrics(graph: ExprGraph, plan, cm: ComplexityModel) -> Tuple[float, fl
         total += w * sum(map(assignment.__getitem__, ids), 0.0)
         wsum += w * len(ids)
     return (total / wsum if wsum else 0.0), total
-
-
-def modeled_utility_batch(graph: ExprGraph, plans: np.ndarray, node_order: Sequence[int],
-                          cfg: UtilityConfig, cm: ComplexityModel, e_b: int = 10,
-                          input_precision: int = 53) -> np.ndarray:
-    """Expected-utility objective the offline planner optimizes, for many
-    plans at once: output error variances propagated with expectation
-    backward factors, plus the weighted complexity total.
-
-    ``plans`` has shape (n_plans, len(node_order)); column j is the
-    precision of node ``node_order[j]``.
-    """
-    col = {nid: j for j, nid in enumerate(node_order)}
-    back = _backward_factors(e_b)
-    in_var = input_error_variance(input_precision)
-    var: Dict[int, np.ndarray] = {}
-    cost = np.zeros(plans.shape[0])
-    for node in graph.nodes:
-        if node.op is _INPUT:
-            var[node.id] = np.full(plans.shape[0], in_var)
-            continue
-        x = plans[:, col[node.id]].astype(float)
-        f = back[node.op]
-        if node.op is _SQRT:
-            sc2 = f * var[node.operands[0]]
-        else:
-            sc2 = f * (var[node.operands[0]] + var[node.operands[1]])
-        var[node.id] = rounding_variance(sc2, x)
-        cost += cm.weight(node.op) * x
-    err = sum(var[oid] for oid in graph.outputs)
-    return err + cfg.alpha * cost
 
 
 _CSV_HEADER = ["node_id", "op", "step_n", "step_k", "x", "g_sigma"]

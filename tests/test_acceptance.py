@@ -41,10 +41,11 @@ from varprec.optimizer import (
     ComplexityModel,
     UtilityConfig,
     fixed_plan,
-    modeled_utility_batch,
     offline_vpc,
     online_vpc,
 )
+
+from oracles import modeled_utility_batch
 
 P1 = EbfpParams(1, 10, 80)
 CM = ComplexityModel()

@@ -9,6 +9,7 @@ timing without any other test failing.
 import dataclasses
 import inspect
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -96,18 +97,26 @@ def test_slice_fields_exist(cls, names):
     assert names <= {f.name for f in dataclasses.fields(cls)}
 
 
-def test_traced_run_is_correct(tmp_path):
-    # one short traced round of the smallest workload (about 7 s): a traced
-    # hook or a slice that no longer fits varprec fails here, not in the
-    # benchmark.  It runs from a copy of perfbench/ beside a link to src/, so
-    # the checkout's perfbench/out/ is left as it is.
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_traced_run_is_correct(tmp_path, trace):
+    # one short round of the smallest workload (about 5 s), untraced as the
+    # benchmark is scored and traced: a traced hook or a slice that no longer
+    # fits varprec fails here, not in the benchmark.  It runs from a copy of
+    # perfbench/ beside a link to src/, so the checkout's perfbench/out/ is
+    # left as it is.
     shutil.copytree(PERFBENCH, tmp_path / "perfbench", ignore=shutil.ignore_patterns("out"))
     (tmp_path / "src").symlink_to(PERFBENCH.parent / "src")
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "scalar-kernel", "--seed", "1",
-         "--seconds", "1", "--trace", "1"],
+         "--seconds", "1", "--trace", trace],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stderr
-    assert (tmp_path / "perfbench" / "out" / "trace-scalar-kernel.npz").exists()
+    if trace == "1":
+        assert (tmp_path / "perfbench" / "out" / "trace-scalar-kernel.npz").exists()
+    else:
+        spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+        for name in (m["name"] for m in spec["end_to_end"]):
+            value = result["metrics"][name]["value"]
+            assert math.isfinite(value) and value > 0, (name, value)

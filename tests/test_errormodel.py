@@ -19,7 +19,6 @@ from varprec.errormodel import (
     speculation_factor,
     w_moments,
     w_pdf,
-    w_pdf_mass,
     w_pdf_second_moment,
 )
 
@@ -114,7 +113,6 @@ class TestWPdf:
             w_pdf(1.5)
 
     def test_mass_closed_form_and_quadrature(self):
-        assert w_pdf_mass() == pytest.approx(1.0, abs=1e-12)
         mass, _ = quad(w_pdf, -1, 1, points=[-0.5, 0.5])
         assert mass == pytest.approx(1.0, abs=1e-9)
 

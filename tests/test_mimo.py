@@ -15,7 +15,6 @@ from varprec.mimo import (
     build_zf_graph,
     ber_sim,
     gen_channel,
-    gram_inverse_residual,
     online_alpha,
     pareto_sweep,
     precision_histogram,
@@ -33,6 +32,8 @@ from varprec.optimizer import (
     plan_metrics,
     random_blockwise_plan,
 )
+
+from oracles import gram_inverse_residual
 
 
 class TestChannel:

@@ -21,13 +21,13 @@ from varprec.graph import ExprGraph, GraphExecutionError, OpKind, execute, predi
 from varprec.mimo import ChannelMatrix, build_zf_graph, gen_channel
 from varprec.optimizer import (
     DEFAULT_WEIGHTS,
+    GSIGMA_UNIT,
     ComplexityModel,
     PrecisionPlan,
     UtilityConfig,
     XoptLut,
     final_step_precision,
     fixed_plan,
-    modeled_utility_batch,
     offline_vpc,
     online_vpc,
     plan_from_csv,
@@ -36,6 +36,8 @@ from varprec.optimizer import (
     random_blockwise_plan,
     seed_bit_offset,
 )
+
+from oracles import modeled_utility_batch
 
 CM = ComplexityModel()
 CFG = UtilityConfig(alpha=1e-9)
@@ -102,7 +104,7 @@ class TestLut:
         lut = XoptLut(CM, CFG)
         for op in ("add", "sub", "mul", "div", "sqrt"):
             for x in (CFG.x_min, 11, 37, CFG.x_max):
-                assert lut.lookup(lut.reverse(x, op), op) == x
+                assert lut.lookup(lut.mid_rho[op][x - CFG.x_min], op) == x
 
     def test_reverse_is_the_bin_midpoint(self):
         # a bin's top threshold over EPS; the open bin of x_max is one rung
@@ -111,10 +113,10 @@ class TestLut:
         for op in OpKind:
             if op is OpKind.INPUT:
                 continue
-            t = lut.thresholds[op]
-            assert [lut.reverse(x, op) for x in range(CFG.x_min, CFG.x_max)] == \
-                [top / EPS for top in t]
-            assert lut.reverse(CFG.x_max, op) == lut.reverse(CFG.x_max + 5, op) == t[-1] * EPS
+            t, mids = lut.thresholds[op], lut.mid_rho[op]
+            assert mids[:-1] == [top / EPS for top in t]
+            assert len(mids) == CFG.x_max - CFG.x_min + 1
+            assert mids[-1] == t[-1] * EPS
 
     def test_one_rung_ladder(self):
         # x_min == x_max: no threshold, every rho maps to the one precision,
@@ -125,7 +127,7 @@ class TestLut:
         for op in ("add", "sub", "mul", "div", "sqrt"):
             assert lut.thresholds[OpKind(op)] == []
             assert {lut.lookup(r, op) for r in (0.0, 1.0, 1e300)} == {8}
-            assert lut.reverse(8, op) == wide.reverse(8, op)
+            assert lut.mid_rho[op] == [wide.mid_rho[op][8 - 2]]
 
     def test_threshold_tracks_continuous_stationary_point(self):
         # scanning the discrete per-node utility confirms the tabulated
@@ -155,8 +157,8 @@ class TestFinalStep:
         a, b = g.add_input(), g.add_input()
         m = g.record("mul", [a, b])
         lut = XoptLut(CM, CFG)
-        rho12 = lut.reverse(12, "mul")
-        cfg = UtilityConfig(alpha=CFG.gsigma_unit / rho12)
+        rho12 = lut.mid_rho[OpKind.MUL][12 - CFG.x_min]
+        cfg = UtilityConfig(alpha=GSIGMA_UNIT / rho12)
         xs = final_step_precision(g, cfg, CM)
         assert xs[m] == 12
         scan = np.arange(4, 65)
@@ -263,7 +265,7 @@ def reference_offline(graph, cfg, e_b=10):
     out_set = set(graph.outputs)
     gsig, assignment = {}, {}
     for node in reversed(graph.nodes):
-        terms = [-cfg.gsigma_unit] if node.id in out_set else []
+        terms = [-GSIGMA_UNIT] if node.id in out_set else []
         terms += [gsig[c] * back[graph.nodes[c].op] for c in graph.consumers[node.id]]
         gsig[node.id] = g = min(terms, default=0.0)
         if node.op is not OpKind.INPUT:
@@ -504,11 +506,16 @@ class TestOneExecutor:
 def reference_online_vpc(graph, cfg, input_values, e_b=10, input_precision=53):
     """online_vpc written out as one generic operand loop: per operand a
     weight, a forward factor and a test for an input, then a ladder lookup
-    and a ladder midpoint per node through XoptLut."""
+    per node through XoptLut, with each rung's midpoint in closed form."""
     lut = XoptLut(CM, cfg)
-    final_x = final_step_precision(graph, cfg, CM, lut)
+    base = fresh_ladder(CM, cfg.x_min, cfg.x_max)[0]
+
+    def midpoint(x, op):
+        return base[op] * EPS ** (2 * min(x, cfg.x_max)) / EPS
+
+    final_x = final_step_precision(graph, cfg, CM)
     mid = (cfg.x_min + cfg.x_max) // 2
-    seed = {nid: lut.reverse(final_x.get(sink, mid), op) * factor
+    seed = {nid: midpoint(final_x.get(sink, mid), op) * factor
             for nid, op, sink, factor in optimizer._alpha_free(graph, e_b)[3]}
     fixed_forward = {op: speculation_factor(op.value, "forward", e_b)
                      for op in (OpKind.MUL, OpKind.DIV, OpKind.SQRT)}
@@ -534,7 +541,7 @@ def reference_online_vpc(graph, cfg, input_values, e_b=10, input_precision=53):
                 total += rho[oid] * factor * weight
             wsum += weight
         x = lut.lookup(total / wsum, op)
-        rho[node.id] = lut.reverse(x, op)
+        rho[node.id] = midpoint(x, op)
         return x
 
     result = run(graph, choose, input_values, input_precision)
@@ -721,7 +728,8 @@ def reference_blockwise(graph, rng, x_min, x_max):
 
 
 def fresh_ladder(cm, x_min, x_max):
-    """XoptLut's tables computed on the spot: (base, thresholds, midpoints)."""
+    """The ladder in closed form, computed on the spot: (base, thresholds,
+    midpoints), a rung's midpoint being base * EPS**(2x) / EPS."""
     scale = 2.0 * math.log(EPS) / (1.0 - EPS ** -2)
     base = {op: scale * cm.weight(op) for op in DEFAULT_WEIGHTS}
     th = {op: [b * EPS ** (2 * x) for x in range(x_min, x_max)] for op, b in base.items()}
@@ -780,11 +788,10 @@ class TestTables:
         # width 0 is the one-rung ladder
         cm, cfg = (OtherWeights() if other else CM), UtilityConfig(1e-9, x_min, x_min + width)
         lut = XoptLut(cm, cfg)
-        base, th, mids = fresh_ladder(cm, cfg.x_min, cfg.x_max)
-        assert (lut.base, lut.thresholds, lut.mid_rho) == (base, th, mids)
+        _, th, mids = fresh_ladder(cm, cfg.x_min, cfg.x_max)
+        assert (lut.thresholds, lut.mid_rho) == (th, mids)
         for op in th:
             assert lut.arrays[op].dtype == np.float64 and lut.arrays[op].tolist() == th[op]
-            assert lut.mid_rho[op] == [lut.reverse(x, op) for x in range(x_min, cfg.x_max + 1)]
             for rho in (0.0, th[op][0] if th[op] else 1.0, mids[op][-1], 1e300):
                 assert lut.lookup(rho, op) == x_min + bisect.bisect_left(th[op], rho)
 
@@ -792,8 +799,8 @@ class TestTables:
         default, other = XoptLut(CM, CFG), XoptLut(OtherWeights(), CFG)
         assert other.thresholds[OpKind.ADD] != default.thresholds[OpKind.ADD]
         assert other.thresholds[OpKind.MUL] == default.thresholds[OpKind.MUL]
-        assert (other.base, other.thresholds, other.mid_rho) == \
-            fresh_ladder(OtherWeights(), CFG.x_min, CFG.x_max)
+        assert (other.thresholds, other.mid_rho) == \
+            fresh_ladder(OtherWeights(), CFG.x_min, CFG.x_max)[1:]
         # a lut with the same bounds and weights shares the tables
         assert XoptLut(CM, UtilityConfig(1e-3)).thresholds is default.thresholds
         g = build_zf_graph(2, 2).graph
