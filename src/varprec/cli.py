@@ -4,10 +4,8 @@ reproducible command emitting CSV plus a JSON run manifest."""
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import csv
-import hashlib
 import json
 import os
 import sys
@@ -57,6 +55,8 @@ TABLE2_CASES = [
 
 
 def write_manifest(out_dir: Path, command: str, params: dict, outputs: list) -> Path:
+    import hashlib  # only manifests hash, so no other command loads it
+
     manifest = {
         "command": command,
         "params": params,
@@ -212,8 +212,12 @@ def cmd_pareto(args) -> int:
     cells = [(asdict(cfg), s, ti) for s in cfg.schemes for ti in range(len(cfg.sweep))]
     points = []
     with contextlib.ExitStack() as stack:
-        mapper = (stack.enter_context(concurrent.futures.ProcessPoolExecutor(threads)).map
-                  if threads > 1 else map)
+        if threads > 1:
+            import concurrent.futures  # only the worker pool needs it
+
+            mapper = stack.enter_context(concurrent.futures.ProcessPoolExecutor(threads)).map
+        else:
+            mapper = map
         for p in mapper(_run_cell, cells):
             print(f"  {p.scheme} @ {p.target_avg_bits:g} bits", flush=True)
             points.append(p)

@@ -4,9 +4,11 @@ An algorithm is recorded once as a DAG of basic arithmetic operations
 (inputs at level 0, each operation one node), then executed any number of
 times under different precision plans.  Execution computes values only,
 through the exact-then-round scalar arithmetic.  One loop, :func:`run`,
-does this for every precision policy: :func:`execute` looks each node up
-in a plan, and the online planner decides while it runs.  The stochastic
-error model is a separate pass over what a run computed:
+does this for every precision policy: the online planner decides while it
+runs, and a plan's lookup makes it execute a plan.  :func:`execute_lanes`
+runs plans on several lanes (input sets) at once, in float64 where that
+gives run's results bit for bit, and through :func:`run` elsewhere.  The
+stochastic error model is a separate pass over what a run computed:
 :func:`predicted_errors` gives each node's relative-error variance.
 """
 
@@ -16,10 +18,14 @@ import json
 import math
 import operator
 import sys
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import islice, repeat
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .ebfp import EbfpNumber, EbfpParams, DEFAULT_PARAMS, Flag, apply, decode, round_to_precision
 from .errormodel import (
@@ -297,10 +303,8 @@ def predicted_errors(graph: ExprGraph, result: ExecutionResult) -> Dict[int, flo
     return errors
 
 
-def execute(graph: ExprGraph, plan, input_values: Mapping[int, Fraction],
-            input_precision=53, params: EbfpParams = DEFAULT_PARAMS) -> ExecutionResult:
-    """Run the graph under a precision plan (a :class:`PrecisionPlan` or a
-    mapping from node id to bits); see :func:`run`."""
+def _planned(plan) -> Callable[[ExprNode, float, Optional[float]], int]:
+    """The precision policy of :func:`run` that looks each node up in a plan."""
     assignment = getattr(plan, "assignment", plan)
 
     def planned(node: ExprNode, a: float, b: Optional[float]) -> int:
@@ -309,4 +313,281 @@ def execute(graph: ExprGraph, plan, input_values: Mapping[int, Fraction],
         except KeyError:
             raise GraphExecutionError(node.id, "plan does not cover this node")
 
-    return run(graph, planned, input_values, input_precision, params)
+    return planned
+
+
+def execute(graph: ExprGraph, plan, input_values: Mapping[int, Fraction],
+            input_precision=53, params: EbfpParams = DEFAULT_PARAMS) -> ExecutionResult:
+    """Run the graph under a precision plan (a :class:`PrecisionPlan` or a
+    mapping from node id to bits): one lane of :func:`execute_lanes`."""
+    out, = execute_lanes(graph, [plan], [input_values], input_precision, params)
+    if isinstance(out, GraphExecutionError):
+        raise out
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the float64 kernel: a plan over lanes, one (level, op kind) group at a time
+#
+# A float64 op rounded to odd at 53 bits and then rounded half to even at
+# s <= 51 bits equals the exact result rounded once at s bits (Boldo &
+# Melquiond, IEEE TC 2008).  The float op rounds to nearest; the sign of its
+# error is exact by TwoSum for add and sub, by Dekker's TwoProduct for mul,
+# and by the residuals a - q*b for div and a - r*r for sqrt (Dekker 1971;
+# a - p is exact by Sterbenz), which turns the nearest float into the odd one.
+
+#: widest precision the float64 kernel runs: 53 >= (x + 1) + 2
+KERNEL_MAX_X = 50
+#: a pass runs in float64 when its lanes give each (level, op kind) group
+#: this many elements on average.  Below it numpy's fixed cost per call is
+#: more than the integer run spends per node: on the 2x2 precoder the run
+#: is faster at 18 per group (4 lanes), they break even at 23 (5 lanes),
+#: and the 4x4 precoder's 23 per group at one lane run 1.28 times as fast
+KERNEL_MIN_WIDTH = 20
+#: lanes per kernel pass: the arrays hold nodes x lanes, so a pass bounds
+#: the memory whatever the number of lanes, and 16 lanes give even the
+#: 4x4 precoder's groups 370 elements, where a numpy call's fixed cost is
+#: small against its elements
+KERNEL_MAX_LANES = 16
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a 53-bit significand
+_FRAC = (1 << 52) - 1
+
+# graph -> [node count, its (level, op kind) groups, its kernel tables once a
+# pass has needed them]; a graph that grew gets a new entry
+_TABLES: "weakref.WeakKeyDictionary[ExprGraph, list]" = weakref.WeakKeyDictionary()
+
+
+def _groups(graph: ExprGraph) -> list:
+    """The graph's memo entry: each (level, op kind) group's (id, first
+    operand, second operand or None) rows, and the tables once built."""
+    memo = _TABLES.get(graph)
+    if memo is None or memo[0] != len(graph.nodes):
+        by_group: Dict[tuple, list] = {}
+        for node, op, i, j in graph.entries:
+            if op is not _INPUT:
+                by_group.setdefault((node.step[0], op), []).append((node.id, i, j))
+        memo = _TABLES[graph] = [len(graph.nodes), by_group, None]
+    return memo
+
+
+def _tables(graph: ExprGraph, by_group: dict) -> tuple:
+    """The kernel's layout of the graph.  Columns hold the inputs in id
+    order, then each group in level order, so a group writes one slice:
+    (groups as (op, start, stop, first operand columns, second operand
+    columns or None), non-input ids in column order, each id's column, the
+    columns of divisors and of sqrt operands, and a mask of the non-input
+    ids)."""
+    keys = sorted(by_group)  # by level, then by the op kind's name
+    order = graph.inputs + [nid for key in keys for nid, _, _ in by_group[key]]
+    pos = np.empty(len(order), dtype=np.intp)
+    pos[order] = np.arange(len(order))
+    groups, start, divisors, roots = [], len(graph.inputs), [], []
+    for (_, op), rows in zip(keys, map(by_group.get, keys)):
+        i = pos[[r[1] for r in rows]]
+        j = None if op is _SQRT else pos[[r[2] for r in rows]]
+        groups.append((op, start, start + len(rows), i, j))
+        start += len(rows)
+        if op is _DIV:
+            divisors.extend(j.tolist())
+        elif op is _SQRT:
+            roots.extend(i.tolist())
+    is_op = np.ones(len(order), dtype=bool)
+    is_op[graph.inputs] = False
+    return (groups, order[len(graph.inputs):], pos, np.array(divisors, dtype=np.intp),
+            np.array(roots, dtype=np.intp), is_op)
+
+
+def _plan_row(plan, op_order: List[int], max_x: int) -> Optional[np.ndarray]:
+    """The plan's precisions of ``op_order``, or None unless every one is an
+    ``int`` in [1, max_x]."""
+    assignment = getattr(plan, "assignment", plan)
+    try:
+        xs = list(map(assignment.__getitem__, op_order))
+        if set(map(type, xs)) != {int}:
+            return None
+        xs = np.array(xs, dtype=np.int64)
+    except Exception:  # run names the node, or raises what it raises
+        return None
+    return xs if 1 <= xs.min() and xs.max() <= max_x else None
+
+
+def _lane_inputs(graph: ExprGraph, input_values, input_precision, params) -> Optional[tuple]:
+    """(stored inputs, their floats, their precisions) of one lane, or None
+    where an input fails or is not exact in float64."""
+    per_input = hasattr(input_precision, "keys")
+    stored, floats, xs = [], [], []
+    try:
+        for nid in graph.inputs:
+            x = input_precision[nid] if per_input else input_precision
+            if type(x) is not int:
+                return None
+            v = round_to_precision(input_values[nid], x, params)
+            shadow, m = _shadow(v), v.field
+            if m and (m >> (m & -m).bit_length() - 1).bit_length() > 53:
+                return None
+            stored.append(v)
+            floats.append(shadow)
+            xs.append(x)
+    except Exception:  # run names the input, or raises what it raises
+        return None
+    return stored, floats, xs
+
+
+def _product_error(a, b, p):
+    """a*b - p exactly, for p = a*b rounded (Dekker's TwoProduct)."""
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    c = b * _SPLIT
+    bh = c - (c - b)
+    bl = b - bh
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _run_groups(groups, v, x) -> None:
+    """Every group's values into ``v``, each rounded at its precision in
+    ``x``: one row per column of :func:`_tables`, one column per lane."""
+    k = 52 - x  # the bits a 53-bit significand drops to keep x + 1
+    half, keep = (1 << (k - 1)) - 1, -(1 << k)
+    for op, start, stop, i, j in groups:
+        a = v[i]
+        # y is a op b rounded to nearest; r has the sign of the exact result - y
+        if op is _SQRT:
+            y = np.sqrt(a)
+            p = y * y
+            r = (a - p) - _product_error(y, y, p)
+        else:
+            b = v[j]
+            if op is _ADD:
+                y = a + b
+                t = y - a
+                r = (a - (y - t)) + (b - t)
+            elif op is _SUB:
+                y = a - b
+                t = y - a
+                r = (a - (y - t)) - (b + t)
+            elif op is _MUL:
+                y = a * b
+                r = _product_error(a, b, y)
+            else:
+                y = a / b
+                p = y * b
+                r = ((a - p) - _product_error(y, b, p)) * np.sign(b)
+        # on the int view, which orders each sign's magnitudes: round to odd
+        # at 53 bits (an inexact result is truncated and its last bit set),
+        # then half to even at x + 1 bits
+        m = (y.view(np.int64) - (r * np.sign(y) < 0)) | (r != 0)
+        kk = k[start:stop]
+        m = (m + half[start:stop] + ((m >> kk) & 1)) & keep[start:stop]
+        v[start:stop] = m.view(np.float64)
+
+
+def _lane_result(graph: ExprGraph, tables, v, x, stored, params) -> Optional[ExecutionResult]:
+    """One lane's result from its values and precisions, each value laid
+    out as :func:`ebfp.apply` stores it, or None where a node failed."""
+    _, _, pos, divisors, roots, is_op = tables
+    if (v[divisors] == 0).any() or (v[roots] < 0).any():
+        return None
+    v, x = v[pos] + 0.0, x[pos]  # in id order, and -0.0 is 0.0
+    bits = v.view(np.int64)
+    f, s = params.block_bits, x + 1
+    e_sci = ((bits >> 52) & 0x7FF) - 1022  # 2**(e_sci - 1) <= |v| < 2**e_sci
+    e = -(-e_sci // f)
+    z = e * f - e_sci
+    n_blocks = -(-(s + z) // f)
+    top = 1 << (params.exponent_bits - 2)
+    if (((e > top) | (e < 1 - top)) & (bits != 0) & is_op).any():  # inf and nan too
+        return None
+    field = (((bits & _FRAC) | (1 << 52)) >> (53 - s)) << (n_blocks * f - z - s)
+    values = list(map(EbfpNumber, np.where(bits < 0, -1, 1).tolist(), e.tolist(),
+                      field.tolist(), n_blocks.tolist(), repeat(params)))
+    x = x.tolist()
+    zeros = np.flatnonzero((bits == 0) & is_op).tolist()
+    for nid in zeros:
+        values[nid] = EbfpNumber(1, 0, 0, min(params.max_blocks, -(-(x[nid] + f) // f)),
+                                 params, _ZERO)
+    for nid, stored_value in zip(graph.inputs, stored):
+        values[nid] = stored_value
+    return ExecutionResult(dict(enumerate(values)), dict(enumerate(v.tolist())),
+                           dict(enumerate(x)), graph.outputs, zeros)
+
+
+def _float_batch(graph: ExprGraph, plans: list, lanes: list, input_precision, params):
+    """The float64 kernel run over the batch's lanes in its domain: (tables,
+    values, precisions, {lane: its column}, {lane: its inputs}), or None."""
+    f = params.block_bits
+    if 2 * f * (1 << (params.exponent_bits - 2)) > 970:
+        return None
+    n_ops = len(graph.nodes) - len(graph.inputs)
+    if len(plans) * n_ops < KERNEL_MIN_WIDTH * max(graph._level_width, default=0):
+        return None  # too narrow whatever the groups: each level holds one at least
+    memo = _groups(graph)
+    n_groups = len(memo[1])
+
+    def wide(n_lanes):
+        return n_groups > 0 and n_lanes * n_ops >= KERNEL_MIN_WIDTH * n_groups
+
+    if not wide(len(plans)):
+        return None
+    if memo[2] is None:
+        memo[2] = _tables(graph, memo[1])
+    tables = memo[2]
+    groups, op_order = tables[:2]
+    max_x = min(KERNEL_MAX_X, (params.max_blocks - 1) * f)
+    xs: Dict[int, Optional[np.ndarray]] = {}  # plan object -> its precisions
+    for plan in plans:
+        if id(plan) not in xs:
+            xs[id(plan)] = _plan_row(plan, op_order, max_x)
+    planned = [l for l, plan in enumerate(plans) if xs[id(plan)] is not None]
+    if not wide(len(planned)):
+        return None
+    ins = {l: _lane_inputs(graph, lanes[l], input_precision, params) for l in planned}
+    col = {l: c for c, l in enumerate(l for l in planned if ins[l] is not None)}
+    if not col:
+        return None
+    n_in = len(graph.inputs)
+    v = np.empty((len(graph.nodes), len(col)))
+    x = np.empty(v.shape, dtype=np.int64)
+    for l, c in col.items():
+        v[:n_in, c], x[:n_in, c] = ins[l][1], ins[l][2]
+        x[n_in:, c] = xs[id(plans[l])]
+    with np.errstate(all="ignore"):  # a failing lane's garbage stays in its column
+        _run_groups(groups, v, x)
+    return tables, v, x, col, ins
+
+
+def execute_lanes(graph: ExprGraph, plans: Iterable, lanes: Iterable[Mapping[int, Fraction]],
+                  input_precision=53, params: EbfpParams = DEFAULT_PARAMS
+                  ) -> Iterator[Union[ExecutionResult, GraphExecutionError]]:
+    """Each lane's result, or the :class:`GraphExecutionError` of its
+    :func:`run`: lane ``l`` runs the l-th plan on the l-th input values.
+    Both are taken a pass of :data:`KERNEL_MAX_LANES` at a time, so
+    generators keep only one pass's plans and inputs alive.
+
+    A lane runs in float64, with the other such lanes of its pass of
+    :data:`KERNEL_MAX_LANES`, one (level, op kind) group at a time, when
+    every planned precision is an ``int`` in [1, :data:`KERNEL_MAX_X`] that
+    the block budget holds, every stored input is exact in float64, and the
+    geometry's range of 2**±R, R = F * max_block_exp, keeps TwoProduct's
+    low part exact (2R <= 1022 - 52); and only when those lanes give each
+    group :data:`KERNEL_MIN_WIDTH` elements on average.  Any other lane,
+    and any lane in which a node fails, runs whole through :func:`run`:
+    its values or its error are run's.
+    """
+    pairs = zip(plans, lanes, strict=True)  # a ValueError where one runs out first
+    while part := list(islice(pairs, KERNEL_MAX_LANES)):
+        part_plans, part_lanes = [p for p, _ in part], [vals for _, vals in part]
+        tables, v, x, col, ins = _float_batch(graph, part_plans, part_lanes, input_precision,
+                                              params) or (None, None, None, {}, None)
+        for l, (plan, vals) in enumerate(part):
+            if l in col:  # laid out one lane at a time, as it is asked for
+                with np.errstate(all="ignore"):
+                    res = _lane_result(graph, tables, v[:, col[l]], x[:, col[l]], ins[l][0],
+                                       params)
+                if res is not None:
+                    yield res
+                    continue
+            try:
+                yield run(graph, _planned(plan), vals, input_precision, params)
+            except GraphExecutionError as err:
+                yield err

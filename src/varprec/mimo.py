@@ -17,6 +17,7 @@ reaches no output, repeats an earlier node or is zero by algebra.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ebfp import DEFAULT_PARAMS, blocks_for_precision
-from .graph import ExecutionResult, ExprGraph, GraphExecutionError, execute
+from .graph import ExecutionResult, ExprGraph, GraphExecutionError, execute, execute_lanes
 from .optimizer import (
     GSIGMA_UNIT,
     ComplexityModel,
@@ -534,20 +535,19 @@ def sweep_cell(cfg: SimConfig, inputs: SweepInputs, scheme: str, ti: int) -> Swe
         hi = min(cfg.x_max, 2 * round(target) - cfg.x_min)
 
     cell_metrics = plan_metrics(zfg.graph, plan, CM) if scheme in ("fixed", "offline") else None
+    if scheme == "online":  # the walk has run the probe channels at alpha
+        runs = ((probed[t] if t < len(probed) else _online_run(zfg, cfg, alpha, h))
+                or (None, None) for t, h in enumerate(channels))  # a failed run has no plan
+    else:  # the channels are the lanes of one batch, whose passes draw their plans
+        plans, scored = itertools.tee(
+            (random_blockwise_plan(zfg.graph, draw_rng, cfg.x_min, hi) for _ in channels)
+            if scheme == "random-blockwise" else itertools.repeat(plan, len(channels)))
+        lanes = execute_lanes(zfg.graph, plans, map(zfg.input_values, channels), ip)
+        runs = ((None if isinstance(r, GraphExecutionError) else r, p) for r, p in zip(lanes, scored))
     n_bits = 2 * cfg.k_users * cfg.ber_symbols
     rates, avgs, totals = [], [], []
     errors = failures = 0
-    for t, h in enumerate(channels):
-        if scheme == "online":  # the walk has run the probe channels at alpha
-            run = probed[t] if t < len(probed) else _online_run(zfg, cfg, alpha, h)
-            result, plan = run or (None, None)  # a failed online run has no plan
-        else:
-            if scheme == "random-blockwise":
-                plan = random_blockwise_plan(zfg.graph, draw_rng, cfg.x_min, hi)
-            try:
-                result = execute(zfg.graph, plan, zfg.input_values(h), ip)
-            except GraphExecutionError:
-                result = None
+    for t, (h, (result, plan)) in enumerate(zip(channels, runs)):
         if plan is not None:
             a, tot = cell_metrics or plan_metrics(zfg.graph, plan, CM)
             avgs.append(a)

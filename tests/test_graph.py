@@ -7,18 +7,20 @@ import math
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from varprec import ebfp
+from varprec import ebfp, graph as graph_module
 from varprec.ebfp import EbfpNumber, EbfpParams, Flag, arith, decode, encode, round_to_precision
 from varprec.graph import (
     ExprGraph,
     GraphExecutionError,
     OpKind,
     execute,
+    execute_lanes,
     predicted_errors,
     run,
     topo_stats,
@@ -471,6 +473,35 @@ class TestFailures:
             predicted_errors(g, res)
 
 
+def _fuzz_case(rng, params, cap):
+    """A graph of 3 inputs and 1-12 random ops, and draws of a value and of
+    a precision (at most ``cap`` bits, or 130 one time in ten), all from
+    ``rng``.  Most precisions fit the block budget and most values sit
+    inside the geometry's and float's ranges, so that most cases reach the
+    ops."""
+    f = params.block_bits
+    g = ExprGraph()
+    ids = [g.add_input() for _ in range(3)]
+    for _ in range(rng.randint(1, 12)):
+        op = rng.choice(("add", "sub", "mul", "div", "sqrt"))
+        ids.append(g.record(op, rng.sample(ids, 1) if op == "sqrt" else rng.choices(ids, k=2)))
+    fits = min(cap, (params.max_blocks - 1) * f)
+    lo, hi = params.min_block_exp * f, params.max_block_exp * f
+
+    def value():
+        if rng.random() < 0.1:
+            return rng.choice((Fraction(0), Fraction(1), Fraction(-1, 3)))
+        top = rng.randint(lo - 20, hi + 20) if rng.random() < 0.2 else \
+            rng.randint(max(lo // 2, -500), min(hi // 2, 500))
+        m = rng.randint(-2 ** 70, 2 ** 70) or 1
+        return Fraction(m, rng.choice((1, 3, 7))) * Fraction(2) ** (top - abs(m).bit_length())
+
+    def precision():
+        return rng.randint(1, 130 if rng.random() < 0.1 else fits)
+
+    return g, value, precision
+
+
 class TestFailureContract:
     """Once the constructors accept a geometry and a utility config, the
     executor and the online planner fail only with a GraphExecutionError
@@ -484,31 +515,10 @@ class TestFailureContract:
         # the fuzz domain: 3 inputs, 1-12 ops, F 1-9, E 2-14, up to 90
         # blocks, precisions 1-130 and e_b 4-14.  The graph, its values and
         # its precisions come from the seed, since Hypothesis spends about
-        # a millisecond per draw.  Most precisions fit the block budget and
-        # most values sit inside the geometry's and float's ranges, so that
-        # most cases reach the ops
+        # a millisecond per draw
         params = EbfpParams(f, e, blocks)
         cfg = UtilityConfig(alpha, min(bounds), max(bounds))
-        rng = random.Random(seed)
-        g = ExprGraph()
-        ids = [g.add_input() for _ in range(3)]
-        for _ in range(rng.randint(1, 12)):
-            op = rng.choice(("add", "sub", "mul", "div", "sqrt"))
-            ids.append(g.record(op, rng.sample(ids, 1) if op == "sqrt" else rng.choices(ids, k=2)))
-        fits = min(130, (blocks - 1) * f)
-        lo, hi = params.min_block_exp * f, params.max_block_exp * f
-
-        def value():
-            if rng.random() < 0.1:
-                return rng.choice((Fraction(0), Fraction(1), Fraction(-1, 3)))
-            top = rng.randint(lo - 20, hi + 20) if rng.random() < 0.2 else \
-                rng.randint(max(lo // 2, -500), min(hi // 2, 500))
-            m = rng.randint(-2 ** 70, 2 ** 70) or 1
-            return Fraction(m, rng.choice((1, 3, 7))) * Fraction(2) ** (top - abs(m).bit_length())
-
-        def precision():
-            return rng.randint(1, 130 if rng.random() < 0.1 else fits)
-
+        g, value, precision = _fuzz_case(random.Random(seed), params, 130)
         vals = {i: value() for i in g.inputs}
         xin = {i: precision() for i in g.inputs}
         plan = {nid: precision() for nid in g.non_input_ids()}
@@ -835,12 +845,12 @@ def _digest(graph, result=None, plan=None) -> str:
 
 class TestHotPath:
     def test_no_property_or_consumer_rebuild_per_node(self, monkeypatch):
-        # the executor and both planners read flags by identity, take the
+        # the integer run and both planners read flags by identity, take the
         # exponent bounds from the geometry's fields and the consumers from
         # the node table, and their outputs stay the same bit for bit.  The
-        # executor calls the unchecked kernel, never the checked arith, and
-        # every op rounds by a shift: the only integer divisions are one per
-        # div node and one per nonzero input's rounding
+        # run calls the unchecked kernel, never the checked arith, and every
+        # op rounds by a shift: the only integer divisions are one per div
+        # node and one per nonzero input's rounding
         zfg = build_zf_graph(4, 4)
         h = gen_channel(np.random.default_rng(3), 4, 4)
         vals, ip = zfg.input_values(h), zfg.input_precisions()
@@ -861,7 +871,8 @@ class TestHotPath:
                             lambda *args: divisions.append(args) or exact_division(*args))
         per_run = sum(n.op is OpKind.DIV for n in zfg.graph.nodes) + \
             sum(vals[i] != 0 for i in zfg.graph.inputs)
-        assert _digest(zfg.graph, execute(zfg.graph, fixed_plan(zfg.graph, 24), vals, ip)) == \
+        plan = fixed_plan(zfg.graph, 24).assignment
+        assert _digest(zfg.graph, run(zfg.graph, lambda node, a, b: plan[node.id], vals, ip)) == \
             "736c9b8b688fae8354a764f1863477f2f3db919d354bdc0f5b5c0daf2f9c4a62"
         assert len(divisions) == per_run
         assert _digest(zfg.graph, *online_vpc(zfg.graph, cfg, cm, vals, 10, ip)) == \
@@ -869,6 +880,34 @@ class TestHotPath:
         assert len(divisions) == 2 * per_run
         assert _digest(zfg.graph, plan=offline_vpc(zfg.graph, cfg, cm, 10)) == \
             "0ae62963e9fb1c87044944b65b6639a5ae654fe2448628a4578030652820472d"
+
+    def test_the_float_kernel_stores_no_interior_node_by_apply(self, monkeypatch):
+        # execute takes the float64 kernel for the 4x4 precoder at fixed 24
+        # bits and gives the integer run's digest: ebfp.apply stores the
+        # inputs only, the integer run is never entered, and no law of the
+        # error model runs before the variance pass
+        zfg = build_zf_graph(4, 4)
+        vals = zfg.input_values(gen_channel(np.random.default_rng(3), 4, 4))
+        calls = []
+        stored = ebfp.apply
+        monkeypatch.setattr(ebfp, "apply", lambda *args: calls.append(args[0]) or stored(*args))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("called by the float kernel")
+
+        monkeypatch.setattr(graph_module, "run", boom)
+        monkeypatch.setattr(graph_module, "apply", boom)
+        laws = (addsub_variance, input_error_variance, propagate_full_precision,
+                rounding_variance)
+        for name, module in list(sys.modules.items()):
+            for law in laws:
+                if name.split(".")[0] == "varprec" and getattr(module, law.__name__, None) is law:
+                    monkeypatch.setattr(module, law.__name__, boom)
+        res = execute(zfg.graph, fixed_plan(zfg.graph, 24), vals, zfg.input_precisions())
+        assert calls == ["div"] * len(zfg.graph.inputs)  # round_to_precision, per input
+        monkeypatch.undo()
+        assert _digest(zfg.graph, res) == \
+            "736c9b8b688fae8354a764f1863477f2f3db919d354bdc0f5b5c0daf2f9c4a62"
 
     def test_the_run_never_calls_the_error_model(self, monkeypatch):
         # execute and online_vpc compute values only: the four variance laws
@@ -898,3 +937,209 @@ class TestHotPath:
                 (ref.values, ref.floats, ref.precisions, ref.degenerate_zero)
             with pytest.raises(AssertionError, match="the error model ran"):
                 predicted_errors(zfg.graph, res)
+
+
+#: geometries the float64 kernel takes, F = 1, 4 and 8 (each ±256 bits)
+KERNEL_GEOMETRIES = (EbfpParams(1, 10, 80), EbfpParams(4, 8, 80), EbfpParams(8, 7, 80))
+
+
+def _outcome(res):
+    """A lane's result by repr (and its values by field equality), or its
+    failure as (node id, reason)."""
+    if isinstance(res, GraphExecutionError):
+        return res.node_id, res.reason
+    return (res.values, repr(res.values), repr(res.floats), repr(res.precisions),
+            res.degenerate_zero, res.output_ids)
+
+
+def _lookup(plan):
+    return lambda node, a, b: plan[node.id]
+
+
+@st.composite
+def _significand(draw):
+    """A signed significand of 1-53 bits, few bits one time in two."""
+    bits = draw(st.one_of(st.integers(1, 6), st.integers(1, 53)))
+    return draw(st.sampled_from((1, -1))) * draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+
+
+@st.composite
+def _kernel_op(draw):
+    """(op, a, b, x): operands exact in float64 and inside the kernel
+    geometries' range, drawn to hit exact ties, results within an ulp of a
+    tie (where only the sign of the float op's error decides), full and
+    partial cancellation, and exponent gaps wider than 53 bits."""
+    op = draw(st.sampled_from(("add", "sub", "mul", "div", "sqrt")))
+    x = draw(st.one_of(st.integers(1, 8), st.integers(1, 50), st.integers(44, 50)))
+    ma, ea = draw(_significand()), draw(st.integers(-120, 120))
+    a = Fraction(ma) * Fraction(2) ** ea
+    b = Fraction(draw(_significand())) * Fraction(2) ** (ea - draw(st.integers(-60, 60)))
+    mode = draw(st.sampled_from(("free", "tie", "near", "cancel", "gap")))
+    if mode == "tie":  # b is half an ulp of a at x + 1 bits
+        b = Fraction(draw(st.sampled_from((1, -1))), 2) * \
+            Fraction(2) ** (ea + abs(ma).bit_length() - (x + 1))
+    elif mode == "near":  # the exact result is a tie t at x + 1 bits moved by less than an ulp
+        m = draw(st.integers(1 << x, (1 << (x + 1)) - 1))
+        t, ulp = Fraction(2 * m + 1) * Fraction(2) ** ea, Fraction(2) ** ea
+        if op in ("add", "sub"):
+            a = t - ulp
+            b = ulp + draw(st.sampled_from((1, -1))) * ulp / 2 ** draw(st.integers(1, 52))
+            b = -b if op == "sub" else b
+        elif op == "mul":
+            a = Fraction(float(t / b))
+        elif op == "div":
+            a = Fraction(float(t * b))
+        else:
+            a = Fraction(float(t * t))
+    elif mode == "cancel":  # b equals a, or a with its last few bits changed
+        b = a + Fraction(draw(st.integers(-7, 7))) * Fraction(2) ** ea
+    elif mode == "gap":
+        b = Fraction(draw(_significand())) * Fraction(2) ** (ea - draw(st.integers(54, 120)))
+    if mode != "near" and draw(st.booleans()):
+        a, b = b, a
+    if op == "sqrt" and draw(st.integers(0, 9)):
+        a = abs(a)
+    return op, a, b, x
+
+
+class TestFloatKernel:
+    """The float64 kernel gives the integer run's results bit for bit, and
+    leaves every lane it cannot compute to that run."""
+
+    @given(case=_kernel_op(), params=st.sampled_from(KERNEL_GEOMETRIES))
+    @settings(max_examples=2500, deadline=None)
+    def test_each_op_matches_arith(self, case, params):
+        op, a, b, x = case
+        g = ExprGraph()
+        ins = [g.add_input() for _ in range(1 if op == "sqrt" else 2)]
+        nid = g.record(op, ins)
+        vals = dict(zip(ins, (a, b)))
+        stored = [round_to_precision(vals[i], 60, params) for i in ins]
+        assume(not any(v.is_saturated for v in stored))
+        assert [decode(v) for v in stored] == [vals[i] for i in ins]  # exact operands
+        try:
+            want = arith(op, *stored, x_target=x)
+        except (ValueError, ZeroDivisionError):
+            want = None
+        runs = []
+        integer_run = graph_module.run
+        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", 0), \
+                mock.patch.object(graph_module, "run",
+                                  lambda *args: runs.append(1) or integer_run(*args)):
+            res, = execute_lanes(g, [{nid: x}], [vals], 60, params)
+        if want is None or want.is_saturated:  # the lane falls back and fails as run does
+            with pytest.raises(GraphExecutionError) as err:
+                run(g, _lookup({nid: x}), vals, 60, params)
+            assert runs == [1] and _outcome(res) == _outcome(err.value)
+            return
+        assert runs == []  # the kernel computed it
+        assert res.values[nid] == want and res.floats[nid] == float(decode(want))
+        assert res.precisions == {**dict.fromkeys(ins, 60), nid: x}
+        assert res.degenerate_zero == ([nid] if want.flags is Flag.ZERO else [])
+
+    @given(f=st.integers(1, 9), e=st.integers(2, 10), blocks=st.integers(2, 90),
+           n_lanes=st.integers(1, 4), per_pass=st.integers(1, 4), shared=st.booleans(),
+           seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=2000, deadline=None)
+    def test_lanes_match_the_integer_run(self, f, e, blocks, n_lanes, per_pass, shared, seed):
+        # TestFailureContract's graphs and values, precisions of at most 50
+        # bits nine times in ten, so most lanes of most geometries take the
+        # kernel, some lanes of a pass fail while others do not, and the
+        # lanes may span several passes
+        params = EbfpParams(f, e, blocks)
+        g, value, precision = _fuzz_case(random.Random(seed), params, 50)
+        xin = {i: precision() for i in g.inputs}
+        lanes = [{i: value() for i in g.inputs} for _ in range(n_lanes)]
+        plans = [{nid: precision() for nid in g.non_input_ids()}
+                 for _ in range(1 if shared else n_lanes)] * (n_lanes if shared else 1)
+        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", 0), \
+                mock.patch.object(graph_module, "KERNEL_MAX_LANES", per_pass):
+            got = list(execute_lanes(g, iter(plans), iter(lanes), xin, params))
+        for res, plan, vals in zip(got, plans, lanes):
+            try:
+                want = run(g, _lookup(plan), vals, xin, params)
+            except GraphExecutionError as err:
+                want = err
+            assert _outcome(res) == _outcome(want)
+
+    def test_plans_and_lanes_must_pair_up(self):
+        g = ExprGraph()
+        a = g.add_input()
+        g.record("sqrt", [a])
+        with pytest.raises(ValueError):
+            list(execute_lanes(g, [{1: 8}] * 2, [{a: Fraction(2)}]))
+
+    def test_precision_50_takes_the_kernel_and_51_the_run(self):
+        zfg = build_zf_graph(4, 4)
+        g = zfg.graph
+        vals = zfg.input_values(gen_channel(np.random.default_rng(1), 4, 4))
+        ip = zfg.input_precisions()
+        for x, kernel in ((50, True), (51, False)):
+            runs = []
+            integer_run = graph_module.run
+            with mock.patch.object(graph_module, "run",
+                                   lambda *args: runs.append(1) or integer_run(*args)):
+                res = execute(g, fixed_plan(g, x), vals, ip)
+            assert runs == ([] if kernel else [1])
+            # each node is arith of its stored operands
+            for nid in g.non_input_ids():
+                node = g.nodes[nid]
+                operands = [res.values[o] for o in node.operands]
+                assert res.values[nid] == arith(node.op.value, *operands, x_target=x)
+
+    @pytest.mark.parametrize("bad", ["float", "missing", "zero"])
+    def test_plans_the_kernel_refuses_fail_as_run_does(self, bad):
+        zfg = build_zf_graph(4, 4)
+        g = zfg.graph
+        vals = zfg.input_values(gen_channel(np.random.default_rng(1), 4, 4))
+        ip = zfg.input_precisions()
+        plan = dict(fixed_plan(g, 24).assignment)
+        nid = g.non_input_ids()[100]
+        if bad == "float":
+            plan[nid] = 24.0
+        elif bad == "missing":
+            del plan[nid]
+        else:
+            plan[nid] = 0
+        with pytest.raises(GraphExecutionError) as got:
+            execute(g, plan, vals, ip)
+        with pytest.raises(GraphExecutionError) as want:
+            run(g, graph_module._planned(plan), vals, ip)
+        assert (got.value.node_id, got.value.reason) == (want.value.node_id, want.value.reason) \
+            == (nid, {"float": "precision 24.0 is not an integer",
+                      "missing": "plan does not cover this node",
+                      "zero": "precision x must be >= 1"}[bad])
+
+    def test_wide_geometry_fails_as_run_does(self):
+        # the 4x4 precoder on a channel scaled by 2**600 under E = 13: the
+        # geometry is outside the kernel's, and every plan fails on the node
+        # and for the reason the integer run gives
+        zfg = build_zf_graph(4, 4)
+        g = zfg.graph
+        h = gen_channel(np.random.default_rng(600), 4, 4)
+        c = Fraction(2) ** 600
+        vals = {i: v * c for i, v in zfg.input_values(h).items() if i != zfg.one_node}
+        vals[zfg.one_node] = Fraction(1)
+        wide, ip = EbfpParams(1, 13, 80), zfg.input_precisions()
+        for plan in (fixed_plan(g, 24), fixed_plan(g, 48),
+                     offline_vpc(g, UtilityConfig(1e-9, 2, 64), ComplexityModel())):
+            with pytest.raises(GraphExecutionError) as got:
+                execute(g, plan, vals, ip, wide)
+            with pytest.raises(GraphExecutionError) as want:
+                run(g, _lookup(plan.assignment), vals, ip, wide)
+            assert (got.value.node_id, got.value.reason) == \
+                (want.value.node_id, want.value.reason) == (32, "value left float range")
+
+    def test_graph_below_the_crossover_runs_integer(self):
+        # the 2x2 precoder's groups hold 4.5 nodes: one and two lanes stay
+        # on the integer run, and the 4x4 precoder's 23 take the kernel
+        for k, lanes, kernel in ((2, 1, False), (2, 2, False), (4, 1, True)):
+            zfg = build_zf_graph(k, k)
+            vals = zfg.input_values(gen_channel(np.random.default_rng(1), k, k))
+            runs = []
+            integer_run = graph_module.run
+            with mock.patch.object(graph_module, "run",
+                                   lambda *args: runs.append(1) or integer_run(*args)):
+                list(execute_lanes(zfg.graph, [fixed_plan(zfg.graph, 16)] * lanes,
+                                   [vals] * lanes, zfg.input_precisions()))
+            assert len(runs) == (0 if kernel else lanes)
