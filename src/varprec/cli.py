@@ -210,7 +210,7 @@ def cmd_pareto(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = [(asdict(cfg), s, ti) for s in cfg.schemes for ti in range(len(cfg.sweep))]
-    points = []
+    points, threads = [], min(threads, len(cells))  # a pool starts all its workers at once
     with contextlib.ExitStack() as stack:
         if threads > 1:
             import concurrent.futures  # only the worker pool needs it

@@ -7,9 +7,10 @@ through the exact-then-round scalar arithmetic.  One loop, :func:`run`,
 does this for every precision policy: the online planner decides while it
 runs, and a plan's lookup makes it execute a plan.  :func:`execute_lanes`
 runs plans on several lanes (input sets) at once, in float64 where that
-gives run's results bit for bit, and through :func:`run` elsewhere.  The
-stochastic error model is a separate pass over what a run computed:
-:func:`predicted_errors` gives each node's relative-error variance.
+gives run's results bit for bit (keeping floats, which :mod:`ebfp` stores
+when the values are read), and through :func:`run` elsewhere.  The error
+model is a separate pass: :func:`predicted_errors` gives each node's
+relative-error variance over what a run computed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -142,7 +143,7 @@ class ExprGraph:
 
     @classmethod
     def load_jsonl(cls, fh) -> "ExprGraph":
-        g, outs = cls(), {}
+        g, outs = cls(), []
         for line in fh:
             if not line.strip():
                 continue
@@ -151,8 +152,11 @@ class ExprGraph:
             if got != rec["id"]:
                 raise ValueError("node ids must be dense and in topological order")
             if "output" in rec:
-                outs[rec["output"]] = got
-        g._explicit_outputs = [outs[i] for i in sorted(outs)]
+                outs.append((rec["output"], got))
+        for k, (i, nid) in enumerate(sorted(outs)):
+            if i != k:
+                raise ValueError(f"output index {i} repeats or is not in 0..{len(outs) - 1}")
+            g.mark_output(nid)
         return g
 
 
@@ -177,7 +181,9 @@ def topo_stats(graph: ExprGraph) -> TopoStats:
 
 @dataclass
 class ExecutionResult:
-    values: Dict[int, EbfpNumber]
+    """What a run computed, node by node.  A float64 lane keeps floats and
+    precisions only, and stores its values when :attr:`values` is first read."""
+
     #: each node's value as a float, equal to ``float(decode(values[i]))``
     floats: Dict[int, float]
     #: each node's precision in bits, inputs included
@@ -186,6 +192,18 @@ class ExecutionResult:
     #: operations whose value is exactly zero, where the relative-error
     #: frame is degenerate (see :func:`predicted_errors`)
     degenerate_zero: List[int] = field(default_factory=list)
+    #: the geometry the values are stored in, and the stored values once read
+    _params: EbfpParams = field(default=DEFAULT_PARAMS, repr=False)
+    _values: Optional[Dict[int, EbfpNumber]] = field(default=None, repr=False, compare=False)
+
+    @property
+    def values(self) -> Dict[int, EbfpNumber]:
+        """Each node's stored value.  A lane's float is its stored value
+        exactly, and the value and its precision decide how it is stored."""
+        if self._values is None:
+            xs, p = self.precisions, self._params
+            self._values = {i: round_to_precision(v, xs[i], p) for i, v in self.floats.items()}
+        return self._values
 
     def output_fractions(self) -> List[Fraction]:
         return [decode(self.values[i]) for i in self.output_ids]
@@ -272,7 +290,7 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
             raise GraphExecutionError(nid, "no input value or input precision")
         if out.flags is _ZERO and op is not _INPUT:
             degenerate.append(nid)
-    return ExecutionResult(values, floats, xs, graph.outputs, degenerate)
+    return ExecutionResult(floats, xs, graph.outputs, degenerate, params, values)
 
 
 def predicted_errors(graph: ExprGraph, result: ExecutionResult) -> Dict[int, float]:
@@ -350,7 +368,6 @@ KERNEL_MIN_WIDTH = 20
 #: small against its elements
 KERNEL_MAX_LANES = 16
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a 53-bit significand
-_FRAC = (1 << 52) - 1
 
 # graph -> [node count, its (level, op kind) groups, its kernel tables once a
 # pass has needed them]; a graph that grew gets a new entry
@@ -374,9 +391,8 @@ def _tables(graph: ExprGraph, by_group: dict) -> tuple:
     """The kernel's layout of the graph.  Columns hold the inputs in id
     order, then each group in level order, so a group writes one slice:
     (groups as (op, start, stop, first operand columns, second operand
-    columns or None), non-input ids in column order, each id's column, the
-    columns of divisors and of sqrt operands, and a mask of the non-input
-    ids)."""
+    columns or None), non-input ids in column order, each id's column, and
+    the columns of divisors and of sqrt operands)."""
     keys = sorted(by_group)  # by level, then by the op kind's name
     order = graph.inputs + [nid for key in keys for nid, _, _ in by_group[key]]
     pos = np.empty(len(order), dtype=np.intp)
@@ -391,10 +407,8 @@ def _tables(graph: ExprGraph, by_group: dict) -> tuple:
             divisors.extend(j.tolist())
         elif op is _SQRT:
             roots.extend(i.tolist())
-    is_op = np.ones(len(order), dtype=bool)
-    is_op[graph.inputs] = False
     return (groups, order[len(graph.inputs):], pos, np.array(divisors, dtype=np.intp),
-            np.array(roots, dtype=np.intp), is_op)
+            np.array(roots, dtype=np.intp))
 
 
 def _plan_row(plan, op_order: List[int], max_x: int) -> Optional[np.ndarray]:
@@ -412,25 +426,23 @@ def _plan_row(plan, op_order: List[int], max_x: int) -> Optional[np.ndarray]:
 
 
 def _lane_inputs(graph: ExprGraph, input_values, input_precision, params) -> Optional[tuple]:
-    """(stored inputs, their floats, their precisions) of one lane, or None
-    where an input fails or is not exact in float64."""
+    """(floats, precisions) of one lane's stored inputs, or None where an
+    input fails or is not exact in float64."""
     per_input = hasattr(input_precision, "keys")
-    stored, floats, xs = [], [], []
+    floats, xs = [], []
     try:
         for nid in graph.inputs:
             x = input_precision[nid] if per_input else input_precision
             if type(x) is not int:
                 return None
             v = round_to_precision(input_values[nid], x, params)
-            shadow, m = _shadow(v), v.field
-            if m and (m >> (m & -m).bit_length() - 1).bit_length() > 53:
+            if (m := v.field) and (m >> (m & -m).bit_length() - 1).bit_length() > 53:
                 return None
-            stored.append(v)
-            floats.append(shadow)
+            floats.append(_shadow(v))
             xs.append(x)
     except Exception:  # run names the input, or raises what it raises
         return None
-    return stored, floats, xs
+    return floats, xs
 
 
 def _product_error(a, b, p):
@@ -482,39 +494,27 @@ def _run_groups(groups, v, x) -> None:
         v[start:stop] = m.view(np.float64)
 
 
-def _lane_result(graph: ExprGraph, tables, v, x, stored, params) -> Optional[ExecutionResult]:
-    """One lane's result from its values and precisions, each value laid
-    out as :func:`ebfp.apply` stores it, or None where a node failed."""
-    _, _, pos, divisors, roots, is_op = tables
+def _lane_result(graph: ExprGraph, tables, v, x, params) -> Optional[ExecutionResult]:
+    """One lane's result from its values and precisions, or None where a
+    node failed: a zero divisor, a negative root, or a value that
+    :func:`ebfp.apply` saturates, outside [2**-R, 2**R) with R = F *
+    max_block_exp (an infinity or a nan too)."""
+    _, _, pos, divisors, roots = tables
     if (v[divisors] == 0).any() or (v[roots] < 0).any():
         return None
     v, x = v[pos] + 0.0, x[pos]  # in id order, and -0.0 is 0.0
-    bits = v.view(np.int64)
-    f, s = params.block_bits, x + 1
-    e_sci = ((bits >> 52) & 0x7FF) - 1022  # 2**(e_sci - 1) <= |v| < 2**e_sci
-    e = -(-e_sci // f)
-    z = e * f - e_sci
-    n_blocks = -(-(s + z) // f)
-    top = 1 << (params.exponent_bits - 2)
-    if (((e > top) | (e < 1 - top)) & (bits != 0) & is_op).any():  # inf and nan too
+    r = params.block_bits << (params.exponent_bits - 2)
+    a = np.abs(v)
+    if not (a < 2.0 ** r).all() or ((0 < a) & (a < 2.0 ** -r)).any():
         return None
-    field = (((bits & _FRAC) | (1 << 52)) >> (53 - s)) << (n_blocks * f - z - s)
-    values = list(map(EbfpNumber, np.where(bits < 0, -1, 1).tolist(), e.tolist(),
-                      field.tolist(), n_blocks.tolist(), repeat(params)))
-    x = x.tolist()
-    zeros = np.flatnonzero((bits == 0) & is_op).tolist()
-    for nid in zeros:
-        values[nid] = EbfpNumber(1, 0, 0, min(params.max_blocks, -(-(x[nid] + f) // f)),
-                                 params, _ZERO)
-    for nid, stored_value in zip(graph.inputs, stored):
-        values[nid] = stored_value
-    return ExecutionResult(dict(enumerate(values)), dict(enumerate(v.tolist())),
-                           dict(enumerate(x)), graph.outputs, zeros)
+    zeros = [i for i in np.flatnonzero(v == 0).tolist() if graph.nodes[i].op is not _INPUT]
+    return ExecutionResult(dict(enumerate(v.tolist())), dict(enumerate(x.tolist())),
+                           graph.outputs, zeros, params)
 
 
 def _float_batch(graph: ExprGraph, plans: list, lanes: list, input_precision, params):
     """The float64 kernel run over the batch's lanes in its domain: (tables,
-    values, precisions, {lane: its column}, {lane: its inputs}), or None."""
+    values, precisions, {lane: its column}), or None."""
     f = params.block_bits
     if 2 * f * (1 << (params.exponent_bits - 2)) > 970:
         return None
@@ -549,11 +549,11 @@ def _float_batch(graph: ExprGraph, plans: list, lanes: list, input_precision, pa
     v = np.empty((len(graph.nodes), len(col)))
     x = np.empty(v.shape, dtype=np.int64)
     for l, c in col.items():
-        v[:n_in, c], x[:n_in, c] = ins[l][1], ins[l][2]
+        v[:n_in, c], x[:n_in, c] = ins[l]
         x[n_in:, c] = xs[id(plans[l])]
     with np.errstate(all="ignore"):  # a failing lane's garbage stays in its column
         _run_groups(groups, v, x)
-    return tables, v, x, col, ins
+    return tables, v, x, col
 
 
 def execute_lanes(graph: ExprGraph, plans: Iterable, lanes: Iterable[Mapping[int, Fraction]],
@@ -577,13 +577,12 @@ def execute_lanes(graph: ExprGraph, plans: Iterable, lanes: Iterable[Mapping[int
     pairs = zip(plans, lanes, strict=True)  # a ValueError where one runs out first
     while part := list(islice(pairs, KERNEL_MAX_LANES)):
         part_plans, part_lanes = [p for p, _ in part], [vals for _, vals in part]
-        tables, v, x, col, ins = _float_batch(graph, part_plans, part_lanes, input_precision,
-                                              params) or (None, None, None, {}, None)
+        tables, v, x, col = _float_batch(graph, part_plans, part_lanes, input_precision,
+                                         params) or (None, None, None, {})
         for l, (plan, vals) in enumerate(part):
-            if l in col:  # laid out one lane at a time, as it is asked for
+            if l in col:  # checked one lane at a time, as it is asked for
                 with np.errstate(all="ignore"):
-                    res = _lane_result(graph, tables, v[:, col[l]], x[:, col[l]], ins[l][0],
-                                       params)
+                    res = _lane_result(graph, tables, v[:, col[l]], x[:, col[l]], params)
                 if res is not None:
                     yield res
                     continue

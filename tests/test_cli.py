@@ -162,6 +162,42 @@ class TestPareto:
         assert "VARPREC_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "pareto.csv").exists()
 
+    @pytest.mark.parametrize("threads, schemes, sweep, workers", [
+        ("5000", "fixed,offline", "4,8", 4), ("3", "fixed,offline", "4,8", 3),
+        ("5000", "fixed", "4,8", 2), ("5000", "fixed", "8", None)])
+    def test_pool_has_no_more_workers_than_cells(self, tmp_path, monkeypatch,
+                                                 threads, schemes, sweep, workers):
+        # a process pool starts all its workers when it starts: it gets one
+        # per cell (scheme and target) at most, and one cell runs in this
+        # process.  The stand-in pool records its size and maps serially
+        import concurrent.futures
+
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        args = ["pareto", "--nt", "2", "--k", "2", "--trials", "1", "--sweep", sweep,
+                "--scheme", schemes]
+        monkeypatch.setenv("VARPREC_THREADS", threads)
+        assert main(["--out-dir", str(tmp_path / "pool")] + args) == 0
+        assert sizes == ([] if workers is None else [workers])
+        monkeypatch.setenv("VARPREC_THREADS", "1")
+        assert main(["--out-dir", str(tmp_path / "serial")] + args) == 0
+        assert (tmp_path / "pool" / "pareto.csv").read_bytes() == \
+            (tmp_path / "serial" / "pareto.csv").read_bytes()
+
     @pytest.mark.parametrize("config, flags", [
         ("bogus = 1\n", []),
         ("", ["--nt", "2", "--k", "3"]),

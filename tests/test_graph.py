@@ -111,6 +111,21 @@ class TestRecord:
         assert len(g.outputs) == 32
         assert ExprGraph.load_jsonl(buf).outputs == g.outputs
 
+    @pytest.mark.parametrize("indices, bad", [([0, 0], 0), ([5], 5), ([0, 2], 2)],
+                             ids=["repeat", "lone", "gap"])
+    def test_jsonl_rejects_output_indices_that_are_not_0_to_k(self, indices, bad):
+        # two "output": 0 lines must not load as one output, nor a lone
+        # "output": 5 as output 0: the indices are 0..k-1, each once
+        g, *_ = fig3_style_graph()
+        buf = io.StringIO()
+        g.dump_jsonl(buf)
+        recs = [{k: v for k, v in json.loads(line).items() if k != "output"}
+                for line in buf.getvalue().splitlines()]
+        for rec, i in zip(recs[-len(indices):], indices):
+            rec["output"] = i
+        with pytest.raises(ValueError, match=f"output index {bad} repeats"):
+            ExprGraph.load_jsonl(map(json.dumps, recs))
+
     def test_node_recorded_after_a_run_executes(self):
         # record keeps the views current; a node recorded after a run must run
         g, x, n11, n12, n21, n22, n31, n41 = fig3_style_graph()
@@ -909,6 +924,28 @@ class TestHotPath:
         assert _digest(zfg.graph, res) == \
             "736c9b8b688fae8354a764f1863477f2f3db919d354bdc0f5b5c0daf2f9c4a62"
 
+    def test_a_lane_stores_no_value_until_values_are_read(self, monkeypatch):
+        # executing the 4x4 precoder at fixed 24 bits and reading its floats
+        # and W builds no EbfpNumber beyond those that store its inputs;
+        # values, read afterwards, are the integer run's, by field equality
+        # and by repr
+        zfg = build_zf_graph(4, 4)
+        vals = zfg.input_values(gen_channel(np.random.default_rng(3), 4, 4))
+        ip, plan = zfg.input_precisions(), fixed_plan(zfg.graph, 24).assignment
+        built, init = [], EbfpNumber.__init__
+        monkeypatch.setattr(EbfpNumber, "__init__",
+                            lambda self, *args: built.append(1) or init(self, *args))
+        for i in zfg.graph.inputs:
+            round_to_precision(vals[i], ip[i])
+        storing_inputs, built[:] = len(built), []
+        res = execute(zfg.graph, plan, vals, ip)
+        assert res.floats and zfg.w_matrix(res).shape == (4, 4)
+        assert len(built) == storing_inputs
+        monkeypatch.undo()
+        want = run(zfg.graph, _lookup(plan), vals, ip)
+        assert res.values == want.values and repr(res.values) == repr(want.values)
+        assert res.values is res.values
+
     def test_the_run_never_calls_the_error_model(self, monkeypatch):
         # execute and online_vpc compute values only: the four variance laws
         # fail wherever a varprec module holds them, and both still run the
@@ -1086,6 +1123,40 @@ class TestFloatKernel:
                 node = g.nodes[nid]
                 operands = [res.values[o] for o in node.operands]
                 assert res.values[nid] == arith(node.op.value, *operands, x_target=x)
+
+    @pytest.mark.parametrize("x", [1, 24, 50])
+    @pytest.mark.parametrize("params", KERNEL_GEOMETRIES, ids=["F1", "F4", "F8"])
+    def test_range_edges(self, params, x):
+        # a mul at the edges of the range [2**-R, 2**R): the largest result
+        # below 2**R and the smallest at 2**-R take the kernel and equal
+        # arith; a result that rounds up to 2**R, and the largest below
+        # 2**-R, fall back and fail as run does
+        r = params.block_bits * params.max_block_exp
+        two = Fraction(2)
+        # the largest value of x + 1 bits below 2, and the tie above it, which rounds to 2
+        below_2 = (2 - two ** -x, 2 - two ** (-x - 1))
+        cases = [((below_2[0], two ** (r - 1)), True), ((two ** -1, two ** (1 - r)), True),
+                 ((below_2[1], two ** (r - 1)), False), ((below_2[0] / 2, two ** -r), False)]
+        for (a, b), kernel in cases:
+            g = ExprGraph()
+            ins = [g.add_input(), g.add_input()]
+            nid = g.record("mul", ins)
+            vals = dict(zip(ins, (a, b)))
+            runs, integer_run = [], graph_module.run
+            with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", 0), \
+                    mock.patch.object(graph_module, "run",
+                                      lambda *args: runs.append(1) or integer_run(*args)):
+                res, = execute_lanes(g, [{nid: x}], [vals], 60, params)
+            assert runs == ([] if kernel else [1])
+            if kernel:
+                want = arith("mul", *(round_to_precision(v, 60, params) for v in (a, b)),
+                             x_target=x)
+                assert res.values[nid] == want and decode(want) == a * b == res.floats[nid]
+                continue
+            with pytest.raises(GraphExecutionError) as err:
+                run(g, _lookup({nid: x}), vals, 60, params)
+            assert _outcome(res) == _outcome(err.value) == \
+                (nid, "saturated-overflow" if a * b > 1 else "saturated-underflow")
 
     @pytest.mark.parametrize("bad", ["float", "missing", "zero"])
     def test_plans_the_kernel_refuses_fail_as_run_does(self, bad):
