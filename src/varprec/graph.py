@@ -8,9 +8,11 @@ does this for every precision policy: the online planner decides while it
 runs, and a plan's lookup makes it execute a plan.  :func:`execute_lanes`
 runs plans on several lanes (input sets) at once, in float64 where that
 gives run's results bit for bit (keeping floats, which :mod:`ebfp` stores
-when the values are read), and through :func:`run` elsewhere.  The error
-model is a separate pass: :func:`predicted_errors` gives each node's
-relative-error variance over what a run computed.
+when the values are read), and through :func:`run` elsewhere; the online
+planner's lanes take the same float64 kernel, deciding each group of
+nodes just before it is rounded.  The error model is a separate pass:
+:func:`predicted_errors` gives each node's relative-error variance over
+what a run computed.
 """
 
 from __future__ import annotations
@@ -153,9 +155,13 @@ class ExprGraph:
                 raise ValueError("node ids must be dense and in topological order")
             if "output" in rec:
                 outs.append((rec["output"], got))
+        last = len(outs) - 1
+        for i, _ in outs:
+            if type(i) is not int:  # true, 1.0 and "1" are no index
+                raise ValueError(f"output index {i!r} repeats or is not in 0..{last}")
         for k, (i, nid) in enumerate(sorted(outs)):
             if i != k:
-                raise ValueError(f"output index {i} repeats or is not in 0..{len(outs) - 1}")
+                raise ValueError(f"output index {i} repeats or is not in 0..{last}")
             g.mark_output(nid)
         return g
 
@@ -360,7 +366,10 @@ KERNEL_MAX_X = 50
 #: this many elements on average.  Below it numpy's fixed cost per call is
 #: more than the integer run spends per node: on the 2x2 precoder the run
 #: is faster at 18 per group (4 lanes), they break even at 23 (5 lanes),
-#: and the 4x4 precoder's 23 per group at one lane run 1.28 times as fast
+#: and the 4x4 precoder's 23 per group at one lane run 1.28 times as fast.
+#: The online planner, which decides each group with as many numpy calls
+#: again, crosses over at the same widths: 0.93 and 1.07 times the run's
+#: speed on those 2x2 passes, 1.22 times on one 4x4 lane
 KERNEL_MIN_WIDTH = 20
 #: lanes per kernel pass: the arrays hold nodes x lanes, so a pass bounds
 #: the memory whatever the number of lanes, and 16 lanes give even the
@@ -456,15 +465,25 @@ def _product_error(a, b, p):
     return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _run_groups(groups, v, x) -> None:
-    """Every group's values into ``v``, each rounded at its precision in
-    ``x``: one row per column of :func:`_tables`, one column per lane."""
+def _rounding(x) -> tuple:
+    """The shift and masks that round a 53-bit significand half to even at
+    x + 1 bits, on the int view: (bits dropped, half an ulp less one, mask)."""
     k = 52 - x  # the bits a 53-bit significand drops to keep x + 1
-    half, keep = (1 << (k - 1)) - 1, -(1 << k)
-    for op, start, stop, i, j in groups:
+    return k, (1 << (k - 1)) - 1, -(1 << k)
+
+
+def _run_groups(groups, v, x, decide=None) -> None:
+    """Every group's values into ``v``, each rounded at its precision in
+    ``x``: one row per column of :func:`_tables`, one column per lane.
+    Given ``decide``, the precisions of group g are ``decide(g, a, b, y)``,
+    asked of its operands and its results rounded to nearest (``b`` is None
+    for sqrt) before they are rounded, and written into ``x``."""
+    whole = None if decide else _rounding(x)
+    for g, (op, start, stop, i, j) in enumerate(groups):
         a = v[i]
         # y is a op b rounded to nearest; r has the sign of the exact result - y
         if op is _SQRT:
+            b = None
             y = np.sqrt(a)
             p = y * y
             r = (a - p) - _product_error(y, y, p)
@@ -485,12 +504,16 @@ def _run_groups(groups, v, x) -> None:
                 y = a / b
                 p = y * b
                 r = ((a - p) - _product_error(y, b, p)) * np.sign(b)
+        if decide is None:
+            k, half, keep = whole[0][start:stop], whole[1][start:stop], whole[2][start:stop]
+        else:
+            x[start:stop] = decide(g, a, b, y)
+            k, half, keep = _rounding(x[start:stop])
         # on the int view, which orders each sign's magnitudes: round to odd
         # at 53 bits (an inexact result is truncated and its last bit set),
         # then half to even at x + 1 bits
         m = (y.view(np.int64) - (r * np.sign(y) < 0)) | (r != 0)
-        kk = k[start:stop]
-        m = (m + half[start:stop] + ((m >> kk) & 1)) & keep[start:stop]
+        m = (m + half + ((m >> k) & 1)) & keep
         v[start:stop] = m.view(np.float64)
 
 
@@ -512,37 +535,34 @@ def _lane_result(graph: ExprGraph, tables, v, x, params) -> Optional[ExecutionRe
                            graph.outputs, zeros, params)
 
 
-def _float_batch(graph: ExprGraph, plans: list, lanes: list, input_precision, params):
-    """The float64 kernel run over the batch's lanes in its domain: (tables,
-    values, precisions, {lane: its column}), or None."""
-    f = params.block_bits
-    if 2 * f * (1 << (params.exponent_bits - 2)) > 970:
-        return None
+def _wide(graph: ExprGraph, n_lanes: int) -> bool:
+    """Whether ``n_lanes`` lanes give each (level, op kind) group
+    :data:`KERNEL_MIN_WIDTH` elements on average."""
     n_ops = len(graph.nodes) - len(graph.inputs)
-    if len(plans) * n_ops < KERNEL_MIN_WIDTH * max(graph._level_width, default=0):
-        return None  # too narrow whatever the groups: each level holds one at least
-    memo = _groups(graph)
-    n_groups = len(memo[1])
+    if n_lanes * n_ops < KERNEL_MIN_WIDTH * max(graph._level_width, default=0):
+        return False  # too narrow whatever the groups: each level holds one at least
+    n_groups = len(_groups(graph)[1])
+    return n_groups > 0 and n_lanes * n_ops >= KERNEL_MIN_WIDTH * n_groups
 
-    def wide(n_lanes):
-        return n_groups > 0 and n_lanes * n_ops >= KERNEL_MIN_WIDTH * n_groups
 
-    if not wide(len(plans)):
+def _kernel_layout(graph: ExprGraph, params: EbfpParams, n_lanes: int) -> Optional[tuple]:
+    """(tables, widest precision) of a float64 pass of ``n_lanes`` lanes, or
+    None where the geometry is outside the kernel's or the pass too narrow."""
+    f = params.block_bits
+    if 2 * f * (1 << (params.exponent_bits - 2)) > 970 or not _wide(graph, n_lanes):
         return None
+    memo = _groups(graph)
     if memo[2] is None:
         memo[2] = _tables(graph, memo[1])
-    tables = memo[2]
-    groups, op_order = tables[:2]
-    max_x = min(KERNEL_MAX_X, (params.max_blocks - 1) * f)
-    xs: Dict[int, Optional[np.ndarray]] = {}  # plan object -> its precisions
-    for plan in plans:
-        if id(plan) not in xs:
-            xs[id(plan)] = _plan_row(plan, op_order, max_x)
-    planned = [l for l, plan in enumerate(plans) if xs[id(plan)] is not None]
-    if not wide(len(planned)):
-        return None
-    ins = {l: _lane_inputs(graph, lanes[l], input_precision, params) for l in planned}
-    col = {l: c for c, l in enumerate(l for l in planned if ins[l] is not None)}
+    return memo[2], min(KERNEL_MAX_X, (params.max_blocks - 1) * f)
+
+
+def _kernel_inputs(graph: ExprGraph, lanes: Mapping[int, Mapping], input_precision,
+                   params) -> Optional[tuple]:
+    """(values, precisions, {lane: its column}) holding the stored inputs of
+    each lane whose inputs are in the kernel's domain, or None if none is."""
+    ins = {l: _lane_inputs(graph, vals, input_precision, params) for l, vals in lanes.items()}
+    col = {l: c for c, l in enumerate(l for l, got in ins.items() if got is not None)}
     if not col:
         return None
     n_in = len(graph.inputs)
@@ -550,10 +570,40 @@ def _float_batch(graph: ExprGraph, plans: list, lanes: list, input_precision, pa
     x = np.empty(v.shape, dtype=np.int64)
     for l, c in col.items():
         v[:n_in, c], x[:n_in, c] = ins[l]
+    return v, x, col
+
+
+def _float_batch(graph: ExprGraph, plans: list, lanes: list, input_precision, params):
+    """The float64 kernel run over the batch's lanes in its domain: (tables,
+    values, precisions, {lane: its column}), or None."""
+    layout = _kernel_layout(graph, params, len(plans))
+    if layout is None:
+        return None
+    tables, max_x = layout
+    xs: Dict[int, Optional[np.ndarray]] = {}  # plan object -> its precisions
+    for plan in plans:
+        if id(plan) not in xs:
+            xs[id(plan)] = _plan_row(plan, tables[1], max_x)
+    planned = [l for l, plan in enumerate(plans) if xs[id(plan)] is not None]
+    if not _wide(graph, len(planned)):
+        return None
+    kernel = _kernel_inputs(graph, {l: lanes[l] for l in planned}, input_precision, params)
+    if kernel is None:
+        return None
+    v, x, col = kernel
+    n_in = len(graph.inputs)
+    for l, c in col.items():
         x[n_in:, c] = xs[id(plans[l])]
     with np.errstate(all="ignore"):  # a failing lane's garbage stays in its column
-        _run_groups(groups, v, x)
+        _run_groups(tables[0], v, x)
     return tables, v, x, col
+
+
+def _passes(items: Iterable) -> Iterator[list]:
+    """The items, :data:`KERNEL_MAX_LANES` at a time."""
+    items = iter(items)
+    while part := list(islice(items, KERNEL_MAX_LANES)):
+        yield part
 
 
 def execute_lanes(graph: ExprGraph, plans: Iterable, lanes: Iterable[Mapping[int, Fraction]],
@@ -574,8 +624,8 @@ def execute_lanes(graph: ExprGraph, plans: Iterable, lanes: Iterable[Mapping[int
     and any lane in which a node fails, runs whole through :func:`run`:
     its values or its error are run's.
     """
-    pairs = zip(plans, lanes, strict=True)  # a ValueError where one runs out first
-    while part := list(islice(pairs, KERNEL_MAX_LANES)):
+    # a ValueError where plans or lanes run out first
+    for part in _passes(zip(plans, lanes, strict=True)):
         part_plans, part_lanes = [p for p, _ in part], [vals for _, vals in part]
         tables, v, x, col = _float_batch(graph, part_plans, part_lanes, input_precision,
                                          params) or (None, None, None, {})

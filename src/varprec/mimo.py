@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .optimizer import (
     XoptLut,
     fixed_plan,
     offline_vpc,
-    online_vpc,
+    online_lanes,
     plan_metrics,
     random_blockwise_plan,
 )
@@ -471,14 +471,13 @@ def sweep_inputs(cfg: SimConfig) -> SweepInputs:
     return zfg, channels, [zf_reference(h, zfg)[0] for h in channels]
 
 
-def _online_run(zfg: ZfGraph, cfg: SimConfig, alpha: float,
-                h: ChannelMatrix) -> Optional[tuple]:
-    """online_vpc's (result, plan) on channel h, or None where it fails."""
-    try:
-        return online_vpc(zfg.graph, _plan_cfg(cfg, alpha), CM, zfg.input_values(h),
-                          cfg.e_b, zfg.input_precisions(cfg.storage_bits))
-    except GraphExecutionError:
-        return None
+def _online_runs(zfg: ZfGraph, cfg: SimConfig, alpha: float,
+                 channels: Sequence[ChannelMatrix]) -> Iterator[Optional[tuple]]:
+    """online_vpc's (result, plan) on each channel, or None where it fails:
+    the channels are the lanes of one :func:`online_lanes` call."""
+    runs = online_lanes(zfg.graph, _plan_cfg(cfg, alpha), CM, map(zfg.input_values, channels),
+                        cfg.e_b, zfg.input_precisions(cfg.storage_bits))
+    return (None if isinstance(r, GraphExecutionError) else r for r in runs)
 
 
 def online_alpha(zfg: ZfGraph, cfg: SimConfig, probe: Sequence[ChannelMatrix],
@@ -497,7 +496,7 @@ def online_alpha(zfg: ZfGraph, cfg: SimConfig, probe: Sequence[ChannelMatrix],
 
     @functools.cache
     def runs_at(x):
-        return [_online_run(zfg, cfg, alpha_at[x], h) for h in probe]
+        return list(_online_runs(zfg, cfg, alpha_at[x], probe))
 
     def avg_at(x):
         vals = [plan_metrics(zfg.graph, r[1], CM)[0] for r in runs_at(x) if r]
@@ -536,8 +535,8 @@ def sweep_cell(cfg: SimConfig, inputs: SweepInputs, scheme: str, ti: int) -> Swe
 
     cell_metrics = plan_metrics(zfg.graph, plan, CM) if scheme in ("fixed", "offline") else None
     if scheme == "online":  # the walk has run the probe channels at alpha
-        runs = ((probed[t] if t < len(probed) else _online_run(zfg, cfg, alpha, h))
-                or (None, None) for t, h in enumerate(channels))  # a failed run has no plan
+        runs = (r or (None, None) for r in itertools.chain(  # a failed run has no plan
+            probed, _online_runs(zfg, cfg, alpha, channels[len(probed):])))
     else:  # the channels are the lanes of one batch, whose passes draw their plans
         plans, scored = itertools.tee(
             (random_blockwise_plan(zfg.graph, draw_rng, cfg.x_min, hi) for _ in channels)

@@ -20,13 +20,15 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from .ebfp import EbfpParams, DEFAULT_PARAMS
 from .errormodel import EPS, W_LIMIT_VAR, ops_per_bit, speculation_factor
-from .graph import _ADD, _DIV, _INPUT, _MUL, _SQRT, _SUB, ExecutionResult, ExprGraph, OpKind, run
+from .graph import (_ADD, _DIV, _INPUT, _MUL, _SQRT, _SUB, ExecutionResult, ExprGraph,
+                    GraphExecutionError, OpKind, _kernel_inputs, _kernel_layout, _lane_result,
+                    _passes, _run_groups, run)
 
 
 DEFAULT_WEIGHTS = {OpKind.ADD: 1.0, OpKind.SUB: 1.0, OpKind.MUL: 30.0,
@@ -105,7 +107,8 @@ def final_step_precision(graph: ExprGraph, cfg: UtilityConfig,
     ``-GSIGMA_UNIT``: the anchors of the online plan."""
     lut = XoptLut(cm, cfg)
     rho = GSIGMA_UNIT / cfg.alpha
-    return {oid: lut.lookup(rho, graph.nodes[oid].op) for oid in graph.outputs}
+    x = {op: lut.lookup(rho, op) for op in DEFAULT_WEIGHTS}
+    return {oid: x[graph.nodes[oid].op] for oid in graph.outputs}
 
 
 # graph -> ((len(nodes), marked outputs), id tables, {e_b: _reverse_sweep}); a new shape replaces it
@@ -208,7 +211,8 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
                input_values: Mapping[int, Fraction], e_b: int = 10,
                input_precision=53, params: EbfpParams = DEFAULT_PARAMS
                ) -> Tuple[ExecutionResult, PrecisionPlan]:
-    """Plan-while-executing assignment using actual operand values.
+    """Plan-while-executing assignment using actual operand values: one
+    lane of :func:`online_lanes`, whose :class:`GraphExecutionError` it raises.
 
     The policy runs in rho = -G_sigma/alpha: alpha enters only through the
     output nodes' final-step precision (the anchors), so the plan is a
@@ -218,21 +222,61 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     for mul/div/sqrt and operand^2/result^2 for add/sub.  Each node's
     decision is one bisection in the ladder, and its rho is then the
     midpoint of its rung: midpoints are tables per ladder, seeds per call,
-    seed offsets and input operands per graph and ``e_b``.  The decisions are a
-    precision policy for :func:`graph.run`, so each node executes at its
-    decided precision before any consumer is visited.  The reported G_sigma
-    is ``-alpha * rho`` (0.0 at exact-zero results).
+    seed offsets and input operands per graph and ``e_b``.  Each node
+    executes at its decided precision before any consumer is decided.  The
+    reported G_sigma is ``-alpha * rho`` (0.0 at exact-zero results).
+    """
+    out, = online_lanes(graph, cfg, cm, [input_values], e_b, input_precision, params)
+    if isinstance(out, GraphExecutionError):
+        raise out
+    return out
+
+
+def online_lanes(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
+                 lanes: Iterable[Mapping[int, Fraction]], e_b: int = 10,
+                 input_precision=53, params: EbfpParams = DEFAULT_PARAMS
+                 ) -> Iterator[Union[Tuple[ExecutionResult, PrecisionPlan], GraphExecutionError]]:
+    """Each lane's ``(result, plan)`` of :func:`online_vpc`, or the
+    :class:`GraphExecutionError` of its run, taken a pass of
+    :data:`graph.KERNEL_MAX_LANES` lanes at a time.
+
+    The policy has two copies that decide alike, bit for bit.  A pass whose
+    lanes give each (level, op kind) group :data:`graph.KERNEL_MIN_WIDTH`
+    elements on average is decided group by group over numpy columns, each
+    group just before the float64 kernel of :func:`graph.execute_lanes`
+    rounds it.  A lane goes whole through the other copy, a precision policy of
+    :func:`graph.run`, where the kernel cannot run it (see
+    :func:`graph.execute_lanes`), where it decides a precision above the
+    kernel's widest, or where one of its nodes fails.
     """
     lut = XoptLut(cm, cfg)
-    x_min, th, mid_rho = cfg.x_min, lut.thresholds, lut.mid_rho
     final_x = final_step_precision(graph, cfg, cm)
-    mid = (x_min + cfg.x_max) // 2  # anchor of a sink that is not an output
+    mid = (cfg.x_min + cfg.x_max) // 2  # anchor of a sink that is not an output
     _, _, _, seeds, routes = _alpha_free(graph, e_b)
-    seed = {nid: mid_rho[op][final_x.get(sink, mid) - x_min] * factor
+    seed = {nid: lut.mid_rho[op][final_x.get(sink, mid) - cfg.x_min] * factor
             for nid, op, sink, factor in seeds}
     # mul/div/sqrt move rho by a constant; add/sub by the operand values
-    f_mul, f_div, f_sqrt = (speculation_factor(op, "forward", e_b)
-                            for op in ("mul", "div", "sqrt"))
+    forward = {op: speculation_factor(op.value, "forward", e_b) for op in (_MUL, _DIV, _SQRT)}
+    policy = (lut, seed, routes, forward)
+    for part in _passes(lanes):
+        decided = _online_pass(graph, cfg, policy, part, input_precision, params)
+        for vals, got in zip(part, decided or [None] * len(part)):
+            if got is None:
+                try:
+                    got = _online_run(graph, cfg, policy, vals, input_precision, params)
+                except GraphExecutionError as err:
+                    got = err
+            yield got
+
+
+def _online_run(graph: ExprGraph, cfg: UtilityConfig, policy: tuple,
+                input_values: Mapping[int, Fraction], input_precision, params
+                ) -> Tuple[ExecutionResult, PrecisionPlan]:
+    """One lane of :func:`online_lanes` by the policy as a ``choose`` of
+    :func:`graph.run`, one node at a time."""
+    lut, seed, routes, forward = policy
+    x_min, th, mid_rho = cfg.x_min, lut.thresholds, lut.mid_rho
+    f_mul, f_div, f_sqrt = forward[_MUL], forward[_DIV], forward[_SQRT]
     rho: Dict[int, float] = {}
 
     def choose(node, va: float, vb: Optional[float]) -> int:
@@ -243,9 +287,11 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
             if vc:
                 # weighted by operand magnitude, so the dominant operand's
                 # route wins when the exponents differ greatly; a route moves
-                # by operand^2/result^2, clipped at 1 so the recursion stays
-                # bounded where the frame shrinks
-                wa, wb, qa, qb = abs(va), abs(vb), (va / vc) ** 2, (vb / vc) ** 2
+                # by operand^2/result^2 (squared by one correctly rounded
+                # product), clipped at 1 so the recursion stays bounded where
+                # the frame shrinks
+                wa, wb, qa, qb = abs(va), abs(vb), va / vc, vb / vc
+                qa, qb = qa * qa, qb * qb
                 r = ((seed[nid] if i is None else rho[i] * (qa if qa < 1.0 else 1.0)) * wa
                      + (seed[nid] if j is None else rho[j] * (qb if qb < 1.0 else 1.0)) * wb
                      ) / (wa + wb)
@@ -269,6 +315,85 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     result = run(graph, choose, input_values, input_precision, params)
     gsigma = {nid: -cfg.alpha * r if r else 0.0 for nid, r in rho.items()}
     return result, PrecisionPlan({nid: result.precisions[nid] for nid in rho}, gsigma)
+
+
+def _online_pass(graph: ExprGraph, cfg: UtilityConfig, policy: tuple, lanes: list,
+                 input_precision, params) -> Optional[Iterator[Optional[tuple]]]:
+    """Each lane's ``(result, plan)`` decided and computed by the float64
+    kernel, or None where the lane takes :func:`_online_run` (None for the
+    pass where the kernel takes none of its lanes): the policy of
+    :func:`_online_run` over numpy columns, one (level, op kind) group at a
+    time, with the same float operations in the same order.  The ladder is
+    cut one rung above the kernel's widest precision, so a lane that would
+    decide more lands there and is sent back."""
+    lut, seed, _, forward = policy
+    layout = _kernel_layout(graph, params, len(lanes))
+    kernel = None
+    # an infinite seed times a zero weight is a nan, which bisect_left puts
+    # at the ladder's foot and searchsorted at its top
+    if layout is not None and cfg.x_min <= layout[1] and all(map(math.isfinite, seed.values())):
+        kernel = _kernel_inputs(graph, dict(enumerate(lanes)), input_precision, params)
+    if kernel is None:
+        return None
+    (groups, _, pos, _, _), max_x = layout
+    v, x, col = kernel
+    x_min, n_in = cfg.x_min, len(graph.inputs)
+    th = {op: t[:max_x - x_min + 1] for op, t in lut.arrays.items()}
+    mids = {op: np.array(m) for op, m in lut.mid_rho.items()}
+    # rho by column (0 at the inputs), and each operation column's seed where
+    # its first, or its second, operand is an input (0 elsewhere)
+    rho = np.zeros(v.shape)
+    by_col = np.zeros(len(graph.nodes))
+    by_col[pos[list(seed)]] = list(seed.values())
+    by_col = by_col[n_in:]
+    first = np.concatenate([i for _, _, _, i, _ in groups]) < n_in
+    second = np.concatenate([i if j is None else j for _, _, _, i, j in groups]) < n_in
+    starts = [begin - n_in for _, begin, _, _, _ in groups]
+    seed_a, seed_b = np.where(first, by_col, 0.0), np.where(second, by_col, 0.0)
+    has_a = np.logical_or.reduceat(first, starts).tolist()
+    has_b = np.logical_or.reduceat(second, starts).tolist()
+
+    def decide(g, a, b, y):
+        op, start, stop, i, j = groups[g]
+        if op is _ADD or op is _SUB:
+            wa, wb, qa, qb = np.abs(a), np.abs(b), a / y, b / y
+            ra, rb = rho[i] * np.minimum(qa * qa, 1.0), rho[j] * np.minimum(qb * qb, 1.0)
+        else:
+            f = forward[op]
+            ra, rb = rho[i] * f, None if op is _SQRT else rho[j] * f
+        if has_a[g]:  # an input operand's rho reads 0, and its route is the seed
+            ra += seed_a[start - n_in:stop - n_in, None]
+        if rb is not None and has_b[g]:
+            rb += seed_b[start - n_in:stop - n_in, None]
+        if op is _ADD or op is _SUB:
+            r = (ra * wa + rb * wb) / (wa + wb)
+        else:
+            r = ra if rb is None else (ra + rb) / 2.0
+        k = np.searchsorted(th[op], r)
+        zero = y == 0.0  # sqrt(a) is 0 where a is
+        k[zero] = 0
+        rho[start:stop] = np.where(zero, 0.0, mids[op][k])
+        return k + x_min
+
+    with np.errstate(all="ignore"):  # a failing lane's garbage stays in its column
+        _run_groups(groups, v, x, decide)
+    over = (x[n_in:] > max_x).any(axis=0)
+    ids, cols = _held(graph)[1][0], np.delete(pos, graph.inputs)  # non-input ids, their columns
+
+    def lane(l):  # taken one lane at a time, as it is asked for
+        c = col.get(l)
+        if c is None or over[c]:
+            return None
+        with np.errstate(all="ignore"):
+            res = _lane_result(graph, layout[0], v[:, c], x[:, c], params)
+        if res is None:
+            return None
+        r = rho[cols, c]
+        gsigma = np.where(r != 0.0, -cfg.alpha * r, 0.0)
+        return res, PrecisionPlan(dict(zip(ids, x[cols, c].tolist())),
+                                  dict(zip(ids, gsigma.tolist())))
+
+    return map(lane, range(len(lanes)))
 
 
 def fixed_plan(graph: ExprGraph, x: int) -> PrecisionPlan:

@@ -281,19 +281,18 @@ class TestPareto:
         return sim_config_from_args(A)
 
     def test_online_cells_reuse_probe_runs(self, monkeypatch):
-        # the online cells of demos/desk.cfg run 48 probe plans in their
+        # the online cells of demos/desk.cfg run 48 probe lanes in their
         # anchor walks; a trial channel the walk probed (the first 4 of 20)
-        # takes the walk's run at the calibrated alpha: 48 + 6 * 16 runs
+        # takes the walk's run at the calibrated alpha: 48 + 6 * 16 lanes
         cfg = self.desk_config()
         inputs = mimo.sweep_inputs(cfg)
         calls = []
-        online_vpc = mimo.online_vpc
+        online_lanes = mimo.online_lanes
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return online_vpc(*args, **kwargs)
+        def counted(graph, ucfg, cm, lanes, *args):
+            return online_lanes(graph, ucfg, cm, (calls.append(1) or v for v in lanes), *args)
 
-        monkeypatch.setattr(mimo, "online_vpc", counted)
+        monkeypatch.setattr(mimo, "online_lanes", counted)
         for ti in range(len(cfg.sweep)):
             mimo.sweep_cell(cfg, inputs, "online", ti)
         assert (cfg.trials, len(cfg.sweep), len(calls)) == (20, 6, 144)
@@ -429,10 +428,11 @@ class TestHistogram:
                      "--k", "3"]) == 2
 
     def test_failed_online_run_exits_1(self, tmp_path, monkeypatch, capsys):
-        def fails(graph, *args, **kwargs):
-            raise GraphExecutionError(graph.outputs[0], "division by zero")
+        def fails(graph, ucfg, cm, lanes, *args):
+            for _ in lanes:
+                yield GraphExecutionError(graph.outputs[0], "division by zero")
 
-        monkeypatch.setattr(mimo, "online_vpc", fails)
+        monkeypatch.setattr(mimo, "online_lanes", fails)
         assert main(["--out-dir", str(tmp_path), "histogram", "--nt", "2", "--k", "2"]) == 1
         assert "online plan cannot be computed" in capsys.readouterr().err
         assert not (tmp_path / "histogram.csv").exists()
@@ -447,16 +447,16 @@ class TestHistogram:
 
     def test_final_anchor_run_reused(self, tmp_path, monkeypatch):
         # the walk probes two anchors on the histogram's one channel; the
-        # histogram is the run at the second, not a third run
+        # histogram is the run at the second, not a third run: lanes count runs
         calls = []
-        online_vpc = mimo.online_vpc
+        online_lanes = mimo.online_lanes
 
-        def counted(*args, **kwargs):
-            calls.append(args[1].alpha)
-            return online_vpc(*args, **kwargs)
+        def counted(graph, ucfg, cm, lanes, *args):
+            return online_lanes(graph, ucfg, cm, (calls.append(ucfg.alpha) or v for v in lanes),
+                                *args)
 
         for module in (mimo, cli):  # wherever the histogram might call it from
-            monkeypatch.setattr(module, "online_vpc", counted, raising=False)
+            monkeypatch.setattr(module, "online_lanes", counted, raising=False)
         assert main(["--out-dir", str(tmp_path), "histogram", "--nt", "4", "--k", "4",
                      "--seed", "3"]) == 0
         assert len(calls) == 2

@@ -111,11 +111,13 @@ class TestRecord:
         assert len(g.outputs) == 32
         assert ExprGraph.load_jsonl(buf).outputs == g.outputs
 
-    @pytest.mark.parametrize("indices, bad", [([0, 0], 0), ([5], 5), ([0, 2], 2)],
-                             ids=["repeat", "lone", "gap"])
+    @pytest.mark.parametrize("indices, bad", [([0, 0], 0), ([5], 5), ([0, 2], 2),
+                                              ([0, True], True), ([0, 1.0], 1.0), (["0", 1], "0")],
+                             ids=["repeat", "lone", "gap", "bool", "float", "str"])
     def test_jsonl_rejects_output_indices_that_are_not_0_to_k(self, indices, bad):
         # two "output": 0 lines must not load as one output, nor a lone
-        # "output": 5 as output 0: the indices are 0..k-1, each once
+        # "output": 5 as output 0: the indices are 0..k-1, each once, and
+        # each an integer (true is no 1, nor 1.0, nor "0" a 0)
         g, *_ = fig3_style_graph()
         buf = io.StringIO()
         g.dump_jsonl(buf)
@@ -123,7 +125,7 @@ class TestRecord:
                 for line in buf.getvalue().splitlines()]
         for rec, i in zip(recs[-len(indices):], indices):
             rec["output"] = i
-        with pytest.raises(ValueError, match=f"output index {bad} repeats"):
+        with pytest.raises(ValueError, match=f"output index {bad!r} repeats"):
             ExprGraph.load_jsonl(map(json.dumps, recs))
 
     def test_node_recorded_after_a_run_executes(self):
@@ -865,7 +867,9 @@ class TestHotPath:
         # the node table, and their outputs stay the same bit for bit.  The
         # run calls the unchecked kernel, never the checked arith, and every
         # op rounds by a shift: the only integer divisions are one per div
-        # node and one per nonzero input's rounding
+        # node and one per nonzero input's rounding.  One 4x4 lane is wide
+        # enough for the online planner's float64 kernel, so the count is
+        # taken on its scalar copy, where the run decides node by node
         zfg = build_zf_graph(4, 4)
         h = gen_channel(np.random.default_rng(3), 4, 4)
         vals, ip = zfg.input_values(h), zfg.input_precisions()
@@ -890,9 +894,12 @@ class TestHotPath:
         assert _digest(zfg.graph, run(zfg.graph, lambda node, a, b: plan[node.id], vals, ip)) == \
             "736c9b8b688fae8354a764f1863477f2f3db919d354bdc0f5b5c0daf2f9c4a62"
         assert len(divisions) == per_run
+        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", math.inf):
+            assert _digest(zfg.graph, *online_vpc(zfg.graph, cfg, cm, vals, 10, ip)) == \
+                "02c11a99e7ecd77c41aaad15cbd371b38e41d6bdceb05da8052f5a523108ad1a"
+        assert len(divisions) == 2 * per_run
         assert _digest(zfg.graph, *online_vpc(zfg.graph, cfg, cm, vals, 10, ip)) == \
             "02c11a99e7ecd77c41aaad15cbd371b38e41d6bdceb05da8052f5a523108ad1a"
-        assert len(divisions) == 2 * per_run
         assert _digest(zfg.graph, plan=offline_vpc(zfg.graph, cfg, cm, 10)) == \
             "0ae62963e9fb1c87044944b65b6639a5ae654fe2448628a4578030652820472d"
 

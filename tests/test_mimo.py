@@ -355,12 +355,13 @@ class TestOnlineAlpha:
         cfg = SimConfig(n_t=4, k_users=4, trials=1, seed=2, sweep=(4.0,))
         zfg = build_zf_graph(4, 4)
         h = gen_channel(np.random.default_rng(cfg.seed), 4, 4)
-        calls = []
+        calls = []  # one per lane, each a run on a probe channel
+        online_lanes = mimo.online_lanes
 
-        def counted(*args, **kwargs):
-            calls.append(args[1].alpha)
-            return online_vpc(*args, **kwargs)
-        monkeypatch.setattr(mimo, "online_vpc", counted)
+        def counted(graph, ucfg, cm, lanes, *args):
+            return online_lanes(graph, ucfg, cm, (calls.append(ucfg.alpha) or v for v in lanes),
+                                *args)
+        monkeypatch.setattr(mimo, "online_lanes", counted)
         online_alpha(zfg, cfg, [h], 4.0)
         assert 0 < len(calls) <= 3
 

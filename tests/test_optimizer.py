@@ -9,12 +9,13 @@ import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varprec import optimizer
+from varprec import graph as graph_module, optimizer
 from varprec.ebfp import EbfpParams
 from varprec.errormodel import EPS, ops_per_bit, speculation_factor
 from varprec.graph import ExprGraph, GraphExecutionError, OpKind, execute, predicted_errors, run
@@ -29,6 +30,7 @@ from varprec.optimizer import (
     final_step_precision,
     fixed_plan,
     offline_vpc,
+    online_lanes,
     online_vpc,
     plan_from_csv,
     plan_metrics,
@@ -532,7 +534,8 @@ def reference_online_vpc(graph, cfg, input_values, e_b=10, input_precision=53):
         total = wsum = 0.0
         for oid, v_op in zip(node.operands, (va, vb)):
             if op in (OpKind.ADD, OpKind.SUB):
-                weight, factor = abs(v_op), min(1.0, (v_op / vc) ** 2)
+                q = v_op / vc  # squared by one product: float ** 2 calls libm pow
+                weight, factor = abs(v_op), min(1.0, q * q)
             else:
                 weight, factor = 1.0, fixed_forward[op]
             if graph.nodes[oid].op is OpKind.INPUT:
@@ -609,6 +612,140 @@ class TestOnlineAgainstReference:
             got = online_outcome(online_vpc, zfg.graph, cfg, CM, vals, 10, ip)
             assert len(got) == 5  # the precoder runs
             assert got == online_outcome(reference_online_vpc, zfg.graph, cfg, vals, 10, ip)
+
+
+def _yielded(got):
+    """online_outcome of one lane that online_lanes yielded."""
+    def again():
+        if isinstance(got, GraphExecutionError):
+            raise got
+        return got
+    return online_outcome(again)
+
+
+def _scalar_outcome(graph, cfg, vals, e_b, xin):
+    """online_outcome of online_vpc's scalar copy, on graph.run."""
+    with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", math.inf):
+        return online_outcome(online_vpc, graph, cfg, CM, vals, e_b, xin)
+
+
+def _counted_runs(monkeypatch) -> list:
+    """One entry per graph.run the online planner makes from now on."""
+    runs = []
+    monkeypatch.setattr(optimizer, "run", lambda *args: runs.append(1) or run(*args))
+    return runs
+
+
+class TestOnlineLanes:
+    """online_lanes decides and computes each lane as online_vpc's scalar
+    copy does, bit for bit: in float64 where the kernel takes the lane, and
+    through graph.run where the lane fails, decides a precision above 50
+    bits or is outside the kernel's domain."""
+
+    @given(case=online_cases(), data=st.data(), n_lanes=st.integers(1, 4),
+           per_pass=st.integers(1, 4))
+    @settings(max_examples=400, deadline=None)
+    def test_random_graphs(self, case, data, n_lanes, per_pass):
+        # the case's values and up to 3 more lanes drawn alike: the values
+        # hold zeros, so some lanes divide by zero; at alpha 1e-33 the
+        # anchors lie above 50 bits, so most lanes decide wider than the kernel
+        g, cfg, vals, e_b, xin = case
+        if data.draw(st.booleans()):
+            cfg = UtilityConfig(1e-33, cfg.x_min, 64)
+        lanes = [vals] + [{i: data.draw(_VALUES) for i in g.inputs} for _ in range(n_lanes - 1)]
+        want = [_scalar_outcome(g, cfg, v, e_b, xin) for v in lanes]
+        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", 0), \
+                mock.patch.object(graph_module, "KERNEL_MAX_LANES", per_pass):
+            got = list(online_lanes(g, cfg, CM, iter(lanes), e_b, xin))
+        assert list(map(_yielded, got)) == want
+
+    @pytest.mark.parametrize("alpha", [1e-13, 1e-9, 1e-5])
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_precoders(self, k, alpha, monkeypatch):
+        # three channels, the lanes of one pass, all decided in float64
+        zfg = build_zf_graph(k, k)
+        ip, cfg = zfg.input_precisions(), UtilityConfig(alpha, 2, 64)
+        lanes = [zfg.input_values(gen_channel(np.random.default_rng(s), k, k)) for s in range(3)]
+        want = [_scalar_outcome(zfg.graph, cfg, v, 10, ip) for v in lanes]
+        assert all(len(w) == 5 for w in want)  # every lane runs
+        runs = _counted_runs(monkeypatch)
+        assert list(map(_yielded, online_lanes(zfg.graph, cfg, CM, lanes, 10, ip))) == want
+        assert runs == []
+
+    def test_lanes_that_fail_or_decide_wide_fall_back(self, monkeypatch):
+        # on the 4x4 precoder, a channel of zeros divides by zero and goes
+        # back to the run, which fails it; at alpha 1e-33 every lane decides
+        # more than 50 bits somewhere and goes back whole
+        zfg = build_zf_graph(4, 4)
+        ip = zfg.input_precisions()
+        lanes = [zfg.input_values(gen_channel(np.random.default_rng(s), 4, 4)) for s in range(3)]
+        zeros = ((Fraction(0),) * 4,) * 4
+        lanes.insert(1, zfg.input_values(ChannelMatrix(zeros, zeros)))
+        for alpha, back in ((1e-9, 1), (1e-33, 4)):
+            cfg = UtilityConfig(alpha, 2, 64)
+            want = [_scalar_outcome(zfg.graph, cfg, v, 10, ip) for v in lanes]
+            assert len(want[1]) == 2 and [len(w) for w in want[::2]] == [5, 5]
+            runs = _counted_runs(monkeypatch)
+            got = list(online_lanes(zfg.graph, cfg, CM, lanes, 10, ip))
+            assert list(map(_yielded, got)) == want and len(runs) == back
+            if back == 4:
+                assert max(max(w[0])[1] for w in want[::2]) > graph_module.KERNEL_MAX_X
+
+    def test_a_rho_on_a_threshold_takes_the_lower_rung(self, monkeypatch):
+        # at e_b 5 four adds on the path to the sink give the mul's seed the
+        # offset -1/2, so its rho = seed = midpoint / 2 = threshold / 4, the
+        # threshold one rung down, exactly: searchsorted must take the
+        # left side there, as bisect_left does
+        g = ExprGraph()
+        x = g.add_input()
+        t = g.record("mul", [x, x])
+        for _ in range(4):
+            t = g.record("add", [t, t])
+        g.mark_output(t)
+        cfg, vals = UtilityConfig(1e-9, 2, 64), {x: Fraction(3)}
+        (nid, op, sink, factor), = optimizer._alpha_free(g, 5)[3]
+        lut, k = XoptLut(CM, cfg), final_step_precision(g, cfg, CM)[sink] - cfg.x_min
+        assert factor == 0.5 and lut.mid_rho[op][k] * factor == lut.thresholds[op][k - 1]
+        want = _scalar_outcome(g, cfg, vals, 5, 53)
+        runs = _counted_runs(monkeypatch)
+        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", 0):
+            got, = online_lanes(g, cfg, CM, [vals], 5, 53)
+        assert _yielded(got) == want and runs == []
+        assert got[1].assignment[nid] == cfg.x_min + k - 1
+
+    def test_a_seed_beyond_float_range_goes_back_to_the_run(self, monkeypatch):
+        # at e_b 4 each sub on the path to the sink costs a bit, so the first
+        # nodes of a chain of 508 subs take seeds beyond float range; times
+        # the zero weight of y = 0 that is a nan, which bisect_left puts at
+        # the ladder's foot and searchsorted at its top (x_max 40 is inside
+        # the kernel's ladder, so that lane would not be caught as too wide)
+        g = ExprGraph()
+        x, y = g.add_input(), g.add_input()
+        t = x
+        for _ in range(508):
+            t = g.record("sub", [t, y])
+        g.mark_output(t)
+        cfg = UtilityConfig(1e-9, 2, 40)
+        lanes = [{x: Fraction(3), y: Fraction(0)}, {x: Fraction(3), y: Fraction(1, 3)}]
+        want = [_scalar_outcome(g, cfg, v, 4, 53) for v in lanes]
+        runs = _counted_runs(monkeypatch)
+        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", 0):
+            got = list(online_lanes(g, cfg, CM, lanes, 4, 53))
+        assert list(map(_yielded, got)) == want and len(runs) == 2
+
+    def test_one_8x8_lane_never_enters_the_run(self, monkeypatch):
+        # one lane of the 8x8 precoder is wide enough to decide in float64
+        zfg = build_zf_graph(8, 8)
+        ip, cfg = zfg.input_precisions(), UtilityConfig(1e-9, 2, 64)
+        vals = zfg.input_values(gen_channel(np.random.default_rng(3), 8, 8))
+        want = _scalar_outcome(zfg.graph, cfg, vals, 10, ip)
+
+        def boom(*args):
+            raise AssertionError("graph.run called")
+
+        monkeypatch.setattr(optimizer, "run", boom)
+        monkeypatch.setattr(graph_module, "run", boom)
+        assert online_outcome(online_vpc, zfg.graph, cfg, CM, vals, 10, ip) == want
 
 
 class TestPlans:
