@@ -623,10 +623,10 @@ def _yielded(got):
     return online_outcome(again)
 
 
-def _scalar_outcome(graph, cfg, vals, e_b, xin):
+def _scalar_outcome(graph, cfg, vals, e_b, xin, params=EbfpParams()):
     """online_outcome of online_vpc's scalar copy, on graph.run."""
     with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", math.inf):
-        return online_outcome(online_vpc, graph, cfg, CM, vals, e_b, xin)
+        return online_outcome(online_vpc, graph, cfg, CM, vals, e_b, xin, params)
 
 
 def _counted_runs(monkeypatch) -> list:
@@ -643,20 +643,24 @@ class TestOnlineLanes:
     bits or is outside the kernel's domain."""
 
     @given(case=online_cases(), data=st.data(), n_lanes=st.integers(1, 4),
-           per_pass=st.integers(1, 4))
+           per_pass=st.integers(1, 4), f=st.integers(1, 9), e=st.integers(2, 10),
+           blocks=st.integers(2, 90))
     @settings(max_examples=400, deadline=None)
-    def test_random_graphs(self, case, data, n_lanes, per_pass):
+    def test_random_graphs(self, case, data, n_lanes, per_pass, f, e, blocks):
         # the case's values and up to 3 more lanes drawn alike: the values
         # hold zeros, so some lanes divide by zero; at alpha 1e-33 the
-        # anchors lie above 50 bits, so most lanes decide wider than the kernel
+        # anchors lie above 50 bits, so most lanes decide wider than the
+        # kernel.  The geometries of TestFloatKernel's lanes: a block budget
+        # below 50 bits lowers the kernel's widest precision, below x_min too
         g, cfg, vals, e_b, xin = case
+        params = EbfpParams(f, e, blocks)
         if data.draw(st.booleans()):
             cfg = UtilityConfig(1e-33, cfg.x_min, 64)
         lanes = [vals] + [{i: data.draw(_VALUES) for i in g.inputs} for _ in range(n_lanes - 1)]
-        want = [_scalar_outcome(g, cfg, v, e_b, xin) for v in lanes]
+        want = [_scalar_outcome(g, cfg, v, e_b, xin, params) for v in lanes]
         with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", 0), \
                 mock.patch.object(graph_module, "KERNEL_MAX_LANES", per_pass):
-            got = list(online_lanes(g, cfg, CM, iter(lanes), e_b, xin))
+            got = list(online_lanes(g, cfg, CM, iter(lanes), e_b, xin, params))
         assert list(map(_yielded, got)) == want
 
     @pytest.mark.parametrize("alpha", [1e-13, 1e-9, 1e-5])
