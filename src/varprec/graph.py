@@ -8,11 +8,11 @@ does this for every precision policy: the online planner decides while it
 runs, and a plan's lookup makes it execute a plan.  :func:`execute_lanes`
 runs plans on several lanes (input sets) at once, in float64 where that
 gives run's results bit for bit (keeping floats, which :mod:`ebfp` stores
-when the values are read), and through :func:`run` elsewhere; the online
-planner's lanes take the same float64 kernel, deciding each group of
-nodes just before it is rounded.  The error model is a separate pass:
-:func:`predicted_errors` gives each node's relative-error variance over
-what a run computed.
+when the values are read), and through :func:`run` elsewhere.  Both it
+and the online planner go through :func:`run_lanes`, whose rule decides
+each group of nodes just before the kernel rounds it.  The error model is
+a separate pass: :func:`predicted_errors` gives each node's relative-error
+variance over what a run computed.
 """
 
 from __future__ import annotations
@@ -351,7 +351,8 @@ def execute(graph: ExprGraph, plan, input_values: Mapping[int, Fraction],
 
 
 # ---------------------------------------------------------------------------
-# the float64 kernel: a plan over lanes, one (level, op kind) group at a time
+# the float64 kernel: lanes of plans, or of a rule that decides as they run,
+# one (level, op kind) group at a time
 #
 # A float64 op rounded to odd at 53 bits and then rounded half to even at
 # s <= 51 bits equals the exact result rounded once at s bits (Boldo &
@@ -400,24 +401,33 @@ def _tables(graph: ExprGraph, by_group: dict) -> tuple:
     """The kernel's layout of the graph.  Columns hold the inputs in id
     order, then each group in level order, so a group writes one slice:
     (groups as (op, start, stop, first operand columns, second operand
-    columns or None), non-input ids in column order, each id's column, and
-    the columns of divisors and of sqrt operands)."""
+    columns or None, whether some first operand is an input, whether some
+    second one is), non-input ids in column order, each id's column, the
+    non-input columns in id order, the columns of divisors and of sqrt
+    operands, and per column whether its first, or second, operand is an
+    input)."""
     keys = sorted(by_group)  # by level, then by the op kind's name
     order = graph.inputs + [nid for key in keys for nid, _, _ in by_group[key]]
+    n_in = len(graph.inputs)
     pos = np.empty(len(order), dtype=np.intp)
     pos[order] = np.arange(len(order))
-    groups, start, divisors, roots = [], len(graph.inputs), [], []
+    first, second = np.zeros(len(order), dtype=bool), np.zeros(len(order), dtype=bool)
+    groups, start, divisors, roots = [], n_in, [], []
     for (_, op), rows in zip(keys, map(by_group.get, keys)):
+        stop = start + len(rows)
         i = pos[[r[1] for r in rows]]
         j = None if op is _SQRT else pos[[r[2] for r in rows]]
-        groups.append((op, start, start + len(rows), i, j))
-        start += len(rows)
+        first[start:stop] = i < n_in
+        if j is not None:
+            second[start:stop] = j < n_in
+        groups.append((op, start, stop, i, j, first[start:stop].any(), second[start:stop].any()))
+        start = stop
         if op is _DIV:
             divisors.extend(j.tolist())
         elif op is _SQRT:
             roots.extend(i.tolist())
-    return (groups, order[len(graph.inputs):], pos, np.array(divisors, dtype=np.intp),
-            np.array(roots, dtype=np.intp))
+    return (groups, order[n_in:], pos, np.delete(pos, graph.inputs),
+            np.array(divisors, dtype=np.intp), np.array(roots, dtype=np.intp), first, second)
 
 
 def _plan_row(plan, op_order: List[int], max_x: int) -> Optional[np.ndarray]:
@@ -472,49 +482,27 @@ def _rounding(x) -> tuple:
     return k, (1 << (k - 1)) - 1, -(1 << k)
 
 
-def _run_groups(groups, v, x, decide=None) -> None:
-    """Every group's values into ``v``, each rounded at its precision in
-    ``x``: one row per column of :func:`_tables`, one column per lane.
-    Given ``decide``, the precisions of group g are ``decide(g, a, b, y)``,
-    asked of its operands and its results rounded to nearest (``b`` is None
-    for sqrt) before they are rounded, and written into ``x``."""
-    whole = None if decide else _rounding(x)
-    for g, (op, start, stop, i, j) in enumerate(groups):
-        a = v[i]
-        # y is a op b rounded to nearest; r has the sign of the exact result - y
-        if op is _SQRT:
-            b = None
-            y = np.sqrt(a)
-            p = y * y
-            r = (a - p) - _product_error(y, y, p)
-        else:
-            b = v[j]
-            if op is _ADD:
-                y = a + b
-                t = y - a
-                r = (a - (y - t)) + (b - t)
-            elif op is _SUB:
-                y = a - b
-                t = y - a
-                r = (a - (y - t)) - (b + t)
-            elif op is _MUL:
-                y = a * b
-                r = _product_error(a, b, y)
-            else:
-                y = a / b
-                p = y * b
-                r = ((a - p) - _product_error(y, b, p)) * np.sign(b)
-        if decide is None:
-            k, half, keep = whole[0][start:stop], whole[1][start:stop], whole[2][start:stop]
-        else:
-            x[start:stop] = decide(g, a, b, y)
-            k, half, keep = _rounding(x[start:stop])
-        # on the int view, which orders each sign's magnitudes: round to odd
-        # at 53 bits (an inexact result is truncated and its last bit set),
-        # then half to even at x + 1 bits
-        m = (y.view(np.int64) - (r * np.sign(y) < 0)) | (r != 0)
-        m = (m + half + ((m >> k) & 1)) & keep
-        v[start:stop] = m.view(np.float64)
+def _nearest(op, a, b) -> tuple:
+    """(y, r): y is a op b rounded to nearest, and r has the sign of the
+    exact result - y (b is None for sqrt)."""
+    if op is _SQRT:
+        y = np.sqrt(a)
+        p = y * y
+        return y, (a - p) - _product_error(y, y, p)
+    if op is _ADD:
+        y = a + b
+        t = y - a
+        return y, (a - (y - t)) + (b - t)
+    if op is _SUB:
+        y = a - b
+        t = y - a
+        return y, (a - (y - t)) - (b + t)
+    if op is _MUL:
+        y = a * b
+        return y, _product_error(a, b, y)
+    y = a / b
+    p = y * b
+    return y, ((a - p) - _product_error(y, b, p)) * np.sign(b)
 
 
 def _lane_result(graph: ExprGraph, tables, v, x, params) -> Optional[ExecutionResult]:
@@ -522,7 +510,7 @@ def _lane_result(graph: ExprGraph, tables, v, x, params) -> Optional[ExecutionRe
     node failed: a zero divisor, a negative root, or a value that
     :func:`ebfp.apply` saturates, outside [2**-R, 2**R) with R = F *
     max_block_exp (an infinity or a nan too)."""
-    _, _, pos, divisors, roots = tables
+    _, _, pos, _, divisors, roots, _, _ = tables
     if (v[divisors] == 0).any() or (v[roots] < 0).any():
         return None
     v, x = v[pos] + 0.0, x[pos]  # in id order, and -0.0 is 0.0
@@ -545,65 +533,113 @@ def _wide(graph: ExprGraph, n_lanes: int) -> bool:
     return n_groups > 0 and n_lanes * n_ops >= KERNEL_MIN_WIDTH * n_groups
 
 
-def _kernel_layout(graph: ExprGraph, params: EbfpParams, n_lanes: int) -> Optional[tuple]:
-    """(tables, widest precision) of a float64 pass of ``n_lanes`` lanes, or
-    None where the geometry is outside the kernel's or the pass too narrow."""
+def _kernel_pass(graph: ExprGraph, part: list, input_precision, params,
+                 rule) -> Optional[Callable[[int], object]]:
+    """One pass of (plan, input values) lanes on the float64 kernel:
+    ``lane(l)`` gives the l-th lane's output, or None where that lane takes
+    its scalar path; None where the kernel takes no lane of the pass.
+
+    Without a rule each lane runs its plan, and its output is its
+    :class:`ExecutionResult`.  A rule ``(decide, seed, finish)`` decides
+    each group just before the group is rounded: ``decide(op, a, b, y, ra,
+    rb, sa, sb)`` gives the group's precisions and one state value per
+    node from its operands ``a`` and ``b``, its results rounded to nearest
+    ``y``, its operands' state ``ra`` and ``rb`` (0 at an input), and
+    ``sa`` and ``sb``, the node's entry of ``seed`` (by node id) where that
+    operand is an input and 0 elsewhere, or None where no operand in that
+    place is an input (``b``, ``rb`` and ``sb`` are None for sqrt).  A lane's
+    output is then ``finish(result, its state in non-input id order)``.  A
+    seed that is not finite keeps the pass off the kernel, and a lane that
+    decides a precision above the kernel's widest takes its scalar path.
+    """
     f = params.block_bits
-    if 2 * f * (1 << (params.exponent_bits - 2)) > 970 or not _wide(graph, n_lanes):
+    if 2 * f * (1 << (params.exponent_bits - 2)) > 970 or not _wide(graph, len(part)):
         return None
     memo = _groups(graph)
     if memo[2] is None:
         memo[2] = _tables(graph, memo[1])
-    return memo[2], min(KERNEL_MAX_X, (params.max_blocks - 1) * f)
-
-
-def _kernel_inputs(graph: ExprGraph, lanes: Mapping[int, Mapping], input_precision,
-                   params) -> Optional[tuple]:
-    """(values, precisions, {lane: its column}) holding the stored inputs of
-    each lane whose inputs are in the kernel's domain, or None if none is."""
-    ins = {l: _lane_inputs(graph, vals, input_precision, params) for l, vals in lanes.items()}
+    tables = groups, op_order, pos, cols, _, _, first, second = memo[2]
+    max_x = min(KERNEL_MAX_X, (params.max_blocks - 1) * f)
+    lanes = range(len(part))
+    if rule is None:
+        xs: Dict[int, Optional[np.ndarray]] = {}  # plan object -> its precisions
+        for plan, _ in part:
+            if id(plan) not in xs:
+                xs[id(plan)] = _plan_row(plan, op_order, max_x)
+        lanes = [l for l, (plan, _) in enumerate(part) if xs[id(plan)] is not None]
+        if not _wide(graph, len(lanes)):
+            return None
+    else:
+        decide, seed, finish = rule
+        by_col = np.zeros(len(pos))
+        by_col[pos[list(seed)]] = list(seed.values())
+        if not np.isfinite(by_col).all():  # a nan route, seed times zero weight,
+            return None  # sorts last in searchsorted and first in bisect_left
+        seed_a, seed_b = np.where(first, by_col, 0.0)[:, None], np.where(second, by_col, 0.0)[:, None]
+    ins = {l: _lane_inputs(graph, part[l][1], input_precision, params) for l in lanes}
     col = {l: c for c, l in enumerate(l for l, got in ins.items() if got is not None)}
     if not col:
         return None
     n_in = len(graph.inputs)
-    v = np.empty((len(graph.nodes), len(col)))
+    v = np.empty((len(pos), len(col)))
     x = np.empty(v.shape, dtype=np.int64)
     for l, c in col.items():
         v[:n_in, c], x[:n_in, c] = ins[l]
-    return v, x, col
-
-
-def _float_batch(graph: ExprGraph, plans: list, lanes: list, input_precision, params):
-    """The float64 kernel run over the batch's lanes in its domain: (tables,
-    values, precisions, {lane: its column}), or None."""
-    layout = _kernel_layout(graph, params, len(plans))
-    if layout is None:
-        return None
-    tables, max_x = layout
-    xs: Dict[int, Optional[np.ndarray]] = {}  # plan object -> its precisions
-    for plan in plans:
-        if id(plan) not in xs:
-            xs[id(plan)] = _plan_row(plan, tables[1], max_x)
-    planned = [l for l, plan in enumerate(plans) if xs[id(plan)] is not None]
-    if not _wide(graph, len(planned)):
-        return None
-    kernel = _kernel_inputs(graph, {l: lanes[l] for l in planned}, input_precision, params)
-    if kernel is None:
-        return None
-    v, x, col = kernel
-    n_in = len(graph.inputs)
-    for l, c in col.items():
-        x[n_in:, c] = xs[id(plans[l])]
+        if rule is None:
+            x[n_in:, c] = xs[id(part[l][0])]
+    if rule is None:
+        whole = _rounding(x)
+    else:
+        s = np.zeros(v.shape)
     with np.errstate(all="ignore"):  # a failing lane's garbage stays in its column
-        _run_groups(tables[0], v, x)
-    return tables, v, x, col
+        for op, start, stop, i, j, has_a, has_b in groups:
+            a, b = v[i], None if j is None else v[j]
+            y, r = _nearest(op, a, b)
+            if rule is None:
+                k, half, keep = whole[0][start:stop], whole[1][start:stop], whole[2][start:stop]
+            else:
+                x[start:stop], s[start:stop] = decide(
+                    op, a, b, y, s[i], None if j is None else s[j],
+                    seed_a[start:stop] if has_a else None, seed_b[start:stop] if has_b else None)
+                k, half, keep = _rounding(x[start:stop])
+            # on the int view, which orders each sign's magnitudes: round to
+            # odd at 53 bits (an inexact result is truncated and its last bit
+            # set), then half to even at x + 1 bits
+            m = (y.view(np.int64) - (r * np.sign(y) < 0)) | (r != 0)
+            m = (m + half + ((m >> k) & 1)) & keep
+            v[start:stop] = m.view(np.float64)
+    over = (x[n_in:] > max_x).any(axis=0)  # only a rule decides so
+
+    def lane(l):  # checked one lane at a time, as it is asked for
+        c = col.get(l)
+        if c is None or over[c]:
+            return None
+        with np.errstate(all="ignore"):
+            res = _lane_result(graph, tables, v[:, c], x[:, c], params)
+        return res if res is None or rule is None else finish(res, s[cols, c])
+
+    return lane
 
 
-def _passes(items: Iterable) -> Iterator[list]:
-    """The items, :data:`KERNEL_MAX_LANES` at a time."""
+def run_lanes(graph: ExprGraph, items: Iterable[tuple], scalar: Callable, input_precision,
+              params: EbfpParams, rule: Optional[tuple] = None) -> Iterator:
+    """Each lane's output, for ``items`` of (plan, input values) pairs taken
+    a pass of :data:`KERNEL_MAX_LANES` at a time: the float64 kernel's where
+    it takes the lane (see :func:`execute_lanes` for plans and
+    :func:`_kernel_pass` for a ``rule``), and otherwise, the lane whole,
+    ``scalar(plan, input values)``'s or the :class:`GraphExecutionError`
+    that it raises."""
     items = iter(items)
     while part := list(islice(items, KERNEL_MAX_LANES)):
-        yield part
+        lane = _kernel_pass(graph, part, input_precision, params, rule)
+        for l, (plan, vals) in enumerate(part):
+            got = lane(l) if lane else None
+            if got is None:
+                try:
+                    got = scalar(plan, vals)
+                except GraphExecutionError as err:
+                    got = err
+            yield got
 
 
 def execute_lanes(graph: ExprGraph, plans: Iterable, lanes: Iterable[Mapping[int, Fraction]],
@@ -625,18 +661,6 @@ def execute_lanes(graph: ExprGraph, plans: Iterable, lanes: Iterable[Mapping[int
     its values or its error are run's.
     """
     # a ValueError where plans or lanes run out first
-    for part in _passes(zip(plans, lanes, strict=True)):
-        part_plans, part_lanes = [p for p, _ in part], [vals for _, vals in part]
-        tables, v, x, col = _float_batch(graph, part_plans, part_lanes, input_precision,
-                                         params) or (None, None, None, {})
-        for l, (plan, vals) in enumerate(part):
-            if l in col:  # checked one lane at a time, as it is asked for
-                with np.errstate(all="ignore"):
-                    res = _lane_result(graph, tables, v[:, col[l]], x[:, col[l]], params)
-                if res is not None:
-                    yield res
-                    continue
-            try:
-                yield run(graph, _planned(plan), vals, input_precision, params)
-            except GraphExecutionError as err:
-                yield err
+    yield from run_lanes(graph, zip(plans, lanes, strict=True),
+                         lambda plan, vals: run(graph, _planned(plan), vals, input_precision, params),
+                         input_precision, params)

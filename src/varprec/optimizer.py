@@ -20,15 +20,14 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from .ebfp import EbfpParams, DEFAULT_PARAMS
 from .errormodel import EPS, W_LIMIT_VAR, ops_per_bit, speculation_factor
 from .graph import (_ADD, _DIV, _INPUT, _MUL, _SQRT, _SUB, ExecutionResult, ExprGraph,
-                    GraphExecutionError, OpKind, _kernel_inputs, _kernel_layout, _lane_result,
-                    _passes, _run_groups, run)
+                    GraphExecutionError, OpKind, run, run_lanes)
 
 
 DEFAULT_WEIGHTS = {OpKind.ADD: 1.0, OpKind.SUB: 1.0, OpKind.MUL: 30.0,
@@ -82,7 +81,7 @@ class XoptLut:
 
     def __init__(self, cm: ComplexityModel, cfg: UtilityConfig):
         self.cfg = cfg
-        self.thresholds, self.arrays, self.mid_rho = _ladder(
+        self.thresholds, self.arrays, self.mid_rho, self.mid_arrays = _ladder(
             cfg.x_min, cfg.x_max, tuple(map(cm.weight, DEFAULT_WEIGHTS)))
 
     def lookup(self, rho: float, op) -> int:
@@ -92,13 +91,14 @@ class XoptLut:
 
 @functools.lru_cache(maxsize=256)
 def _ladder(x_min: int, x_max: int, weights: Tuple[float, ...]):
-    """XoptLut's thresholds (as lists and arrays) and rung midpoints,
+    """XoptLut's thresholds and rung midpoints, each as lists and as arrays,
     shared by every lut: read only."""
     scale = 2.0 * math.log(EPS) / (1.0 - EPS ** -2)
     base = {op: scale * w for op, w in zip(DEFAULT_WEIGHTS, weights)}
     th = {op: [b * EPS ** (2 * x) for x in range(x_min, x_max)] for op, b in base.items()}
     mids = {op: [t / EPS for t in th[op] + [b * EPS ** (2 * x_max)]] for op, b in base.items()}
-    return th, {op: np.array(t, dtype=float) for op, t in th.items()}, mids
+    return (th, {op: np.array(t, dtype=float) for op, t in th.items()}, mids,
+            {op: np.array(m) for op, m in mids.items()})
 
 
 def final_step_precision(graph: ExprGraph, cfg: UtilityConfig,
@@ -168,7 +168,11 @@ def _reverse_sweep(graph: ExprGraph, e_b: int):
             ids.append(node.id)
         if any(entries[o][1] is _INPUT for o in node.operands):
             off = seed_bit_offset(*best[1:4], add_rate, sub_rate)
-            seeds.append((node.id, node.op, best[4], EPS ** (2.0 * off)))
+            try:
+                factor = EPS ** (2.0 * off)
+            except OverflowError:  # the seeds of a shorter chain overflow to inf too
+                factor = math.inf
+            seeds.append((node.id, node.op, best[4], factor))
     groups = [(op, *map(np.array, zip(*pos_g))) for op, pos_g in by_op.items()]
     return gsig, ids, groups, seeds, routes
 
@@ -238,16 +242,16 @@ def online_lanes(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
                  ) -> Iterator[Union[Tuple[ExecutionResult, PrecisionPlan], GraphExecutionError]]:
     """Each lane's ``(result, plan)`` of :func:`online_vpc`, or the
     :class:`GraphExecutionError` of its run, taken a pass of
-    :data:`graph.KERNEL_MAX_LANES` lanes at a time.
+    :data:`graph.KERNEL_MAX_LANES` lanes at a time by :func:`graph.run_lanes`.
 
     The policy has two copies that decide alike, bit for bit.  A pass whose
     lanes give each (level, op kind) group :data:`graph.KERNEL_MIN_WIDTH`
     elements on average is decided group by group over numpy columns, each
-    group just before the float64 kernel of :func:`graph.execute_lanes`
-    rounds it.  A lane goes whole through the other copy, a precision policy of
-    :func:`graph.run`, where the kernel cannot run it (see
-    :func:`graph.execute_lanes`), where it decides a precision above the
-    kernel's widest, or where one of its nodes fails.
+    group just before the float64 kernel rounds it.  A lane goes whole
+    through the other copy, a precision policy of :func:`graph.run`, where
+    the kernel cannot run it (see :func:`graph.execute_lanes`; a seed that
+    is not finite keeps the call off the kernel), where it decides a
+    precision above the kernel's widest, or where one of its nodes fails.
     """
     lut = XoptLut(cm, cfg)
     final_x = final_step_precision(graph, cfg, cm)
@@ -258,15 +262,15 @@ def online_lanes(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     # mul/div/sqrt move rho by a constant; add/sub by the operand values
     forward = {op: speculation_factor(op.value, "forward", e_b) for op in (_MUL, _DIV, _SQRT)}
     policy = (lut, seed, routes, forward)
-    for part in _passes(lanes):
-        decided = _online_pass(graph, cfg, policy, part, input_precision, params)
-        for vals, got in zip(part, decided or [None] * len(part)):
-            if got is None:
-                try:
-                    got = _online_run(graph, cfg, policy, vals, input_precision, params)
-                except GraphExecutionError as err:
-                    got = err
-            yield got
+    ids = _held(graph)[1][0]
+
+    def planned(res, rho):  # a kernel lane's plan, from its rho in id order
+        xs, gsigma = res.precisions, np.where(rho != 0.0, -cfg.alpha * rho, 0.0)
+        return res, PrecisionPlan({nid: xs[nid] for nid in ids}, dict(zip(ids, gsigma.tolist())))
+
+    yield from run_lanes(graph, ((None, vals) for vals in lanes),
+                         lambda _, vals: _online_run(graph, cfg, policy, vals, input_precision, params),
+                         input_precision, params, (_online_pass(cfg, lut, forward), seed, planned))
 
 
 def _online_run(graph: ExprGraph, cfg: UtilityConfig, policy: tuple,
@@ -317,54 +321,25 @@ def _online_run(graph: ExprGraph, cfg: UtilityConfig, policy: tuple,
     return result, PrecisionPlan({nid: result.precisions[nid] for nid in rho}, gsigma)
 
 
-def _online_pass(graph: ExprGraph, cfg: UtilityConfig, policy: tuple, lanes: list,
-                 input_precision, params) -> Optional[Iterator[Optional[tuple]]]:
-    """Each lane's ``(result, plan)`` decided and computed by the float64
-    kernel, or None where the lane takes :func:`_online_run` (None for the
-    pass where the kernel takes none of its lanes): the policy of
-    :func:`_online_run` over numpy columns, one (level, op kind) group at a
-    time, with the same float operations in the same order.  The ladder is
-    cut one rung above the kernel's widest precision, so a lane that would
-    decide more lands there and is sent back."""
-    lut, seed, _, forward = policy
-    layout = _kernel_layout(graph, params, len(lanes))
-    kernel = None
-    # an infinite seed times a zero weight is a nan, which bisect_left puts
-    # at the ladder's foot and searchsorted at its top
-    if layout is not None and cfg.x_min <= layout[1] and all(map(math.isfinite, seed.values())):
-        kernel = _kernel_inputs(graph, dict(enumerate(lanes)), input_precision, params)
-    if kernel is None:
-        return None
-    (groups, _, pos, _, _), max_x = layout
-    v, x, col = kernel
-    x_min, n_in = cfg.x_min, len(graph.inputs)
-    th = {op: t[:max_x - x_min + 1] for op, t in lut.arrays.items()}
-    mids = {op: np.array(m) for op, m in lut.mid_rho.items()}
-    # rho by column (0 at the inputs), and each operation column's seed where
-    # its first, or its second, operand is an input (0 elsewhere)
-    rho = np.zeros(v.shape)
-    by_col = np.zeros(len(graph.nodes))
-    by_col[pos[list(seed)]] = list(seed.values())
-    by_col = by_col[n_in:]
-    first = np.concatenate([i for _, _, _, i, _ in groups]) < n_in
-    second = np.concatenate([i if j is None else j for _, _, _, i, j in groups]) < n_in
-    starts = [begin - n_in for _, begin, _, _, _ in groups]
-    seed_a, seed_b = np.where(first, by_col, 0.0), np.where(second, by_col, 0.0)
-    has_a = np.logical_or.reduceat(first, starts).tolist()
-    has_b = np.logical_or.reduceat(second, starts).tolist()
+def _online_pass(cfg: UtilityConfig, lut: XoptLut, forward: dict) -> Callable:
+    """The policy of :func:`_online_run` as the ``decide`` of a
+    :func:`graph.run_lanes` rule: one (level, op kind) group's precisions
+    and rho over numpy columns, from its operands, its results rounded to
+    nearest, its operands' rho and its input operands' seeds, with the same
+    float operations in the same order."""
+    x_min, th, mids = cfg.x_min, lut.arrays, lut.mid_arrays
 
-    def decide(g, a, b, y):
-        op, start, stop, i, j = groups[g]
+    def decide(op, a, b, y, ra, rb, sa, sb):
         if op is _ADD or op is _SUB:
             wa, wb, qa, qb = np.abs(a), np.abs(b), a / y, b / y
-            ra, rb = rho[i] * np.minimum(qa * qa, 1.0), rho[j] * np.minimum(qb * qb, 1.0)
+            ra, rb = ra * np.minimum(qa * qa, 1.0), rb * np.minimum(qb * qb, 1.0)
         else:
             f = forward[op]
-            ra, rb = rho[i] * f, None if op is _SQRT else rho[j] * f
-        if has_a[g]:  # an input operand's rho reads 0, and its route is the seed
-            ra += seed_a[start - n_in:stop - n_in, None]
-        if rb is not None and has_b[g]:
-            rb += seed_b[start - n_in:stop - n_in, None]
+            ra, rb = ra * f, None if op is _SQRT else rb * f
+        if sa is not None:  # an input operand's rho reads 0, and its route is the seed
+            ra += sa
+        if sb is not None:
+            rb += sb
         if op is _ADD or op is _SUB:
             r = (ra * wa + rb * wb) / (wa + wb)
         else:
@@ -372,28 +347,9 @@ def _online_pass(graph: ExprGraph, cfg: UtilityConfig, policy: tuple, lanes: lis
         k = np.searchsorted(th[op], r)
         zero = y == 0.0  # sqrt(a) is 0 where a is
         k[zero] = 0
-        rho[start:stop] = np.where(zero, 0.0, mids[op][k])
-        return k + x_min
+        return k + x_min, np.where(zero, 0.0, mids[op][k])
 
-    with np.errstate(all="ignore"):  # a failing lane's garbage stays in its column
-        _run_groups(groups, v, x, decide)
-    over = (x[n_in:] > max_x).any(axis=0)
-    ids, cols = _held(graph)[1][0], np.delete(pos, graph.inputs)  # non-input ids, their columns
-
-    def lane(l):  # taken one lane at a time, as it is asked for
-        c = col.get(l)
-        if c is None or over[c]:
-            return None
-        with np.errstate(all="ignore"):
-            res = _lane_result(graph, layout[0], v[:, c], x[:, c], params)
-        if res is None:
-            return None
-        r = rho[cols, c]
-        gsigma = np.where(r != 0.0, -cfg.alpha * r, 0.0)
-        return res, PrecisionPlan(dict(zip(ids, x[cols, c].tolist())),
-                                  dict(zip(ids, gsigma.tolist())))
-
-    return map(lane, range(len(lanes)))
+    return decide
 
 
 def fixed_plan(graph: ExprGraph, x: int) -> PrecisionPlan:

@@ -3,7 +3,8 @@
 Every public top-level function and class, and every public method, has a
 caller outside the tests: a reference elsewhere in ``src/`` (outside its
 own definition), in ``demos/`` or in ``perfbench/``.  A routine that only
-tests call belongs in ``tests/oracles.py``.
+tests call belongs in ``tests/oracles.py``.  A function or class whose name
+starts with an underscore belongs to its module: no other module imports it.
 """
 
 import ast
@@ -63,3 +64,19 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             if not outside[name] and in_src[name] <= references(node)[name]:
                 uncalled.add(f"{module}.{qualname}")
     assert sorted(uncalled - ALLOWED.keys()) == []
+
+
+def test_no_module_imports_a_private_routine_of_another():
+    # graph's op-kind aliases (_ADD ... _SQRT) are assignments, not routines
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "varprec").glob("*.py"))}
+    private = {module: {node.name for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")}
+               for module, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module if node.level else node.module.rpartition("varprec.")[2]
+                found += [f"{module} imports {source}.{alias.name}" for alias in node.names
+                          if alias.name in private.get(source, ())]
+    assert found == []

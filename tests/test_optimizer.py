@@ -737,6 +737,27 @@ class TestOnlineLanes:
             got = list(online_lanes(g, cfg, CM, lanes, 4, 53))
         assert list(map(_yielded, got)) == want and len(runs) == 2
 
+    def test_a_seed_factor_beyond_float_range_is_infinite(self, monkeypatch):
+        # 513 subs take the first nodes' bit offsets past 512, where the
+        # factor EPS ** (2 * offset) overflows a float: it is infinite, as
+        # the seeds of the shorter chain above are, so offline plans and
+        # online sends the lanes back to the run
+        g = ExprGraph()
+        x, y = g.add_input(), g.add_input()
+        t = x
+        for _ in range(513):
+            t = g.record("sub", [t, y])
+        g.mark_output(t)
+        cfg = UtilityConfig(1e-9, 2, 40)
+        assert math.inf in [factor for _, _, _, factor in optimizer._alpha_free(g, 4)[3]]
+        assert sorted(offline_vpc(g, cfg, CM, 4).assignment) == g.non_input_ids()
+        lanes = [{x: Fraction(3), y: Fraction(0)}, {x: Fraction(3), y: Fraction(1, 3)}]
+        want = [_scalar_outcome(g, cfg, v, 4, 53) for v in lanes]
+        runs = _counted_runs(monkeypatch)
+        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", 0):
+            got = list(online_lanes(g, cfg, CM, lanes, 4, 53))
+        assert list(map(_yielded, got)) == want and len(runs) == 2
+
     def test_one_8x8_lane_never_enters_the_run(self, monkeypatch):
         # one lane of the 8x8 precoder is wide enough to decide in float64
         zfg = build_zf_graph(8, 8)
