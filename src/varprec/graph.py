@@ -21,7 +21,6 @@ import json
 import math
 import operator
 import sys
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -76,7 +75,8 @@ class ExprNode:
 class ExprGraph:
     """Append-only recorder of a straight-line computation.  :meth:`record`
     keeps its views, all in id order: ``entries`` (one ``(node, op, first
-    operand, second operand or None)`` per node), ``consumers`` and ``inputs``."""
+    operand, second operand or None)`` per node), ``consumers`` and ``inputs``.
+    Tables built from the graph are kept by :meth:`table`."""
 
     def __init__(self):
         self.nodes: List[ExprNode] = []
@@ -85,16 +85,28 @@ class ExprGraph:
         self.inputs: List[int] = []
         self._level_width: Dict[int, int] = {}
         self._explicit_outputs: List[int] = []
+        self._derived: Dict[tuple, object] = {}
+
+    def table(self, build: Callable, *args):
+        """``build(self, *args)``, built once: :meth:`record` and
+        :meth:`mark_output` drop every table, so none is stale, and the
+        tables go with the graph."""
+        key = (build, *args)
+        try:
+            return self._derived[key]
+        except KeyError:
+            got = self._derived[key] = build(self, *args)
+            return got
 
     def record(self, op, operands: Sequence[int] = (), part: str = None) -> int:
-        """Append a node; returns its id.  Operand ids must already exist."""
+        """Append a node; returns its id.  Operand ids are ``int``s that exist."""
         op = OpKind(op)
         operands = tuple(operands)
         if len(operands) != ARITY[op]:
             raise ValueError(f"{op.value} takes {ARITY[op]} operands, got {len(operands)}")
         for o in operands:
-            if not 0 <= o < len(self.nodes):
-                raise ValueError(f"unknown operand id {o}")
+            if type(o) is not int or not 0 <= o < len(self.nodes):  # true is no 1
+                raise ValueError(f"unknown operand id {o!r}")
         n = 0 if op is _INPUT else 1 + max(self.nodes[o].step[0] for o in operands)
         k = self._level_width.get(n, 0) + 1
         self._level_width[n] = k
@@ -106,6 +118,7 @@ class ExprGraph:
             self.consumers[o].append(node.id)
         if op is _INPUT:
             self.inputs.append(node.id)
+        self._derived.clear()
         return node.id
 
     def add_input(self) -> int:
@@ -117,6 +130,7 @@ class ExprGraph:
         if node_id in self._explicit_outputs:
             raise ValueError(f"node {node_id} is already an output")
         self._explicit_outputs.append(node_id)
+        self._derived.clear()
 
     @property
     def outputs(self) -> List[int]:
@@ -151,7 +165,7 @@ class ExprGraph:
                 continue
             rec = json.loads(line)
             got = g.record(rec["op"], rec["operands"], rec.get("part"))
-            if got != rec["id"]:
+            if got != rec["id"] or type(rec["id"]) is not int:
                 raise ValueError("node ids must be dense and in topological order")
             if "output" in rec:
                 outs.append((rec["output"], got))
@@ -379,25 +393,18 @@ KERNEL_MIN_WIDTH = 20
 KERNEL_MAX_LANES = 16
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a 53-bit significand
 
-# graph -> [node count, its (level, op kind) groups, its kernel tables once a
-# pass has needed them]; a graph that grew gets a new entry
-_TABLES: "weakref.WeakKeyDictionary[ExprGraph, list]" = weakref.WeakKeyDictionary()
+
+def _groups(graph: ExprGraph) -> Dict[tuple, list]:
+    """Each (level, op kind) group's (id, first operand, second operand or
+    None) rows."""
+    by_group: Dict[tuple, list] = {}
+    for node, op, i, j in graph.entries:
+        if op is not _INPUT:
+            by_group.setdefault((node.step[0], op), []).append((node.id, i, j))
+    return by_group
 
 
-def _groups(graph: ExprGraph) -> list:
-    """The graph's memo entry: each (level, op kind) group's (id, first
-    operand, second operand or None) rows, and the tables once built."""
-    memo = _TABLES.get(graph)
-    if memo is None or memo[0] != len(graph.nodes):
-        by_group: Dict[tuple, list] = {}
-        for node, op, i, j in graph.entries:
-            if op is not _INPUT:
-                by_group.setdefault((node.step[0], op), []).append((node.id, i, j))
-        memo = _TABLES[graph] = [len(graph.nodes), by_group, None]
-    return memo
-
-
-def _tables(graph: ExprGraph, by_group: dict) -> tuple:
+def _tables(graph: ExprGraph) -> tuple:
     """The kernel's layout of the graph.  Columns hold the inputs in id
     order, then each group in level order, so a group writes one slice:
     (groups as (op, start, stop, first operand columns, second operand
@@ -406,6 +413,7 @@ def _tables(graph: ExprGraph, by_group: dict) -> tuple:
     non-input columns in id order, the columns of divisors and of sqrt
     operands, and per column whether its first, or second, operand is an
     input)."""
+    by_group = graph.table(_groups)
     keys = sorted(by_group)  # by level, then by the op kind's name
     order = graph.inputs + [nid for key in keys for nid, _, _ in by_group[key]]
     n_in = len(graph.inputs)
@@ -529,7 +537,7 @@ def _wide(graph: ExprGraph, n_lanes: int) -> bool:
     n_ops = len(graph.nodes) - len(graph.inputs)
     if n_lanes * n_ops < KERNEL_MIN_WIDTH * max(graph._level_width, default=0):
         return False  # too narrow whatever the groups: each level holds one at least
-    n_groups = len(_groups(graph)[1])
+    n_groups = len(graph.table(_groups))
     return n_groups > 0 and n_lanes * n_ops >= KERNEL_MIN_WIDTH * n_groups
 
 
@@ -555,10 +563,7 @@ def _kernel_pass(graph: ExprGraph, part: list, input_precision, params,
     f = params.block_bits
     if 2 * f * (1 << (params.exponent_bits - 2)) > 970 or not _wide(graph, len(part)):
         return None
-    memo = _groups(graph)
-    if memo[2] is None:
-        memo[2] = _tables(graph, memo[1])
-    tables = groups, op_order, pos, cols, _, _, first, second = memo[2]
+    tables = groups, op_order, pos, cols, _, _, first, second = graph.table(_tables)
     max_x = min(KERNEL_MAX_X, (params.max_blocks - 1) * f)
     lanes = range(len(part))
     if rule is None:

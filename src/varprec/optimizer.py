@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,7 +56,9 @@ class UtilityConfig:
     def __post_init__(self):
         if not (1 <= self.x_min <= self.x_max):
             raise ValueError("need 1 <= x_min <= x_max")
-        if self.alpha <= 0:
+        if self.x_max > 508:  # up to 508 every rung of every op kind's ladder is a float
+            raise ValueError("x_max must be at most 508")
+        if not self.alpha > 0:  # nan too
             raise ValueError("alpha must be positive")
 
 
@@ -101,38 +102,12 @@ def _ladder(x_min: int, x_max: int, weights: Tuple[float, ...]):
             {op: np.array(m) for op, m in mids.items()})
 
 
-def final_step_precision(graph: ExprGraph, cfg: UtilityConfig,
-                         cm: ComplexityModel) -> Dict[int, int]:
-    """Optimal precision of every output node, whose G_sigma seed is
-    ``-GSIGMA_UNIT``: the anchors of the online plan."""
-    lut = XoptLut(cm, cfg)
-    rho = GSIGMA_UNIT / cfg.alpha
-    x = {op: lut.lookup(rho, op) for op in DEFAULT_WEIGHTS}
-    return {oid: x[graph.nodes[oid].op] for oid in graph.outputs}
-
-
-# graph -> ((len(nodes), marked outputs), id tables, {e_b: _reverse_sweep}); a new shape replaces it
-_SWEEPS: "weakref.WeakKeyDictionary[ExprGraph, tuple]" = weakref.WeakKeyDictionary()
-
-
-def _held(graph: ExprGraph) -> tuple:
-    """(shape, (non-input ids, their part tags, {op: ids}), sweeps by e_b) of the graph."""
-    shape = (len(graph.nodes), tuple(graph._explicit_outputs))  # these fix the outputs
-    held = _SWEEPS.get(graph)
-    if held is None or held[0] != shape:
-        ids, by_op = graph.non_input_ids(), {}
-        for nid in ids:
-            by_op.setdefault(graph.nodes[nid].op, []).append(nid)
-        held = _SWEEPS[graph] = (shape, (ids, [graph.nodes[i].part for i in ids], by_op), {})
-    return held
-
-
-def _alpha_free(graph: ExprGraph, e_b: int):
-    """:func:`_reverse_sweep`, run once per graph shape and ``e_b``."""
-    sweeps = _held(graph)[2]
-    if e_b not in sweeps:
-        sweeps[e_b] = _reverse_sweep(graph, e_b)
-    return sweeps[e_b]
+def _ids(graph: ExprGraph) -> tuple:
+    """(non-input ids, their part tags, {op: ids}), a table of the graph."""
+    ids, by_op = graph.non_input_ids(), {}
+    for nid in ids:
+        by_op.setdefault(graph.nodes[nid].op, []).append(nid)
+    return ids, [graph.nodes[i].part for i in ids], by_op
 
 
 def _reverse_sweep(graph: ExprGraph, e_b: int):
@@ -192,7 +167,7 @@ def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     one ``searchsorted`` per op kind.
     """
     arrays = XoptLut(cm, cfg).arrays
-    gsig, ids, groups, _, _ = _alpha_free(graph, e_b)
+    gsig, ids, groups, _, _ = graph.table(_reverse_sweep, e_b)
     xs = np.empty(len(ids), dtype=np.int64)
     for op, pos, g in groups:
         xs[pos] = np.searchsorted(arrays[op], -g / cfg.alpha, "left")
@@ -254,15 +229,17 @@ def online_lanes(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     precision above the kernel's widest, or where one of its nodes fails.
     """
     lut = XoptLut(cm, cfg)
-    final_x = final_step_precision(graph, cfg, cm)
-    mid = (cfg.x_min + cfg.x_max) // 2  # anchor of a sink that is not an output
-    _, _, _, seeds, routes = _alpha_free(graph, e_b)
-    seed = {nid: lut.mid_rho[op][final_x.get(sink, mid) - cfg.x_min] * factor
+    # an output's rung is its final-step precision, where its G_sigma seed is
+    # -GSIGMA_UNIT; a sink that is not an output takes the middle rung
+    rung = {op: bisect_left(t, GSIGMA_UNIT / cfg.alpha) for op, t in lut.thresholds.items()}
+    nodes, outs, mid = graph.nodes, set(graph.outputs), (cfg.x_max - cfg.x_min) // 2
+    _, _, _, seeds, routes = graph.table(_reverse_sweep, e_b)
+    seed = {nid: lut.mid_rho[op][rung[nodes[sink].op] if sink in outs else mid] * factor
             for nid, op, sink, factor in seeds}
     # mul/div/sqrt move rho by a constant; add/sub by the operand values
     forward = {op: speculation_factor(op.value, "forward", e_b) for op in (_MUL, _DIV, _SQRT)}
     policy = (lut, seed, routes, forward)
-    ids = _held(graph)[1][0]
+    ids = graph.table(_ids)[0]
 
     def planned(res, rho):  # a kernel lane's plan, from its rho in id order
         xs, gsigma = res.precisions, np.where(rho != 0.0, -cfg.alpha * rho, 0.0)
@@ -353,13 +330,13 @@ def _online_pass(cfg: UtilityConfig, lut: XoptLut, forward: dict) -> Callable:
 
 
 def fixed_plan(graph: ExprGraph, x: int) -> PrecisionPlan:
-    return PrecisionPlan(dict.fromkeys(_held(graph)[1][0], x))
+    return PrecisionPlan(dict.fromkeys(graph.table(_ids)[0], x))
 
 
 def random_blockwise_plan(graph: ExprGraph, rng: np.random.Generator,
                           x_min: int, x_max: int) -> PrecisionPlan:
     """One uniformly drawn precision per part tag (all nodes must be tagged)."""
-    ids, parts, _ = _held(graph)[1]
+    ids, parts, _ = graph.table(_ids)
     if None in parts:
         raise ValueError(f"node {ids[parts.index(None)]} has no part tag")
     draw = {p: int(rng.integers(x_min, x_max + 1)) for p in sorted(set(parts))}
@@ -371,7 +348,7 @@ def plan_metrics(graph: ExprGraph, plan, cm: ComplexityModel) -> Tuple[float, fl
     op kind: exact while every term is an integer-valued float below 2**53."""
     assignment = getattr(plan, "assignment", plan)
     total = wsum = 0.0
-    for op, ids in _held(graph)[1][2].items():
+    for op, ids in graph.table(_ids)[2].items():
         w = cm.weight(op)
         total += w * sum(map(assignment.__getitem__, ids), 0.0)
         wsum += w * len(ids)

@@ -12,7 +12,7 @@ import numpy as np
 from varprec.errormodel import input_error_variance, rounding_variance, speculation_factor
 from varprec.graph import ExecutionResult, ExprGraph, OpKind
 from varprec.mimo import ZfGraph
-from varprec.optimizer import DEFAULT_WEIGHTS, ComplexityModel, UtilityConfig
+from varprec.optimizer import DEFAULT_WEIGHTS, GSIGMA_UNIT, ComplexityModel, UtilityConfig, XoptLut
 
 
 def modeled_utility_batch(graph: ExprGraph, plans: np.ndarray, node_order: Sequence[int],
@@ -44,6 +44,14 @@ def modeled_utility_batch(graph: ExprGraph, plans: np.ndarray, node_order: Seque
         cost += cm.weight(node.op) * x
     err = sum(var[oid] for oid in graph.outputs)
     return err + cfg.alpha * cost
+
+
+def final_step_precision(graph: ExprGraph, cfg: UtilityConfig,
+                         cm: ComplexityModel) -> Dict[int, int]:
+    """Optimal precision of every output node, whose G_sigma seed is
+    ``-GSIGMA_UNIT``: the anchors of the online plan, by a lookup per output."""
+    lut = XoptLut(cm, cfg)
+    return {oid: lut.lookup(GSIGMA_UNIT / cfg.alpha, graph.nodes[oid].op) for oid in graph.outputs}
 
 
 def gram_inverse_residual(zfg: ZfGraph, result: ExecutionResult) -> float:

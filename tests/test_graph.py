@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -100,6 +101,24 @@ class TestRecord:
                  for i in ids]
         with pytest.raises(ValueError, match="node ids must be dense"):
             ExprGraph.load_jsonl(lines)
+
+    @pytest.mark.parametrize("key, bad", [("operands", True), ("operands", 1.0), ("operands", 0.0),
+                                          ("operands", "0"), ("id", True), ("id", 1.0)],
+                             ids=["operand-bool", "operand-float", "operand-float-0",
+                                  "operand-str", "id-bool", "id-float"])
+    def test_jsonl_rejects_ids_that_are_not_integers(self, key, bad):
+        # a sqrt of node 1 written as true, 1.0 or "0" is no sqrt of an
+        # input, and true or 1.0 is no node id 1
+        recs = [{"id": 0, "op": "input", "operands": []}, {"id": 1, "op": "input", "operands": []},
+                {"id": 2, "op": "sqrt", "operands": [1]}]
+        if key == "operands":
+            recs[2]["operands"] = [bad]
+            message = f"unknown operand id {bad!r}"
+        else:
+            recs[1]["id"] = bad
+            message = "node ids must be dense"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExprGraph.load_jsonl(map(json.dumps, recs))
 
     def test_jsonl_roundtrip_keeps_outputs(self):
         # the 4x4 precoder marks its 32 outputs; its unmarked sinks must not
@@ -1221,3 +1240,25 @@ class TestFloatKernel:
                 list(execute_lanes(zfg.graph, [fixed_plan(zfg.graph, 16)] * lanes,
                                    [vals] * lanes, zfg.input_precisions()))
             assert len(runs) == (0 if kernel else lanes)
+
+    def test_a_node_recorded_after_a_pass_takes_the_kernel(self):
+        # the kernel's layout of the graph follows its growth: after a pass,
+        # a node recorded runs on the kernel in the next pass, as a new sink
+        # and then as the one marked output, and each lane equals the run
+        g, x, *_, n41 = fig3_style_graph()
+        vals = {i: Fraction(i + 2, 3) for i in x}
+        runs, integer_run, got = [], graph_module.run, []
+        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", 0), \
+                mock.patch.object(graph_module, "run",
+                                  lambda *args: runs.append(1) or integer_run(*args)):
+            for step in ("pass", "record", "mark"):
+                if step == "record":
+                    sq = g.record("sqrt", [x[4]])
+                elif step == "mark":
+                    g.mark_output(sq)
+                plan = dict.fromkeys(g.non_input_ids(), 20)
+                res, = execute_lanes(g, [plan], [vals], 40)
+                assert res == integer_run(g, _lookup(plan), vals, 40)
+                got.append(res.output_ids)
+        assert runs == [] and got == [[n41], [n41, sq], [sq]]
+        assert res.floats[sq] == pytest.approx(math.sqrt(2), rel=2 ** -20)

@@ -14,6 +14,7 @@ from varprec.mimo import (
     SimConfig,
     build_zf_graph,
     ber_sim,
+    calibrate_alpha,
     gen_channel,
     online_alpha,
     pareto_sweep,
@@ -26,14 +27,13 @@ from varprec.mimo import (
 from varprec.optimizer import (
     ComplexityModel,
     UtilityConfig,
-    final_step_precision,
     fixed_plan,
     online_vpc,
     plan_metrics,
     random_blockwise_plan,
 )
 
-from oracles import gram_inverse_residual
+from oracles import final_step_precision, gram_inverse_residual
 
 
 class TestChannel:
@@ -316,6 +316,26 @@ class TestSweep:
             SimConfig(schemes=("nonsense",))
 
 
+class TestCalibrateAlpha:
+    """After 60 bisection steps with no average in [target, target + tol],
+    calibrate_alpha returns the last alpha that read above the target, or
+    the last probe where none did."""
+
+    @pytest.mark.parametrize("step_at, above", [(1e-3, True), (1e-20, False)])
+    def test_fallback_after_60_steps(self, step_at, above):
+        # averages step from 10 bits to 2 at step_at: none lands in [5, 5.25]
+        probes = []
+
+        def avg(alpha):
+            probes.append(alpha)
+            return 10.0 if alpha <= step_at else 2.0
+        alpha = calibrate_alpha(avg, 5.0)
+        mids = probes[2:]  # after the two ends
+        assert len(mids) == 60
+        assert alpha == (max(m for m in mids if m <= step_at) if above else mids[-1])
+        assert (avg(alpha) > 5.0) == above and alpha == pytest.approx(step_at, rel=1e-12)
+
+
 class TestOnlineAlpha:
     """online_alpha walks the integer output anchor and returns the alpha of
     an anchor where the probe average crosses the target."""
@@ -380,6 +400,27 @@ class TestOnlineAlpha:
         probe = [gen_channel(np.random.default_rng(cfg.seed), 1, 2)]
         for target in (4, 12):
             self.assert_crossing(zfg, cfg, probe, target)
+
+    def test_walks_down_while_the_anchor_below_reaches_the_target(self, monkeypatch):
+        # the 2x2 probe's plans average 0.0012 bits above their anchor; read
+        # 8 bits above it, the walk steps down from 12 to the lowest anchor
+        # whose average reaches 12, which is 4
+        cfg = SimConfig(n_t=2, k_users=2, seed=4)
+        zfg = build_zf_graph(2, 2)
+        probe = [gen_channel(np.random.default_rng(cfg.seed), 2, 2)]
+        anchors = []
+
+        def above(graph, plan, cm):
+            anchors.append(plan_metrics(graph, plan, cm)[0])
+            return anchors[-1] + 8.0, 0.0
+        monkeypatch.setattr(mimo, "plan_metrics", above)
+        alpha, runs = online_alpha(zfg, cfg, probe, 12.0)
+        assert self.anchor(zfg, cfg, alpha) == 4 and alpha == 2.0 ** -12
+        assert [round(a) for a in anchors] == list(range(12, 2, -1))
+        _, plan = online_vpc(zfg.graph, UtilityConfig(alpha, cfg.x_min, cfg.x_max),
+                             ComplexityModel(), zfg.input_values(probe[0]), cfg.e_b,
+                             zfg.input_precisions(cfg.storage_bits))
+        assert runs[0][1].assignment == plan.assignment
 
     def test_unreachable_target_gives_x_max(self):
         cfg = SimConfig(n_t=4, k_users=4, seed=2)

@@ -27,7 +27,6 @@ from varprec.optimizer import (
     PrecisionPlan,
     UtilityConfig,
     XoptLut,
-    final_step_precision,
     fixed_plan,
     offline_vpc,
     online_lanes,
@@ -39,7 +38,7 @@ from varprec.optimizer import (
     seed_bit_offset,
 )
 
-from oracles import modeled_utility_batch
+from oracles import final_step_precision, modeled_utility_batch
 
 CM = ComplexityModel()
 CFG = UtilityConfig(alpha=1e-9)
@@ -80,10 +79,32 @@ def random_tree_graph(rng, n_ops):
     (dict(x_min=0), "need 1 <= x_min <= x_max"),
     (dict(alpha=0.0), "alpha must be positive"),
     (dict(alpha=-1e-9), "alpha must be positive"),
-], ids=["x-min-above-x-max", "x-min-0", "alpha-0", "alpha-negative"])
+    (dict(alpha=math.nan), "alpha must be positive"),
+    (dict(x_max=509), "x_max must be at most 508"),
+    (dict(x_max=512), "x_max must be at most 508"),
+], ids=["x-min-above-x-max", "x-min-0", "alpha-0", "alpha-negative", "alpha-nan",
+        "x-max-509", "x-max-512"])
 def test_utility_config_rejects(kwargs, message):
+    # a nan alpha would plan offline at x_max and online at x_min; from
+    # x_max 509 the top rung leaves float range, and from 512 so does EPS ** (2 * x_max)
     with pytest.raises(ValueError, match=f"^{message}$"):
         UtilityConfig(**kwargs)
+
+
+def test_utility_config_bounds_keep_the_ladder_finite():
+    # the widest x_max has finite thresholds and midpoints for every op
+    # kind, and an infinite alpha is the limit of large ones: both planners
+    # anchor at x_min, offline every node there
+    lut = XoptLut(CM, UtilityConfig(x_max=508))
+    for op in DEFAULT_WEIGHTS:
+        assert np.isfinite(lut.arrays[op]).all() and np.isfinite(lut.mid_arrays[op]).all()
+    zfg = build_zf_graph(2, 2)
+    g, ip = zfg.graph, zfg.input_precisions()
+    vals = zfg.input_values(gen_channel(np.random.default_rng(0), 2, 2))
+    inf, big = UtilityConfig(math.inf, 2, 64), UtilityConfig(1e300, 2, 64)
+    assert set(offline_vpc(g, inf, CM).assignment.values()) == {2}
+    on = online_vpc(g, inf, CM, vals, 10, ip)[1]
+    assert on.assignment == online_vpc(g, big, CM, vals, 10, ip)[1].assignment
 
 
 class TestLut:
@@ -518,7 +539,7 @@ def reference_online_vpc(graph, cfg, input_values, e_b=10, input_precision=53):
     final_x = final_step_precision(graph, cfg, CM)
     mid = (cfg.x_min + cfg.x_max) // 2
     seed = {nid: midpoint(final_x.get(sink, mid), op) * factor
-            for nid, op, sink, factor in optimizer._alpha_free(graph, e_b)[3]}
+            for nid, op, sink, factor in graph.table(optimizer._reverse_sweep, e_b)[3]}
     fixed_forward = {op: speculation_factor(op.value, "forward", e_b)
                      for op in (OpKind.MUL, OpKind.DIV, OpKind.SQRT)}
     rho = {}
@@ -707,7 +728,7 @@ class TestOnlineLanes:
             t = g.record("add", [t, t])
         g.mark_output(t)
         cfg, vals = UtilityConfig(1e-9, 2, 64), {x: Fraction(3)}
-        (nid, op, sink, factor), = optimizer._alpha_free(g, 5)[3]
+        (nid, op, sink, factor), = g.table(optimizer._reverse_sweep, 5)[3]
         lut, k = XoptLut(CM, cfg), final_step_precision(g, cfg, CM)[sink] - cfg.x_min
         assert factor == 0.5 and lut.mid_rho[op][k] * factor == lut.thresholds[op][k - 1]
         want = _scalar_outcome(g, cfg, vals, 5, 53)
@@ -749,7 +770,7 @@ class TestOnlineLanes:
             t = g.record("sub", [t, y])
         g.mark_output(t)
         cfg = UtilityConfig(1e-9, 2, 40)
-        assert math.inf in [factor for _, _, _, factor in optimizer._alpha_free(g, 4)[3]]
+        assert math.inf in [factor for _, _, _, factor in g.table(optimizer._reverse_sweep, 4)[3]]
         assert sorted(offline_vpc(g, cfg, CM, 4).assignment) == g.non_input_ids()
         lanes = [{x: Fraction(3), y: Fraction(0)}, {x: Fraction(3), y: Fraction(1, 3)}]
         want = [_scalar_outcome(g, cfg, v, 4, 53) for v in lanes]
@@ -972,9 +993,10 @@ class TestTables:
 
     def test_tables_are_freed_with_their_graph(self):
         g, _ = chain("add", "mul", "sqrt")
-        plan = fixed_plan(g, 8)
-        plan_metrics(g, plan, CM)
-        assert g in optimizer._SWEEPS
+        plan_metrics(g, offline_vpc(g, CFG, CM), CM)
+        # the graph's own store holds the sweep and the id lists, each built once
+        assert set(g._derived) == {(optimizer._reverse_sweep, 10), (optimizer._ids,)}
+        assert g.table(optimizer._ids) is g.table(optimizer._ids)
         ref = weakref.ref(g)
         del g
         gc.collect()
