@@ -23,7 +23,7 @@ cfg = SimConfig(n_t=4, k_users=4, snr_db=10.0, trials=6, seed=2,
                 sweep=(3, 6, 12, 32), schemes=("fixed", "offline", "online"))
 print(f"\nsweeping {len(cfg.sweep)} targets x {len(cfg.schemes)} schemes over "
       f"{cfg.trials} frozen channels (SNR {cfg.snr_db:.0f} dB)...")
-inputs = sweep_inputs(cfg)  # channels and reference precoders, computed once
+inputs = sweep_inputs(cfg)  # channels and their stored inputs; references when read
 points = pareto_sweep(cfg, inputs)
 ref = reference_rate(cfg, inputs)
 

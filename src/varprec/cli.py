@@ -178,7 +178,7 @@ def sim_config_from_args(args) -> SimConfig:
 
 #: (config, its sweep inputs) of the cells this process ran last: a pool
 #: worker runs many cells of one config, and they all share the graph, the
-#: channels and the reference precoders.  The pool sends ``_run_cell`` one
+#: stored channels and the reference precoders.  The pool sends ``_run_cell`` one
 #: picklable cell, so the inputs are kept here, not passed in.
 _cell_inputs: Optional[Tuple[SimConfig, SweepInputs]] = None
 

@@ -7,11 +7,12 @@ through the exact-then-round scalar arithmetic.  One loop, :func:`run`,
 does this for every precision policy: the online planner decides while it
 runs, and a plan's lookup makes it execute a plan.  :func:`execute_lanes`
 runs plans on several lanes (input sets) at once, in float64 where that
-gives run's results bit for bit (keeping floats, which :mod:`ebfp` stores
-when the values are read), and through :func:`run` elsewhere.  Both it
-and the online planner go through :func:`run_lanes`, whose rule decides
-each group of nodes just before the kernel rounds it.  The error model is
-a separate pass: :func:`predicted_errors` gives each node's relative-error
+gives run's results bit for bit (a result keeps the kernel's columns,
+which name run's failing node too; :mod:`ebfp` stores values when they
+are read), and through :func:`run` elsewhere.  Both it and the online
+planner go through :func:`run_lanes`, whose rule decides each group of
+nodes just before the kernel rounds it.  The error model is a separate
+pass: :func:`predicted_errors` gives each node's relative-error
 variance over what a run computed.
 """
 
@@ -75,14 +76,16 @@ class ExprNode:
 class ExprGraph:
     """Append-only recorder of a straight-line computation.  :meth:`record`
     keeps its views, all in id order: ``entries`` (one ``(node, op, first
-    operand, second operand or None)`` per node), ``consumers`` and ``inputs``.
-    Tables built from the graph are kept by :meth:`table`."""
+    operand, second operand or None)`` per node), ``consumers``, ``inputs``
+    and ``op_ids``, the ids of the operations.  Tables built from the graph
+    are kept by :meth:`table`."""
 
     def __init__(self):
         self.nodes: List[ExprNode] = []
         self.entries: List[tuple] = []
         self.consumers: List[List[int]] = []
         self.inputs: List[int] = []
+        self.op_ids: List[int] = []
         self._level_width: Dict[int, int] = {}
         self._explicit_outputs: List[int] = []
         self._derived: Dict[tuple, object] = {}
@@ -116,8 +119,7 @@ class ExprGraph:
         self.consumers.append([])
         for o in operands:
             self.consumers[o].append(node.id)
-        if op is _INPUT:
-            self.inputs.append(node.id)
+        (self.inputs if op is _INPUT else self.op_ids).append(node.id)
         self._derived.clear()
         return node.id
 
@@ -140,7 +142,7 @@ class ExprGraph:
         return [n.id for n, c in zip(self.nodes, self.consumers) if not c and n.op is not _INPUT]
 
     def non_input_ids(self) -> List[int]:
-        return [n.id for n in self.nodes if n.op is not _INPUT]
+        return list(self.op_ids)
 
     def dump_jsonl(self, fh, plan: Mapping[int, int] = None) -> None:
         """One node per line: ``precision`` under a plan, ``output: i`` for ``outputs[i]``."""
@@ -201,13 +203,16 @@ def topo_stats(graph: ExprGraph) -> TopoStats:
 
 @dataclass
 class ExecutionResult:
-    """What a run computed, node by node.  A float64 lane keeps floats and
-    precisions only, and stores its values when :attr:`values` is first read."""
+    """What a run computed, in id order (a graph's ids are 0..n-1): lists
+    from :func:`run`, arrays from a lane.  The dicts by node id are built
+    when first read, and ``==`` and ``repr`` read them."""
 
-    #: each node's value as a float, equal to ``float(decode(values[i]))``
-    floats: Dict[int, float]
-    #: each node's precision in bits, inputs included
-    precisions: Dict[int, int]
+    #: each node's value as a float, equal to ``float(decode(values[i]))``,
+    #: and its precision in bits, inputs included: dicts of the arrays below
+    floats: Dict[int, float] = field(init=False)
+    precisions: Dict[int, int] = field(init=False)
+    float_array: Sequence[float] = field(repr=False, compare=False)
+    precision_array: Sequence[int] = field(repr=False, compare=False)
     output_ids: List[int]
     #: operations whose value is exactly zero, where the relative-error
     #: frame is degenerate (see :func:`predicted_errors`)
@@ -215,6 +220,13 @@ class ExecutionResult:
     #: the geometry the values are stored in, and the stored values once read
     _params: EbfpParams = field(default=DEFAULT_PARAMS, repr=False)
     _values: Optional[Dict[int, EbfpNumber]] = field(default=None, repr=False, compare=False)
+
+    def __getattr__(self, name: str):  # floats or precisions, not read yet
+        if name not in ("floats", "precisions"):
+            raise AttributeError(name)
+        array = self.float_array if name == "floats" else self.precision_array
+        got = self.__dict__[name] = dict(enumerate(np.asarray(array).tolist()))
+        return got
 
     @property
     def values(self) -> Dict[int, EbfpNumber]:
@@ -277,7 +289,7 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
     raised by ``choose`` propagates.
     """
     values: Dict[int, EbfpNumber] = {}
-    floats, xs, degenerate = {}, {}, []
+    floats, xs, degenerate = [], [], []
     per_input = hasattr(input_precision, "keys")  # dict.update's test for a mapping
     for node, op, i, j in graph.entries:
         nid = node.id
@@ -288,7 +300,7 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
                 raise GraphExecutionError(nid, "division by zero")
             if op is _SQRT and a.sign < 0:
                 raise GraphExecutionError(nid, "sqrt of a negative value")
-            x = choose(node, floats[i], floats.get(j))
+            x = choose(node, floats[i], None if j is None else floats[j])
             if type(x) is not int:
                 x = _precision(nid, x)
             if x < 1:
@@ -302,8 +314,9 @@ def run(graph: ExprGraph, choose: Callable[[ExprNode, float, Optional[float]], i
             else:
                 # operands are never saturated: a saturated result fails its node
                 out = apply(op, a, b, x)
-            values[nid], xs[nid] = out, x
-            floats[nid] = _shadow(out)
+            values[nid] = out
+            floats.append(_shadow(out))
+            xs.append(x)
         except (ValueError, ArithmeticError) as e:
             raise GraphExecutionError(nid, str(e))
         except KeyError:  # only an input looks anything up here
@@ -409,10 +422,9 @@ def _tables(graph: ExprGraph) -> tuple:
     order, then each group in level order, so a group writes one slice:
     (groups as (op, start, stop, first operand columns, second operand
     columns or None, whether some first operand is an input, whether some
-    second one is), non-input ids in column order, each id's column, the
-    non-input columns in id order, the columns of divisors and of sqrt
-    operands, and per column whether its first, or second, operand is an
-    input)."""
+    second one is), each id's column, the operations' columns in id order
+    and their ids, and per column whether its first, or second, operand is
+    an input)."""
     by_group = graph.table(_groups)
     keys = sorted(by_group)  # by level, then by the op kind's name
     order = graph.inputs + [nid for key in keys for nid, _, _ in by_group[key]]
@@ -420,7 +432,7 @@ def _tables(graph: ExprGraph) -> tuple:
     pos = np.empty(len(order), dtype=np.intp)
     pos[order] = np.arange(len(order))
     first, second = np.zeros(len(order), dtype=bool), np.zeros(len(order), dtype=bool)
-    groups, start, divisors, roots = [], n_in, [], []
+    groups, start = [], n_in
     for (_, op), rows in zip(keys, map(by_group.get, keys)):
         stop = start + len(rows)
         i = pos[[r[1] for r in rows]]
@@ -430,34 +442,32 @@ def _tables(graph: ExprGraph) -> tuple:
             second[start:stop] = j < n_in
         groups.append((op, start, stop, i, j, first[start:stop].any(), second[start:stop].any()))
         start = stop
-        if op is _DIV:
-            divisors.extend(j.tolist())
-        elif op is _SQRT:
-            roots.extend(i.tolist())
-    return (groups, order[n_in:], pos, np.delete(pos, graph.inputs),
-            np.array(divisors, dtype=np.intp), np.array(roots, dtype=np.intp), first, second)
+    return groups, pos, pos[graph.op_ids], np.array(graph.op_ids, dtype=np.intp), first, second
 
 
-def _plan_row(plan, op_order: List[int], max_x: int) -> Optional[np.ndarray]:
-    """The plan's precisions of ``op_order``, or None unless every one is an
-    ``int`` in [1, max_x]."""
-    assignment = getattr(plan, "assignment", plan)
-    try:
-        xs = list(map(assignment.__getitem__, op_order))
-        if set(map(type, xs)) != {int}:
+def _plan_row(graph: ExprGraph, plan, max_x: int) -> Optional[np.ndarray]:
+    """The plan's precisions of ``graph.op_ids`` (a planner's array as it
+    is), or None unless every one is an ``int`` in [1, max_x]."""
+    xs = plan.row(graph.op_ids) if hasattr(plan, "row") else None
+    if xs is None:
+        try:
+            xs = list(map(getattr(plan, "assignment", plan).__getitem__, graph.op_ids))
+            xs = np.array(xs, dtype=np.int64) if set(map(type, xs)) == {int} else None
+        except Exception:  # run names the node, or raises what it raises
             return None
-        xs = np.array(xs, dtype=np.int64)
-    except Exception:  # run names the node, or raises what it raises
-        return None
-    return xs if 1 <= xs.min() and xs.max() <= max_x else None
+    ok = xs is not None and xs.dtype == np.int64 and 1 <= xs.min() and xs.max() <= max_x
+    return xs if ok else None
 
 
 def _lane_inputs(graph: ExprGraph, input_values, input_precision, params) -> Optional[tuple]:
     """(floats, precisions) of one lane's stored inputs, or None where an
-    input fails or is not exact in float64."""
+    input fails or is not exact in float64; a :class:`StoredInputs`' own."""
     per_input = hasattr(input_precision, "keys")
     floats, xs = [], []
     try:
+        key, got = getattr(input_values, "stored", (None, None))
+        if key == (graph.inputs, input_precision, params):
+            return got
         for nid in graph.inputs:
             x = input_precision[nid] if per_input else input_precision
             if type(x) is not int:
@@ -470,6 +480,17 @@ def _lane_inputs(graph: ExprGraph, input_values, input_precision, params) -> Opt
     except Exception:  # run names the input, or raises what it raises
         return None
     return floats, xs
+
+
+class StoredInputs(dict):
+    """One lane's input values by input id, stored once for the float64
+    kernel at the graph, input precision and geometry given (a pass at
+    others stores them again): a sweep runs each channel many times."""
+
+    def __init__(self, graph: ExprGraph, input_values, input_precision=53, params=DEFAULT_PARAMS):
+        super().__init__(input_values)
+        key = list(graph.inputs), input_precision, params
+        self.stored = key, _lane_inputs(graph, self, input_precision, params)
 
 
 def _product_error(a, b, p):
@@ -513,22 +534,28 @@ def _nearest(op, a, b) -> tuple:
     return y, ((a - p) - _product_error(y, b, p)) * np.sign(b)
 
 
-def _lane_result(graph: ExprGraph, tables, v, x, params) -> Optional[ExecutionResult]:
-    """One lane's result from its values and precisions, or None where a
-    node failed: a zero divisor, a negative root, or a value that
-    :func:`ebfp.apply` saturates, outside [2**-R, 2**R) with R = F *
-    max_block_exp (an infinity or a nan too)."""
-    _, _, pos, _, divisors, roots, _, _ = tables
-    if (v[divisors] == 0).any() or (v[roots] < 0).any():
-        return None
+def _lane_result(graph: ExprGraph, tables, v, x, max_x: int,
+                 params) -> Union[ExecutionResult, GraphExecutionError, None]:
+    """One lane's result from its columns.  They are run's values up to the
+    first node whose value leaves [2**-R, 2**R), R = F * max_block_exp (a
+    zero divisor and a negative root leave it too), so that node gives
+    run's error.  None where a precision above ``max_x``, which the kernel
+    does not round, comes first."""
+    _, pos, _, op_ids, _, _ = tables
     v, x = v[pos] + 0.0, x[pos]  # in id order, and -0.0 is 0.0
-    r = params.block_bits << (params.exponent_bits - 2)
-    a = np.abs(v)
-    if not (a < 2.0 ** r).all() or ((0 < a) & (a < 2.0 ** -r)).any():
-        return None
-    zeros = [i for i in np.flatnonzero(v == 0).tolist() if graph.nodes[i].op is not _INPUT]
-    return ExecutionResult(dict(enumerate(v.tolist())), dict(enumerate(x.tolist())),
-                           graph.outputs, zeros, params)
+    r, a = params.block_bits << (params.exponent_bits - 2), np.abs(v)
+    bad = np.flatnonzero(~(a < 2.0 ** r) | ((0 < a) & (a < 2.0 ** -r)))  # a nan too
+    nid = min(bad[:1].tolist() + op_ids[x[op_ids] > max_x][:1].tolist(), default=-1)
+    if nid < 0:
+        zeros = [i for i in np.flatnonzero(v == 0).tolist() if graph.nodes[i].op is not _INPUT]
+        return ExecutionResult(v, x, graph.outputs, zeros, params)
+    _, op, i, j = graph.entries[nid]  # run's checks at a node, in run's order
+    if op is _DIV and v[j] == 0:
+        return GraphExecutionError(nid, "division by zero")
+    if op is _SQRT and v[i] < 0:
+        return GraphExecutionError(nid, "sqrt of a negative value")
+    return None if x[nid] > max_x else \
+        GraphExecutionError(nid, (Flag.UNDERFLOW if a[nid] < 1 else Flag.OVERFLOW).value)
 
 
 def _wide(graph: ExprGraph, n_lanes: int) -> bool:
@@ -553,31 +580,29 @@ def _kernel_pass(graph: ExprGraph, part: list, input_precision, params,
     rb, sa, sb)`` gives the group's precisions and one state value per
     node from its operands ``a`` and ``b``, its results rounded to nearest
     ``y``, its operands' state ``ra`` and ``rb`` (0 at an input), and
-    ``sa`` and ``sb``, the node's entry of ``seed`` (by node id) where that
-    operand is an input and 0 elsewhere, or None where no operand in that
-    place is an input (``b``, ``rb`` and ``sb`` are None for sqrt).  A lane's
-    output is then ``finish(result, its state in non-input id order)``.  A
-    seed that is not finite keeps the pass off the kernel, and a lane that
-    decides a precision above the kernel's widest takes its scalar path.
+    ``sa`` and ``sb``, the node's seed ((ids, seeds) in ``seed``) where
+    that operand is an input and 0 elsewhere, or None where no operand in
+    that place is an input (``b``, ``rb`` and ``sb`` are None for sqrt).  A
+    lane's output is then ``finish(result, its precisions, its state)``,
+    both in ``graph.op_ids`` order.  A seed that is not finite keeps the
+    pass off the kernel; see :func:`_lane_result` for failing lanes.
     """
     f = params.block_bits
     if 2 * f * (1 << (params.exponent_bits - 2)) > 970 or not _wide(graph, len(part)):
         return None
-    tables = groups, op_order, pos, cols, _, _, first, second = graph.table(_tables)
+    tables = groups, pos, cols, _, first, second = graph.table(_tables)
     max_x = min(KERNEL_MAX_X, (params.max_blocks - 1) * f)
     lanes = range(len(part))
     if rule is None:
-        xs: Dict[int, Optional[np.ndarray]] = {}  # plan object -> its precisions
-        for plan, _ in part:
-            if id(plan) not in xs:
-                xs[id(plan)] = _plan_row(plan, op_order, max_x)
+        plans = {id(plan): plan for plan, _ in part}
+        xs = {k: _plan_row(graph, plan, max_x) for k, plan in plans.items()}  # by plan object
         lanes = [l for l, (plan, _) in enumerate(part) if xs[id(plan)] is not None]
         if not _wide(graph, len(lanes)):
             return None
     else:
         decide, seed, finish = rule
         by_col = np.zeros(len(pos))
-        by_col[pos[list(seed)]] = list(seed.values())
+        by_col[pos[seed[0]]] = seed[1]
         if not np.isfinite(by_col).all():  # a nan route, seed times zero weight,
             return None  # sorts last in searchsorted and first in bisect_left
         seed_a, seed_b = np.where(first, by_col, 0.0)[:, None], np.where(second, by_col, 0.0)[:, None]
@@ -591,7 +616,7 @@ def _kernel_pass(graph: ExprGraph, part: list, input_precision, params,
     for l, c in col.items():
         v[:n_in, c], x[:n_in, c] = ins[l]
         if rule is None:
-            x[n_in:, c] = xs[id(part[l][0])]
+            x[cols, c] = xs[id(part[l][0])]
     if rule is None:
         whole = _rounding(x)
     else:
@@ -613,15 +638,15 @@ def _kernel_pass(graph: ExprGraph, part: list, input_precision, params,
             m = (y.view(np.int64) - (r * np.sign(y) < 0)) | (r != 0)
             m = (m + half + ((m >> k) & 1)) & keep
             v[start:stop] = m.view(np.float64)
-    over = (x[n_in:] > max_x).any(axis=0)  # only a rule decides so
 
     def lane(l):  # checked one lane at a time, as it is asked for
         c = col.get(l)
-        if c is None or over[c]:
+        if c is None:
             return None
         with np.errstate(all="ignore"):
-            res = _lane_result(graph, tables, v[:, c], x[:, c], params)
-        return res if res is None or rule is None else finish(res, s[cols, c])
+            res = _lane_result(graph, tables, v[:, c], x[:, c], max_x, params)
+        return res if rule is None or type(res) is not ExecutionResult else \
+            finish(res, x[cols, c], s[cols, c])
 
     return lane
 
@@ -630,10 +655,10 @@ def run_lanes(graph: ExprGraph, items: Iterable[tuple], scalar: Callable, input_
               params: EbfpParams, rule: Optional[tuple] = None) -> Iterator:
     """Each lane's output, for ``items`` of (plan, input values) pairs taken
     a pass of :data:`KERNEL_MAX_LANES` at a time: the float64 kernel's where
-    it takes the lane (see :func:`execute_lanes` for plans and
-    :func:`_kernel_pass` for a ``rule``), and otherwise, the lane whole,
-    ``scalar(plan, input values)``'s or the :class:`GraphExecutionError`
-    that it raises."""
+    it takes the lane, or run's :class:`GraphExecutionError` where the lane
+    fails there (see :func:`execute_lanes` for plans and :func:`_kernel_pass`
+    for a ``rule``), and otherwise, the lane whole, ``scalar(plan, input
+    values)``'s or the :class:`GraphExecutionError` that it raises."""
     items = iter(items)
     while part := list(islice(items, KERNEL_MAX_LANES)):
         lane = _kernel_pass(graph, part, input_precision, params, rule)
@@ -661,9 +686,9 @@ def execute_lanes(graph: ExprGraph, plans: Iterable, lanes: Iterable[Mapping[int
     the block budget holds, every stored input is exact in float64, and the
     geometry's range of 2**±R, R = F * max_block_exp, keeps TwoProduct's
     low part exact (2R <= 1022 - 52); and only when those lanes give each
-    group :data:`KERNEL_MIN_WIDTH` elements on average.  Any other lane,
-    and any lane in which a node fails, runs whole through :func:`run`:
-    its values or its error are run's.
+    group :data:`KERNEL_MIN_WIDTH` elements on average.  Any other lane
+    runs whole through :func:`run`; a kernel lane that fails gives run's
+    error from its columns.
     """
     # a ValueError where plans or lanes run out first
     yield from run_lanes(graph, zip(plans, lanes, strict=True),

@@ -27,7 +27,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ebfp import DEFAULT_PARAMS, blocks_for_precision
-from .graph import ExecutionResult, ExprGraph, GraphExecutionError, execute, execute_lanes
+from .graph import ExecutionResult, ExprGraph, GraphExecutionError, StoredInputs, execute, execute_lanes
 from .optimizer import (
     GSIGMA_UNIT,
     ComplexityModel,
@@ -194,11 +194,8 @@ class ZfGraph:
         return prec
 
     def _entry(self, result: ExecutionResult, ref: CRef) -> complex:
-        def val(r: Ref) -> float:
-            if r.is_zero:
-                return 0.0
-            return r.sign * result.floats[r.node]
-        return complex(val(ref.re), val(ref.im))
+        f = result.float_array  # W's entries alone, without the dict of every node
+        return complex(*(0.0 if r.is_zero else r.sign * f[r.node] for r in (ref.re, ref.im)))
 
     def matrix(self, result: ExecutionResult, refs: List[List[CRef]]) -> np.ndarray:
         return np.array([[self._entry(result, r) for r in row] for row in refs])
@@ -459,24 +456,39 @@ def _plan_cfg(cfg: SimConfig, alpha: float) -> UtilityConfig:
     return UtilityConfig(alpha=alpha, x_min=cfg.x_min, x_max=cfg.x_max)
 
 
-SweepInputs = Tuple[ZfGraph, List[ChannelMatrix], List[np.ndarray]]
+@dataclass
+class SweepInputs:
+    """What every cell of a sweep shares: the recorded precoder, the paired
+    channels, their inputs stored once, and their reference precoders,
+    computed when first read (by the BER and :func:`reference_rate`)."""
+
+    zfg: ZfGraph
+    channels: List[ChannelMatrix]
+    lanes: List[StoredInputs]
+
+    @functools.cached_property
+    def refs(self) -> List[np.ndarray]:
+        return [zf_reference(h, self.zfg)[0] for h in self.channels]
 
 
 def sweep_inputs(cfg: SimConfig) -> SweepInputs:
-    """What every cell of a sweep shares: the recorded precoder, the paired
-    channels generated from the seed, and their reference precoders."""
-    zfg = build_zf_graph(cfg.k_users, cfg.n_t)
-    rng = np.random.default_rng(cfg.seed)
+    """A sweep's inputs, with the channels generated from the seed."""
+    zfg, rng = build_zf_graph(cfg.k_users, cfg.n_t), np.random.default_rng(cfg.seed)
     channels = [gen_channel(rng, cfg.k_users, cfg.n_t) for _ in range(cfg.trials)]
-    return zfg, channels, [zf_reference(h, zfg)[0] for h in channels]
+    return SweepInputs(zfg, channels, _stored(zfg, channels, cfg.storage_bits))
+
+
+def _stored(zfg: ZfGraph, channels: Sequence[ChannelMatrix], storage_bits: int) -> list:
+    ip = zfg.input_precisions(storage_bits)
+    return [StoredInputs(zfg.graph, zfg.input_values(h), ip) for h in channels]
 
 
 def _online_runs(zfg: ZfGraph, cfg: SimConfig, alpha: float,
-                 channels: Sequence[ChannelMatrix]) -> Iterator[Optional[tuple]]:
-    """online_vpc's (result, plan) on each channel, or None where it fails:
-    the channels are the lanes of one :func:`online_lanes` call."""
-    runs = online_lanes(zfg.graph, _plan_cfg(cfg, alpha), CM, map(zfg.input_values, channels),
-                        cfg.e_b, zfg.input_precisions(cfg.storage_bits))
+                 lanes: Sequence[StoredInputs]) -> Iterator[Optional[tuple]]:
+    """online_vpc's (result, plan) on each lane of one :func:`online_lanes`
+    call, or None where it fails."""
+    runs = online_lanes(zfg.graph, _plan_cfg(cfg, alpha), CM, lanes, cfg.e_b,
+                        zfg.input_precisions(cfg.storage_bits))
     return (None if isinstance(r, GraphExecutionError) else r for r in runs)
 
 
@@ -493,10 +505,11 @@ def online_alpha(zfg: ZfGraph, cfg: SimConfig, probe: Sequence[ChannelMatrix],
     ucfg = _plan_cfg(cfg, 1.0)
     mids = XoptLut(CM, ucfg).mid_rho[zfg.graph.nodes[zfg.graph.outputs[0]].op]
     alpha_at = {x: GSIGMA_UNIT / m for x, m in enumerate(mids, cfg.x_min)}
+    lanes = _stored(zfg, probe, cfg.storage_bits)  # once for every anchor
 
     @functools.cache
     def runs_at(x):
-        return list(_online_runs(zfg, cfg, alpha_at[x], probe))
+        return list(_online_runs(zfg, cfg, alpha_at[x], lanes))
 
     def avg_at(x):
         vals = [plan_metrics(zfg.graph, r[1], CM)[0] for r in runs_at(x) if r]
@@ -518,7 +531,7 @@ def sweep_cell(cfg: SimConfig, inputs: SweepInputs, scheme: str, ti: int) -> Swe
     A trial that fails to execute scores zero rate and every BER bit wrong;
     its plan still counts in the realized average, but a failed online run
     has no plan."""
-    zfg, channels, refs = inputs
+    zfg, channels = inputs.zfg, inputs.channels
     target = cfg.sweep[ti]
     ip = zfg.input_precisions(cfg.storage_bits)
     if scheme == "fixed":
@@ -536,12 +549,12 @@ def sweep_cell(cfg: SimConfig, inputs: SweepInputs, scheme: str, ti: int) -> Swe
     cell_metrics = plan_metrics(zfg.graph, plan, CM) if scheme in ("fixed", "offline") else None
     if scheme == "online":  # the walk has run the probe channels at alpha
         runs = (r or (None, None) for r in itertools.chain(  # a failed run has no plan
-            probed, _online_runs(zfg, cfg, alpha, channels[len(probed):])))
+            probed, _online_runs(zfg, cfg, alpha, inputs.lanes[len(probed):])))
     else:  # the channels are the lanes of one batch, whose passes draw their plans
         plans, scored = itertools.tee(
             (random_blockwise_plan(zfg.graph, draw_rng, cfg.x_min, hi) for _ in channels)
             if scheme == "random-blockwise" else itertools.repeat(plan, len(channels)))
-        lanes = execute_lanes(zfg.graph, plans, map(zfg.input_values, channels), ip)
+        lanes = execute_lanes(zfg.graph, plans, inputs.lanes, ip)
         runs = ((None if isinstance(r, GraphExecutionError) else r, p) for r, p in zip(lanes, scored))
     n_bits = 2 * cfg.k_users * cfg.ber_symbols
     rates, avgs, totals = [], [], []
@@ -561,7 +574,7 @@ def sweep_cell(cfg: SimConfig, inputs: SweepInputs, scheme: str, ti: int) -> Swe
         rates.append(sum_rate(h_cx, w, cfg.snr_db))
         if cfg.ber_symbols:
             ber_rng = np.random.default_rng((cfg.seed, 77, t))
-            b = ber_sim(h_cx, w, cfg.snr_db, cfg.ber_symbols, ber_rng, refs[t])
+            b = ber_sim(h_cx, w, cfg.snr_db, cfg.ber_symbols, ber_rng, inputs.refs[t])
             errors += int(round(b * n_bits))
 
     n = len(rates)
@@ -597,9 +610,8 @@ def pareto_sweep(cfg: SimConfig, inputs: Optional[SweepInputs] = None) -> List[S
 
 def reference_rate(cfg: SimConfig, inputs: SweepInputs) -> float:
     """Mean reference-precision sum rate over a sweep's inputs' channels."""
-    _, channels, refs = inputs
     return float(np.mean([sum_rate(h.as_complex(), w, cfg.snr_db)
-                          for h, w in zip(channels, refs)]))
+                          for h, w in zip(inputs.channels, inputs.refs)]))
 
 
 def precision_histogram(zfg: ZfGraph, plan) -> Dict[Tuple[int, str], int]:

@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -62,10 +62,43 @@ class UtilityConfig:
             raise ValueError("alpha must be positive")
 
 
-@dataclass
 class PrecisionPlan:
-    assignment: Dict[int, int]
-    gsigma: Optional[Dict[int, float]] = None
+    """Each operation's precision, and its G_sigma where the planner gives
+    one, as dicts by node id built when first read (in ``reverse`` id order
+    if so made).  A planner keeps int64 ``xs``, and G_sigma as a dict or an
+    array, in the order of ``ids``, its graph's ``op_ids``.  Once read,
+    ``assignment`` is the plan: ``xs`` goes."""
+
+    def __init__(self, assignment: Optional[Dict[int, int]] = None, gsigma=None, ids=None, xs=None,
+                 reverse=False):
+        self._assignment, self._gsigma, self.ids, self.xs = assignment, gsigma, ids, xs
+        self.reverse = reverse
+
+    @property
+    def assignment(self) -> Dict[int, int]:
+        if self._assignment is None:  # ids may have grown with the graph since
+            ids, step = self.ids[:len(self.xs)], -1 if self.reverse else 1
+            self._assignment = dict(zip(ids[::step], self.xs[::step].tolist()))
+        self.xs = None
+        return self._assignment
+
+    @property
+    def gsigma(self) -> Optional[Dict[int, float]]:
+        if isinstance(self._gsigma, np.ndarray):
+            self._gsigma = dict(zip(self.ids, self._gsigma.tolist()))
+        return self._gsigma
+
+    def row(self, op_ids: List[int]) -> Optional[np.ndarray]:
+        """``xs``, if the plan was made for the graph of ``op_ids`` as it is now."""
+        ok = self.xs is not None and self.ids is op_ids and len(self.xs) == len(op_ids)
+        return self.xs if ok else None
+
+    def __eq__(self, other):
+        return (self.assignment, self.gsigma) == (other.assignment, other.gsigma) \
+            if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PrecisionPlan(assignment={self.assignment!r}, gsigma={self.gsigma!r})"
 
 
 class XoptLut:
@@ -103,11 +136,12 @@ def _ladder(x_min: int, x_max: int, weights: Tuple[float, ...]):
 
 
 def _ids(graph: ExprGraph) -> tuple:
-    """(non-input ids, their part tags, {op: ids}), a table of the graph."""
-    ids, by_op = graph.non_input_ids(), {}
-    for nid in ids:
-        by_op.setdefault(graph.nodes[nid].op, []).append(nid)
-    return ids, [graph.nodes[i].part for i in ids], by_op
+    """(``graph.op_ids``, their part tags, {op: its positions among them}),
+    a table of the graph."""
+    ids, by_op = graph.op_ids, {}
+    for k, nid in enumerate(ids):
+        by_op.setdefault(graph.nodes[nid].op, []).append(k)
+    return ids, [graph.nodes[i].part for i in ids], {op: np.array(k) for op, k in by_op.items()}
 
 
 def _reverse_sweep(graph: ExprGraph, e_b: int):
@@ -115,8 +149,9 @@ def _reverse_sweep(graph: ExprGraph, e_b: int):
     node in reverse id order; the non-input ids in that order, with per op
     kind their positions among them and their G_sigma; (id, op, sink,
     EPS ** (2 * bit offset)) of each node with an input operand, the offset
-    of its longest path (length, add, sub and sqrt crossings, sink id); and
-    per node id its operand ids, None where the operand is an input."""
+    of its longest path (length, add, sub and sqrt crossings, sink id); per
+    node id its operand ids, None where the operand is an input; and those
+    seeds' ids, rung slots (see :func:`online_lanes`) and factors, as arrays."""
     entries, consumers = graph.entries, graph.consumers
     out_set = set(graph.outputs)
     back = {op: speculation_factor(op.value, "backward", e_b) for op in DEFAULT_WEIGHTS}
@@ -149,7 +184,12 @@ def _reverse_sweep(graph: ExprGraph, e_b: int):
                 factor = math.inf
             seeds.append((node.id, node.op, best[4], factor))
     groups = [(op, *map(np.array, zip(*pos_g))) for op, pos_g in by_op.items()]
-    return gsig, ids, groups, seeds, routes
+    ops = list(DEFAULT_WEIGHTS)
+    slots = [6 * ops.index(op) + (ops.index(entries[sink][1]) if sink in out_set else 5)
+             for _, op, sink, _ in seeds]
+    arrays = [np.array([s[0] for s in seeds], dtype=np.intp), np.array(slots, dtype=np.intp),
+              np.array([s[3] for s in seeds], dtype=float)]
+    return gsig, ids, groups, seeds, routes, arrays
 
 
 def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
@@ -167,11 +207,12 @@ def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     one ``searchsorted`` per op kind.
     """
     arrays = XoptLut(cm, cfg).arrays
-    gsig, ids, groups, _, _ = graph.table(_reverse_sweep, e_b)
+    gsig, ids, groups, *_ = graph.table(_reverse_sweep, e_b)
     xs = np.empty(len(ids), dtype=np.int64)
     for op, pos, g in groups:
         xs[pos] = np.searchsorted(arrays[op], -g / cfg.alpha, "left")
-    return PrecisionPlan(dict(zip(ids, (xs + cfg.x_min).tolist())), dict(gsig))
+    # the dict lists the ids in reverse, as the sweep meets them
+    return PrecisionPlan(None, dict(gsig), graph.op_ids, xs[::-1] + cfg.x_min, reverse=True)
 
 
 def seed_bit_offset(n_add: int, n_sub: int, n_sqrt: int, add_rate: int,
@@ -225,25 +266,25 @@ def online_lanes(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     group just before the float64 kernel rounds it.  A lane goes whole
     through the other copy, a precision policy of :func:`graph.run`, where
     the kernel cannot run it (see :func:`graph.execute_lanes`; a seed that
-    is not finite keeps the call off the kernel), where it decides a
-    precision above the kernel's widest, or where one of its nodes fails.
+    is not finite keeps the call off the kernel), or where it decides a
+    precision above the kernel's widest before any of its nodes fails.
     """
     lut = XoptLut(cm, cfg)
     # an output's rung is its final-step precision, where its G_sigma seed is
-    # -GSIGMA_UNIT; a sink that is not an output takes the middle rung
-    rung = {op: bisect_left(t, GSIGMA_UNIT / cfg.alpha) for op, t in lut.thresholds.items()}
-    nodes, outs, mid = graph.nodes, set(graph.outputs), (cfg.x_max - cfg.x_min) // 2
-    _, _, _, seeds, routes = graph.table(_reverse_sweep, e_b)
-    seed = {nid: lut.mid_rho[op][rung[nodes[sink].op] if sink in outs else mid] * factor
-            for nid, op, sink, factor in seeds}
+    # -GSIGMA_UNIT; a sink that is not an output takes the middle rung.  A
+    # seed's slot is 6 * its op kind's place in DEFAULT_WEIGHTS + its sink's, or + 5
+    at = [bisect_left(t, GSIGMA_UNIT / cfg.alpha) for t in lut.thresholds.values()]
+    at.append((cfg.x_max - cfg.x_min) // 2)
+    *_, routes, (seed_ids, slots, factors) = graph.table(_reverse_sweep, e_b)
+    seed = seed_ids, np.array([m[k] for m in lut.mid_rho.values() for k in at])[slots] * factors
     # mul/div/sqrt move rho by a constant; add/sub by the operand values
     forward = {op: speculation_factor(op.value, "forward", e_b) for op in (_MUL, _DIV, _SQRT)}
     policy = (lut, seed, routes, forward)
-    ids = graph.table(_ids)[0]
 
-    def planned(res, rho):  # a kernel lane's plan, from its rho in id order
-        xs, gsigma = res.precisions, np.where(rho != 0.0, -cfg.alpha * rho, 0.0)
-        return res, PrecisionPlan({nid: xs[nid] for nid in ids}, dict(zip(ids, gsigma.tolist())))
+    def planned(res, xs, rho):  # a kernel lane's plan, from its columns in id order
+        gsigma = np.zeros_like(rho)  # -alpha * rho, and 0.0 where rho is (alpha may be inf)
+        np.multiply(-cfg.alpha, rho, out=gsigma, where=rho != 0.0)
+        return res, PrecisionPlan(gsigma=gsigma, ids=graph.op_ids, xs=xs)
 
     yield from run_lanes(graph, ((None, vals) for vals in lanes),
                          lambda _, vals: _online_run(graph, cfg, policy, vals, input_precision, params),
@@ -255,7 +296,8 @@ def _online_run(graph: ExprGraph, cfg: UtilityConfig, policy: tuple,
                 ) -> Tuple[ExecutionResult, PrecisionPlan]:
     """One lane of :func:`online_lanes` by the policy as a ``choose`` of
     :func:`graph.run`, one node at a time."""
-    lut, seed, routes, forward = policy
+    lut, (seed_ids, seeds), routes, forward = policy
+    seed = dict(zip(seed_ids.tolist(), seeds.tolist()))  # Python floats, as in the policy's float ops
     x_min, th, mid_rho = cfg.x_min, lut.thresholds, lut.mid_rho
     f_mul, f_div, f_sqrt = forward[_MUL], forward[_DIV], forward[_SQRT]
     rho: Dict[int, float] = {}
@@ -295,7 +337,7 @@ def _online_run(graph: ExprGraph, cfg: UtilityConfig, policy: tuple,
 
     result = run(graph, choose, input_values, input_precision, params)
     gsigma = {nid: -cfg.alpha * r if r else 0.0 for nid, r in rho.items()}
-    return result, PrecisionPlan({nid: result.precisions[nid] for nid in rho}, gsigma)
+    return result, PrecisionPlan({nid: result.precision_array[nid] for nid in rho}, gsigma)
 
 
 def _online_pass(cfg: UtilityConfig, lut: XoptLut, forward: dict) -> Callable:
@@ -330,7 +372,7 @@ def _online_pass(cfg: UtilityConfig, lut: XoptLut, forward: dict) -> Callable:
 
 
 def fixed_plan(graph: ExprGraph, x: int) -> PrecisionPlan:
-    return PrecisionPlan(dict.fromkeys(graph.table(_ids)[0], x))
+    return PrecisionPlan(ids=graph.op_ids, xs=np.full(len(graph.op_ids), x))
 
 
 def random_blockwise_plan(graph: ExprGraph, rng: np.random.Generator,
@@ -340,18 +382,21 @@ def random_blockwise_plan(graph: ExprGraph, rng: np.random.Generator,
     if None in parts:
         raise ValueError(f"node {ids[parts.index(None)]} has no part tag")
     draw = {p: int(rng.integers(x_min, x_max + 1)) for p in sorted(set(parts))}
-    return PrecisionPlan(dict(zip(ids, map(draw.__getitem__, parts))))
+    return PrecisionPlan(ids=ids, xs=np.array(list(map(draw.__getitem__, parts)), dtype=np.int64))
 
 
 def plan_metrics(graph: ExprGraph, plan, cm: ComplexityModel) -> Tuple[float, float]:
     """(complexity-weighted average precision, total complexity), summed per
-    op kind: exact while every term is an integer-valued float below 2**53."""
-    assignment = getattr(plan, "assignment", plan)
+    op kind (over a planner's array as it is): exact while every term is an
+    integer-valued float below 2**53."""
+    ids, _, by_op = graph.table(_ids)
+    xs = plan.row(ids) if isinstance(plan, PrecisionPlan) else None
+    got = list(map(getattr(plan, "assignment", plan).__getitem__, ids)) if xs is None else None
     total = wsum = 0.0
-    for op, ids in graph.table(_ids)[2].items():
+    for op, pos in by_op.items():
         w = cm.weight(op)
-        total += w * sum(map(assignment.__getitem__, ids), 0.0)
-        wsum += w * len(ids)
+        total += w * (sum(map(got.__getitem__, pos.tolist()), 0.0) if got else float(xs[pos].sum()))
+        wsum += w * len(pos)
     return (total / wsum if wsum else 0.0), total
 
 

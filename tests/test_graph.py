@@ -1090,12 +1090,12 @@ class TestFloatKernel:
                 mock.patch.object(graph_module, "run",
                                   lambda *args: runs.append(1) or integer_run(*args)):
             res, = execute_lanes(g, [{nid: x}], [vals], 60, params)
-        if want is None or want.is_saturated:  # the lane falls back and fails as run does
+        assert runs == []  # the kernel computed the lane, or found where it fails
+        if want is None or want.is_saturated:  # the lane fails as run does
             with pytest.raises(GraphExecutionError) as err:
                 run(g, _lookup({nid: x}), vals, 60, params)
-            assert runs == [1] and _outcome(res) == _outcome(err.value)
+            assert _outcome(res) == _outcome(err.value)
             return
-        assert runs == []  # the kernel computed it
         assert res.values[nid] == want and res.floats[nid] == float(decode(want))
         assert res.precisions == {**dict.fromkeys(ins, 60), nid: x}
         assert res.degenerate_zero == ([nid] if want.flags is Flag.ZERO else [])
@@ -1125,6 +1125,38 @@ class TestFloatKernel:
                 want = err
             assert _outcome(res) == _outcome(want)
 
+    @given(f=st.integers(1, 9), e=st.integers(2, 14), blocks=st.integers(2, 90),
+           seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=1500, deadline=None)
+    def test_a_failing_lane_fails_as_run_does(self, f, e, blocks, seed):
+        # TestFailureContract's draws (zeros, negative values, values beyond
+        # the range and legal geometries), kept to the kernel's geometries,
+        # with precisions of at most 50 bits nine times in ten, and kept to
+        # the lanes that run fails: the lane gives run's node and reason, and
+        # one the kernel can take fails from its columns, without run
+        assume(2 * f * (1 << (e - 2)) <= 970)
+        params = EbfpParams(f, e, blocks)
+        g, value, precision = _fuzz_case(random.Random(seed), params, 50)
+        xin = {i: precision() for i in g.inputs}
+        vals = {i: value() for i in g.inputs}
+        plan = {nid: precision() for nid in g.non_input_ids()}
+        want = None
+        try:
+            run(g, _lookup(plan), vals, xin, params)
+        except GraphExecutionError as err:
+            want = err
+        assume(want is not None)
+        runs, integer_run = [], graph_module.run
+        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", 0), \
+                mock.patch.object(graph_module, "run",
+                                  lambda *args: runs.append(1) or integer_run(*args)):
+            got, = execute_lanes(g, [plan], [vals], xin, params)
+        assert (got.node_id, got.reason) == (want.node_id, want.reason)
+        widest = min(graph_module.KERNEL_MAX_X, (blocks - 1) * f)
+        kernel = max(plan.values()) <= widest and \
+            graph_module._lane_inputs(g, vals, xin, params) is not None
+        assert runs == ([] if kernel else [1])
+
     def test_plans_and_lanes_must_pair_up(self):
         g = ExprGraph()
         a = g.add_input()
@@ -1153,17 +1185,17 @@ class TestFloatKernel:
     @pytest.mark.parametrize("x", [1, 24, 50])
     @pytest.mark.parametrize("params", KERNEL_GEOMETRIES, ids=["F1", "F4", "F8"])
     def test_range_edges(self, params, x):
-        # a mul at the edges of the range [2**-R, 2**R): the largest result
-        # below 2**R and the smallest at 2**-R take the kernel and equal
+        # a mul at the edges of the range [2**-R, 2**R), all on the kernel:
+        # the largest result below 2**R and the smallest at 2**-R equal
         # arith; a result that rounds up to 2**R, and the largest below
-        # 2**-R, fall back and fail as run does
+        # 2**-R, fail as run does, from the kernel's columns
         r = params.block_bits * params.max_block_exp
         two = Fraction(2)
         # the largest value of x + 1 bits below 2, and the tie above it, which rounds to 2
         below_2 = (2 - two ** -x, 2 - two ** (-x - 1))
         cases = [((below_2[0], two ** (r - 1)), True), ((two ** -1, two ** (1 - r)), True),
                  ((below_2[1], two ** (r - 1)), False), ((below_2[0] / 2, two ** -r), False)]
-        for (a, b), kernel in cases:
+        for (a, b), stored in cases:
             g = ExprGraph()
             ins = [g.add_input(), g.add_input()]
             nid = g.record("mul", ins)
@@ -1173,8 +1205,8 @@ class TestFloatKernel:
                     mock.patch.object(graph_module, "run",
                                       lambda *args: runs.append(1) or integer_run(*args)):
                 res, = execute_lanes(g, [{nid: x}], [vals], 60, params)
-            assert runs == ([] if kernel else [1])
-            if kernel:
+            assert runs == []
+            if stored:
                 want = arith("mul", *(round_to_precision(v, 60, params) for v in (a, b)),
                              x_target=x)
                 assert res.values[nid] == want and decode(want) == a * b == res.floats[nid]

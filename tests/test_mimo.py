@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from varprec import mimo
+from varprec import graph as graph_module, mimo
 from varprec.ebfp import decode
 from varprec.graph import GraphExecutionError, execute, topo_stats, OpKind
 from varprec.mimo import (
@@ -282,10 +282,26 @@ class TestSweep:
         monkeypatch.setattr(mimo, "zf_reference", counted)
         inputs = sweep_inputs(cfg)
         pareto_sweep(cfg, inputs)
+        assert refs == []  # without BER, no cell reads a reference
         rate = mimo.reference_rate(cfg, inputs)
-        assert refs == inputs[1]
+        assert refs == inputs.channels
         assert rate == np.mean([sum_rate(h.as_complex(), w, cfg.snr_db)
-                                for h, w in zip(inputs[1], inputs[2])])
+                                for h, w in zip(inputs.channels, inputs.refs)])
+
+    def test_cells_store_no_input_again(self, monkeypatch):
+        # the sweep's inputs hold each channel's lane stored once: fixed,
+        # offline and random-blockwise cells store no input, and an online
+        # cell stores its walk's 4 probe channels once for every anchor
+        cfg = SimConfig(n_t=4, k_users=4, trials=6, seed=2, sweep=(6, 12))
+        inputs, calls = sweep_inputs(cfg), []
+        stored = graph_module.round_to_precision
+        monkeypatch.setattr(graph_module, "round_to_precision",
+                            lambda *args: calls.append(1) or stored(*args))
+        for scheme in ("fixed", "offline", "random-blockwise"):
+            assert sweep_cell(cfg, inputs, scheme, 1).failures == 0
+        assert calls == []
+        assert sweep_cell(cfg, inputs, "online", 0).failures == 0
+        assert len(calls) == 4 * len(inputs.zfg.graph.inputs)
 
     def test_fixed_cell_scores_its_plan_once(self, monkeypatch):
         # a fixed plan is the same in every trial: one plan_metrics call,

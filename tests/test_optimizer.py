@@ -5,7 +5,9 @@ import gc
 import io
 import itertools
 import math
+import pickle
 import random
+import warnings
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +21,7 @@ from varprec import graph as graph_module, optimizer
 from varprec.ebfp import EbfpParams
 from varprec.errormodel import EPS, ops_per_bit, speculation_factor
 from varprec.graph import ExprGraph, GraphExecutionError, OpKind, execute, predicted_errors, run
-from varprec.mimo import ChannelMatrix, build_zf_graph, gen_channel
+from varprec.mimo import ChannelMatrix, build_zf_graph, gen_channel, precision_histogram
 from varprec.optimizer import (
     DEFAULT_WEIGHTS,
     GSIGMA_UNIT,
@@ -659,9 +661,10 @@ def _counted_runs(monkeypatch) -> list:
 
 class TestOnlineLanes:
     """online_lanes decides and computes each lane as online_vpc's scalar
-    copy does, bit for bit: in float64 where the kernel takes the lane, and
-    through graph.run where the lane fails, decides a precision above 50
-    bits or is outside the kernel's domain."""
+    copy does, bit for bit: in float64 where the kernel takes the lane (a
+    lane that fails there names run's node and reason), and through
+    graph.run where the lane decides a precision above 50 bits before any
+    node fails, or is outside the kernel's domain."""
 
     @given(case=online_cases(), data=st.data(), n_lanes=st.integers(1, 4),
            per_pass=st.integers(1, 4), f=st.integers(1, 9), e=st.integers(2, 10),
@@ -698,22 +701,23 @@ class TestOnlineLanes:
         assert runs == []
 
     def test_lanes_that_fail_or_decide_wide_fall_back(self, monkeypatch):
-        # on the 4x4 precoder, a channel of zeros divides by zero and goes
-        # back to the run, which fails it; at alpha 1e-33 every lane decides
-        # more than 50 bits somewhere and goes back whole
+        # on the 4x4 precoder, a channel of zeros divides by zero, and the
+        # kernel fails it as the run does, without the run; at alpha 1e-33
+        # every other lane decides more than 50 bits somewhere and goes back
+        # whole, while the zero lane divides by zero before that
         zfg = build_zf_graph(4, 4)
         ip = zfg.input_precisions()
         lanes = [zfg.input_values(gen_channel(np.random.default_rng(s), 4, 4)) for s in range(3)]
         zeros = ((Fraction(0),) * 4,) * 4
         lanes.insert(1, zfg.input_values(ChannelMatrix(zeros, zeros)))
-        for alpha, back in ((1e-9, 1), (1e-33, 4)):
+        for alpha, back in ((1e-9, 0), (1e-33, 3)):
             cfg = UtilityConfig(alpha, 2, 64)
             want = [_scalar_outcome(zfg.graph, cfg, v, 10, ip) for v in lanes]
             assert len(want[1]) == 2 and [len(w) for w in want[::2]] == [5, 5]
             runs = _counted_runs(monkeypatch)
             got = list(online_lanes(zfg.graph, cfg, CM, lanes, 10, ip))
             assert list(map(_yielded, got)) == want and len(runs) == back
-            if back == 4:
+            if back == 3:
                 assert max(max(w[0])[1] for w in want[::2]) > graph_module.KERNEL_MAX_X
 
     def test_a_rho_on_a_threshold_takes_the_lower_rung(self, monkeypatch):
@@ -792,6 +796,111 @@ class TestOnlineLanes:
         monkeypatch.setattr(optimizer, "run", boom)
         monkeypatch.setattr(graph_module, "run", boom)
         assert online_outcome(online_vpc, zfg.graph, cfg, CM, vals, 10, ip) == want
+
+    def test_alpha_inf_warns_nothing(self, monkeypatch):
+        # at alpha = inf, G_sigma = -alpha * rho is -inf, and 0.0 at the 4x4
+        # precoder's five exact-zero results: the kernel lane multiplies
+        # no zero rho by inf, and its G_sigma is the scalar copy's by repr
+        zfg = build_zf_graph(4, 4)
+        vals, ip = zfg.input_values(gen_channel(np.random.default_rng(3), 4, 4)), zfg.input_precisions()
+        cfg = UtilityConfig(math.inf, 2, 64)
+        runs = _counted_runs(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, plan = online_vpc(zfg.graph, cfg, CM, vals, 10, ip)
+        assert runs == []
+        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", math.inf):
+            _, want = online_vpc(zfg.graph, cfg, CM, vals, 10, ip)
+        assert len(runs) == 1 and repr(plan.gsigma) == repr(want.gsigma)
+        assert sorted(set(plan.gsigma.values())) == [-math.inf, 0.0]
+
+
+class TestArrays:
+    """Results and plans keep id-ordered arrays; the dicts built from them
+    when first read compare, print and pickle as dicts built at once do."""
+
+    @staticmethod
+    def precoder():
+        zfg = build_zf_graph(4, 4)
+        vals = zfg.input_values(gen_channel(np.random.default_rng(3), 4, 4))
+        return zfg, vals, zfg.input_precisions(), UtilityConfig(1e-9, 2, 64)
+
+    def test_kernel_lanes_agree_with_run_and_with_dicts(self, monkeypatch):
+        # each planner's plan and its result on the kernel, and the online
+        # planner's, pickled before any dict is read and after, against
+        # run's; and each plan against the plan built from its dicts
+        zfg, vals, ip, cfg = self.precoder()
+        g = zfg.graph
+
+        def lanes():
+            plans = [fixed_plan(g, 24), offline_vpc(g, cfg, CM),
+                     random_blockwise_plan(g, np.random.default_rng(1), 4, 30)]
+            return [(execute(g, p, vals, ip), p) for p in plans] + [online_vpc(g, cfg, CM, vals, 10, ip)]
+
+        runs = _counted_runs(monkeypatch)
+        monkeypatch.setattr(graph_module, "run", lambda *args: runs.append(1) or run(*args))
+        kernel, fresh = lanes(), lanes()
+        assert runs == []
+        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", math.inf):
+            scalar = lanes()
+        assert len(runs) == 4
+        unread = pickle.loads(pickle.dumps(kernel))
+        for got in (unread, kernel, pickle.loads(pickle.dumps(kernel))):
+            assert got == scalar and repr(got) == repr(scalar)
+        for _, plan in fresh:  # no dict read yet
+            copy = pickle.loads(pickle.dumps(plan))
+            built = PrecisionPlan(dict(plan.assignment), plan.gsigma and dict(plan.gsigma))
+            assert built == plan == copy and repr(built) == repr(plan) == repr(copy)
+
+    def test_a_plan_read_from_csv_runs_as_the_planners(self, monkeypatch):
+        # plan_from_csv builds its plan from dicts: it runs on the kernel,
+        # and scores, writes and bins as the online planner's arrays do
+        zfg, vals, ip, cfg = self.precoder()
+        g = zfg.graph
+        res, plan = online_vpc(g, cfg, CM, vals, 10, ip)
+        metrics, out = plan_metrics(g, plan, CM), execute(g, plan, vals, ip)  # on the arrays
+        written = io.StringIO()
+        plan_to_csv(g, plan, written)
+        back = plan_from_csv(io.StringIO(written.getvalue()))
+        runs = _counted_runs(monkeypatch)
+        monkeypatch.setattr(graph_module, "run", lambda *args: runs.append(1) or run(*args))
+        assert back.xs is None and execute(g, back, vals, ip) == out == res and runs == []
+        assert back == plan and repr(plan_metrics(g, back, CM)) == repr(metrics)
+        again, lines = io.StringIO(), [io.StringIO(), io.StringIO()]
+        plan_to_csv(g, back, again)
+        for fh, p in zip(lines, (plan, back)):
+            g.dump_jsonl(fh, p)
+        assert again.getvalue() == written.getvalue() and lines[0].getvalue() == lines[1].getvalue()
+        assert precision_histogram(zfg, back) == precision_histogram(zfg, plan)
+
+    def test_a_plan_keeps_its_nodes_as_its_graph_grows(self):
+        # a plan's ids are its graph's op_ids, which grow with the graph:
+        # a plan made before the growth reads only the nodes it planned, in
+        # its order (offline's in reverse), and runs them; on the grown
+        # graph the kernel does not read it as a row of the new node count
+        g, vals = implicit_output_graph(), {0: Fraction(5, 3), 1: Fraction(7, 4)}
+
+        def plans():
+            with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", 0):
+                return [offline_vpc(g, CFG, CM), fixed_plan(g, 9), online_vpc(g, CFG, CM, vals)[1]]
+
+        made, want = plans(), [(list(p.assignment.items()), p.gsigma) for p in plans()]
+        n = len(g.op_ids)
+        g.record("mul", [2, g.record("sqrt", [0])])
+        assert all(p.row(g.op_ids) is None for p in made) and len(g.op_ids) == n + 2
+        assert [(list(p.assignment.items()), p.gsigma) for p in made] == want
+
+    def test_a_plan_read_is_its_dict(self):
+        # once read, the dict is the plan: a change to it is what runs and
+        # what is scored, not the array it was built from
+        zfg, vals, ip, _ = self.precoder()
+        g = zfg.graph
+        plan = fixed_plan(g, 24)
+        plan.assignment[g.op_ids[0]] = 30
+        assert plan.xs is None and plan.row(g.op_ids) is None
+        assert execute(g, plan, vals, ip) == run(g, graph_module._planned(plan), vals, ip)
+        assert plan_metrics(g, plan, CM) == plan_metrics(g, dict(plan.assignment), CM) != \
+            plan_metrics(g, fixed_plan(g, 24), CM)
 
 
 class TestPlans:
