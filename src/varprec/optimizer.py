@@ -62,43 +62,39 @@ class UtilityConfig:
             raise ValueError("alpha must be positive")
 
 
+@dataclass(init=False)
 class PrecisionPlan:
     """Each operation's precision, and its G_sigma where the planner gives
     one, as dicts by node id built when first read (in ``reverse`` id order
-    if so made).  A planner keeps int64 ``xs``, and G_sigma as a dict or an
-    array, in the order of ``ids``, its graph's ``op_ids``.  Once read,
-    ``assignment`` is the plan: ``xs`` goes."""
+    if so made); ``==`` and ``repr`` read them.  A planner keeps int64
+    ``xs``, and G_sigma as a dict or an array, in the order of ``ids``, its
+    graph's ``op_ids``.  Once read, ``assignment`` is the plan: ``xs`` goes."""
+
+    assignment: Dict[int, int]
+    gsigma: Optional[Dict[int, float]]
 
     def __init__(self, assignment: Optional[Dict[int, int]] = None, gsigma=None, ids=None, xs=None,
                  reverse=False):
-        self._assignment, self._gsigma, self.ids, self.xs = assignment, gsigma, ids, xs
-        self.reverse = reverse
+        if assignment is not None:
+            self.assignment = assignment
+        self._gsigma, self.ids, self.xs, self.reverse = gsigma, ids, xs, reverse
 
-    @property
-    def assignment(self) -> Dict[int, int]:
-        if self._assignment is None:  # ids may have grown with the graph since
+    def __getattr__(self, name: str):  # assignment or gsigma, not read yet
+        if name == "assignment":  # ids may have grown with the graph since
             ids, step = self.ids[:len(self.xs)], -1 if self.reverse else 1
-            self._assignment = dict(zip(ids[::step], self.xs[::step].tolist()))
-        self.xs = None
-        return self._assignment
-
-    @property
-    def gsigma(self) -> Optional[Dict[int, float]]:
-        if isinstance(self._gsigma, np.ndarray):
-            self._gsigma = dict(zip(self.ids, self._gsigma.tolist()))
-        return self._gsigma
+            got, self.xs = dict(zip(ids[::step], self.xs[::step].tolist())), None
+        elif name == "gsigma":
+            g = self._gsigma
+            got = dict(zip(self.ids, g.tolist())) if isinstance(g, np.ndarray) else g
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = got
+        return got
 
     def row(self, op_ids: List[int]) -> Optional[np.ndarray]:
         """``xs``, if the plan was made for the graph of ``op_ids`` as it is now."""
-        ok = self.xs is not None and self.ids is op_ids and len(self.xs) == len(op_ids)
+        ok = "assignment" not in self.__dict__ and self.ids is op_ids and len(self.xs) == len(op_ids)
         return self.xs if ok else None
-
-    def __eq__(self, other):
-        return (self.assignment, self.gsigma) == (other.assignment, other.gsigma) \
-            if type(other) is type(self) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"PrecisionPlan(assignment={self.assignment!r}, gsigma={self.gsigma!r})"
 
 
 class XoptLut:
@@ -276,7 +272,8 @@ def online_lanes(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     at = [bisect_left(t, GSIGMA_UNIT / cfg.alpha) for t in lut.thresholds.values()]
     at.append((cfg.x_max - cfg.x_min) // 2)
     *_, routes, (seed_ids, slots, factors) = graph.table(_reverse_sweep, e_b)
-    seed = seed_ids, np.array([m[k] for m in lut.mid_rho.values() for k in at])[slots] * factors
+    with np.errstate(over="ignore"):  # a seed beyond float range is inf, as a float product is
+        seed = seed_ids, np.array([m[k] for m in lut.mid_rho.values() for k in at])[slots] * factors
     # mul/div/sqrt move rho by a constant; add/sub by the operand values
     forward = {op: speculation_factor(op.value, "forward", e_b) for op in (_MUL, _DIV, _SQRT)}
     policy = (lut, seed, routes, forward)

@@ -758,7 +758,8 @@ class TestOnlineLanes:
         lanes = [{x: Fraction(3), y: Fraction(0)}, {x: Fraction(3), y: Fraction(1, 3)}]
         want = [_scalar_outcome(g, cfg, v, 4, 53) for v in lanes]
         runs = _counted_runs(monkeypatch)
-        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", 0):
+        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", 0), warnings.catch_warnings():
+            warnings.simplefilter("error")  # an infinite seed warns nothing
             got = list(online_lanes(g, cfg, CM, lanes, 4, 53))
         assert list(map(_yielded, got)) == want and len(runs) == 2
 
@@ -779,7 +780,8 @@ class TestOnlineLanes:
         lanes = [{x: Fraction(3), y: Fraction(0)}, {x: Fraction(3), y: Fraction(1, 3)}]
         want = [_scalar_outcome(g, cfg, v, 4, 53) for v in lanes]
         runs = _counted_runs(monkeypatch)
-        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", 0):
+        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", 0), warnings.catch_warnings():
+            warnings.simplefilter("error")  # an infinite seed warns nothing
             got = list(online_lanes(g, cfg, CM, lanes, 4, 53))
         assert list(map(_yielded, got)) == want and len(runs) == 2
 
