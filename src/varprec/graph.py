@@ -482,15 +482,24 @@ def _lane_inputs(graph: ExprGraph, input_values, input_precision, params) -> Opt
     return floats, xs
 
 
-class StoredInputs(dict):
-    """One lane's input values by input id, stored once for the float64
-    kernel at the graph, input precision and geometry given (a pass at
-    others stores them again): a sweep runs each channel many times."""
+class StoredInputs(Mapping):
+    """One lane's input values by input id, read only, stored once for the
+    float64 kernel at the graph, input precision and geometry given (a pass
+    at others stores them again): a sweep runs each channel many times."""
 
     def __init__(self, graph: ExprGraph, input_values, input_precision=53, params=DEFAULT_PARAMS):
-        super().__init__(input_values)
+        self._values = dict(input_values)
         key = list(graph.inputs), input_precision, params
         self.stored = key, _lane_inputs(graph, self, input_precision, params)
+
+    def __getitem__(self, nid: int) -> Fraction:
+        return self._values[nid]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
 
 
 def _product_error(a, b, p):

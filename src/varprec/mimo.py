@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -475,16 +475,13 @@ def sweep_inputs(cfg: SimConfig) -> SweepInputs:
     """A sweep's inputs, with the channels generated from the seed."""
     zfg, rng = build_zf_graph(cfg.k_users, cfg.n_t), np.random.default_rng(cfg.seed)
     channels = [gen_channel(rng, cfg.k_users, cfg.n_t) for _ in range(cfg.trials)]
-    return SweepInputs(zfg, channels, _stored(zfg, channels, cfg.storage_bits))
-
-
-def _stored(zfg: ZfGraph, channels: Sequence[ChannelMatrix], storage_bits: int) -> list:
-    ip = zfg.input_precisions(storage_bits)
-    return [StoredInputs(zfg.graph, zfg.input_values(h), ip) for h in channels]
+    ip = zfg.input_precisions(cfg.storage_bits)
+    return SweepInputs(zfg, channels, [StoredInputs(zfg.graph, zfg.input_values(h), ip)
+                                       for h in channels])
 
 
 def _online_runs(zfg: ZfGraph, cfg: SimConfig, alpha: float,
-                 lanes: Sequence[StoredInputs]) -> Iterator[Optional[tuple]]:
+                 lanes: Sequence[Mapping[int, Fraction]]) -> Iterator[Optional[tuple]]:
     """online_vpc's (result, plan) on each lane of one :func:`online_lanes`
     call, or None where it fails."""
     runs = online_lanes(zfg.graph, _plan_cfg(cfg, alpha), CM, lanes, cfg.e_b,
@@ -492,10 +489,12 @@ def _online_runs(zfg: ZfGraph, cfg: SimConfig, alpha: float,
     return (None if isinstance(r, GraphExecutionError) else r for r in runs)
 
 
-def online_alpha(zfg: ZfGraph, cfg: SimConfig, probe: Sequence[ChannelMatrix],
+def online_alpha(zfg: ZfGraph, cfg: SimConfig, probe: Sequence[Mapping[int, Fraction]],
                  target: float) -> Tuple[float, list]:
-    """Calibrated alpha of the online planner, and each probe channel's
-    (result, plan) at it (None where the plan fails).  A plan depends on
+    """Calibrated alpha of the online planner, and each probe lane's
+    (result, plan) at it (None where the plan fails).  ``probe`` holds the
+    probe channels' input values; as :class:`StoredInputs` at
+    ``cfg.storage_bits``, no anchor stores them again.  A plan depends on
     alpha only through its output anchor x, so the walk runs on x in
     [x_min, x_max]: up from round(target) while the plans' mean average over
     ``probe`` is below ``target``, then down while the one at x - 1 still
@@ -505,11 +504,10 @@ def online_alpha(zfg: ZfGraph, cfg: SimConfig, probe: Sequence[ChannelMatrix],
     ucfg = _plan_cfg(cfg, 1.0)
     mids = XoptLut(CM, ucfg).mid_rho[zfg.graph.nodes[zfg.graph.outputs[0]].op]
     alpha_at = {x: GSIGMA_UNIT / m for x, m in enumerate(mids, cfg.x_min)}
-    lanes = _stored(zfg, probe, cfg.storage_bits)  # once for every anchor
 
     @functools.cache
     def runs_at(x):
-        return list(_online_runs(zfg, cfg, alpha_at[x], lanes))
+        return list(_online_runs(zfg, cfg, alpha_at[x], probe))
 
     def avg_at(x):
         vals = [plan_metrics(zfg.graph, r[1], CM)[0] for r in runs_at(x) if r]
@@ -541,7 +539,7 @@ def sweep_cell(cfg: SimConfig, inputs: SweepInputs, scheme: str, ti: int) -> Swe
             return offline_vpc(zfg.graph, _plan_cfg(cfg, alpha), CM, cfg.e_b)
         plan = off(calibrate_alpha(lambda a: plan_metrics(zfg.graph, off(a), CM)[0], target))
     elif scheme == "online":
-        alpha, probed = online_alpha(zfg, cfg, channels[:4], target)
+        alpha, probed = online_alpha(zfg, cfg, inputs.lanes[:4], target)
     else:  # random-blockwise: parts draw around round(target), clipped at x_max
         draw_rng = np.random.default_rng((cfg.seed, 31, ti))
         hi = min(cfg.x_max, 2 * round(target) - cfg.x_min)

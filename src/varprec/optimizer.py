@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -146,8 +146,9 @@ def _reverse_sweep(graph: ExprGraph, e_b: int):
     kind their positions among them and their G_sigma; (id, op, sink,
     EPS ** (2 * bit offset)) of each node with an input operand, the offset
     of its longest path (length, add, sub and sqrt crossings, sink id); per
-    node id its operand ids, None where the operand is an input; and those
-    seeds' ids, rung slots (see :func:`online_lanes`) and factors, as arrays."""
+    node id its operand ids (sqrt's one twice) and whether each is an input;
+    and those seeds' ids, rung slots (see :func:`online_lanes`) and factors,
+    as arrays."""
     entries, consumers = graph.entries, graph.consumers
     out_set = set(graph.outputs)
     back = {op: speculation_factor(op.value, "backward", e_b) for op in DEFAULT_WEIGHTS}
@@ -155,8 +156,8 @@ def _reverse_sweep(graph: ExprGraph, e_b: int):
     gsig: Dict[int, float] = {}
     longest: Dict[int, Tuple[int, int, int, int, int]] = {}
     ids, by_op, seeds = [], {}, []
-    routes = [tuple(None if o is None or entries[o][1] is _INPUT else o for o in e[2:])
-              for e in entries]
+    routes = [(i, i if j is None else j, i is not None and entries[i][1] is _INPUT,
+               j is not None and entries[j][1] is _INPUT) for _, _, i, j in entries]
     for node in reversed(graph.nodes):
         terms = [-GSIGMA_UNIT] if node.id in out_set else []
         best = None if consumers[node.id] else (0, 0, 0, 0, node.id)
@@ -232,20 +233,57 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
 
     The policy runs in rho = -G_sigma/alpha: alpha enters only through the
     output nodes' final-step precision (the anchors), so the plan is a
-    function of the anchors and the operand values.  An input operand's
-    route is seeded from its anchor plus a path-length bit offset; an
-    interior one advances its operand's rho by a forward factor, constant
-    for mul/div/sqrt and operand^2/result^2 for add/sub.  Each node's
-    decision is one bisection in the ladder, and its rho is then the
-    midpoint of its rung: midpoints are tables per ladder, seeds per call,
-    seed offsets and input operands per graph and ``e_b``.  Each node
-    executes at its decided precision before any consumer is decided.  The
-    reported G_sigma is ``-alpha * rho`` (0.0 at exact-zero results).
+    function of the anchors and the operand values.  Each node's rho is
+    :func:`_rho` of its operands' values and rho, or of its seed where an
+    operand is an input; its decision is one bisection in the ladder, and
+    its rho is then the midpoint of its rung.  Midpoints are tables per
+    ladder, seeds per call, seed offsets and input operands per graph and
+    ``e_b``.  Each node executes at its decided precision before any
+    consumer is decided.  The reported G_sigma is ``-alpha * rho`` (0.0 at
+    exact-zero results).
     """
     out, = online_lanes(graph, cfg, cm, [input_values], e_b, input_precision, params)
     if isinstance(out, GraphExecutionError):
         raise out
     return out
+
+
+def _rho(op, a, b, y, ra, rb, sa, sb, forward, clip):
+    """The online policy's rho of a node before its rung is looked up, the
+    same float operations on Python floats or on numpy columns: from its
+    operands ``a`` and ``b``, its result rounded to nearest ``y``, its
+    operands' rho ``ra`` and ``rb`` (0 at an input), and the seeds ``sa``
+    and ``sb`` that input operands add to their routes (0 where an operand
+    is not an input, or None where no operand in that place is).  An input
+    operand's route is its seed: its anchor's rung moved by a path-length
+    bit offset.  An interior operand's route moves by a forward factor:
+    ``forward[op]`` for mul, div and sqrt, and operand^2/result^2 for add
+    and sub, where ``clip`` is the caller's ``min``, :func:`_clip` or
+    ``np.minimum``.  ``b``, ``rb`` and ``sb`` are not read for sqrt, nor
+    ``y`` for mul, div and sqrt."""
+    if op is _ADD or op is _SUB:
+        # a route moves by operand^2/result^2 (squared by one correctly
+        # rounded product), clipped at 1 so the recursion stays bounded
+        # where the frame shrinks
+        qa, qb = a / y, b / y
+        ra, rb = ra * clip(qa * qa, 1.0), rb * clip(qb * qb, 1.0)
+    else:
+        f = forward[op]
+        ra, rb = ra * f, None if op is _SQRT else rb * f
+    if sa is not None:
+        ra += sa
+    if sb is not None:
+        rb += sb
+    if op is _ADD or op is _SUB:
+        # weighted by operand magnitude, so the dominant operand's route
+        # wins when the exponents differ greatly
+        wa, wb = abs(a), abs(b)
+        return (ra * wa + rb * wb) / (wa + wb)
+    return ra if rb is None else (ra + rb) / 2.0
+
+
+def _clip(q: float, top: float) -> float:
+    return q if q < top else top
 
 
 def online_lanes(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
@@ -256,116 +294,61 @@ def online_lanes(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     :class:`GraphExecutionError` of its run, taken a pass of
     :data:`graph.KERNEL_MAX_LANES` lanes at a time by :func:`graph.run_lanes`.
 
-    The policy has two copies that decide alike, bit for bit.  A pass whose
+    Two drivers of :func:`_rho` decide alike, bit for bit.  A pass whose
     lanes give each (level, op kind) group :data:`graph.KERNEL_MIN_WIDTH`
     elements on average is decided group by group over numpy columns, each
     group just before the float64 kernel rounds it.  A lane goes whole
-    through the other copy, a precision policy of :func:`graph.run`, where
-    the kernel cannot run it (see :func:`graph.execute_lanes`; a seed that
-    is not finite keeps the call off the kernel), or where it decides a
-    precision above the kernel's widest before any of its nodes fails.
+    through the scalar driver, a precision policy of :func:`graph.run`,
+    where the kernel cannot run it (see :func:`graph.execute_lanes`; a seed
+    that is not finite keeps the call off the kernel), or where it decides
+    a precision above the kernel's widest before any of its nodes fails.
     """
-    lut = XoptLut(cm, cfg)
+    lut, x_min = XoptLut(cm, cfg), cfg.x_min
     # an output's rung is its final-step precision, where its G_sigma seed is
     # -GSIGMA_UNIT; a sink that is not an output takes the middle rung.  A
     # seed's slot is 6 * its op kind's place in DEFAULT_WEIGHTS + its sink's, or + 5
     at = [bisect_left(t, GSIGMA_UNIT / cfg.alpha) for t in lut.thresholds.values()]
-    at.append((cfg.x_max - cfg.x_min) // 2)
+    at.append((cfg.x_max - x_min) // 2)
     *_, routes, (seed_ids, slots, factors) = graph.table(_reverse_sweep, e_b)
     with np.errstate(over="ignore"):  # a seed beyond float range is inf, as a float product is
-        seed = seed_ids, np.array([m[k] for m in lut.mid_rho.values() for k in at])[slots] * factors
-    # mul/div/sqrt move rho by a constant; add/sub by the operand values
+        seeds = np.array([m[k] for m in lut.mid_rho.values() for k in at])[slots] * factors
     forward = {op: speculation_factor(op.value, "forward", e_b) for op in (_MUL, _DIV, _SQRT)}
-    policy = (lut, seed, routes, forward)
+
+    def scalar(_, vals):  # a lane whole, one node at a time, with a dict plan
+        seed = dict(zip(seed_ids.tolist(), seeds.tolist()))  # Python floats, as run's values
+        rho = [0.0] * len(graph.nodes)  # an input's reads 0, as in a kernel column
+        th, mids = lut.thresholds, lut.mid_rho
+
+        def choose(node, a: float, b: Optional[float]) -> int:
+            op, nid = node.op, node.id
+            y = a if op is _SQRT else a + b if op is _ADD else a - b if op is _SUB else \
+                a * b if op is _MUL else a / b  # sqrt(a) is 0 where a is
+            if not y:  # an exact-zero result has no relative-error frame: rho 0
+                return x_min
+            i, j, a_in, b_in = routes[nid]
+            s = seed.get(nid)
+            k = bisect_left(th[op], _rho(op, a, b, y, rho[i], rho[j], s if a_in else None,
+                                         s if b_in else None, forward, _clip))
+            rho[nid] = mids[op][k]
+            return x_min + k
+
+        result, ids = run(graph, choose, vals, input_precision, params), graph.op_ids
+        return result, PrecisionPlan({nid: result.precision_array[nid] for nid in ids},
+                                     {nid: -cfg.alpha * rho[nid] if rho[nid] else 0.0 for nid in ids})
+
+    def decide(op, a, b, y, ra, rb, sa, sb):  # a group of a kernel pass, over numpy columns
+        k = np.searchsorted(lut.arrays[op], _rho(op, a, b, y, ra, rb, sa, sb, forward, np.minimum))
+        zero = y == 0.0  # sqrt(a) is 0 where a is
+        k[zero] = 0
+        return k + x_min, np.where(zero, 0.0, lut.mid_arrays[op][k])
 
     def planned(res, xs, rho):  # a kernel lane's plan, from its columns in id order
         gsigma = np.zeros_like(rho)  # -alpha * rho, and 0.0 where rho is (alpha may be inf)
         np.multiply(-cfg.alpha, rho, out=gsigma, where=rho != 0.0)
         return res, PrecisionPlan(gsigma=gsigma, ids=graph.op_ids, xs=xs)
 
-    yield from run_lanes(graph, ((None, vals) for vals in lanes),
-                         lambda _, vals: _online_run(graph, cfg, policy, vals, input_precision, params),
-                         input_precision, params, (_online_pass(cfg, lut, forward), seed, planned))
-
-
-def _online_run(graph: ExprGraph, cfg: UtilityConfig, policy: tuple,
-                input_values: Mapping[int, Fraction], input_precision, params
-                ) -> Tuple[ExecutionResult, PrecisionPlan]:
-    """One lane of :func:`online_lanes` by the policy as a ``choose`` of
-    :func:`graph.run`, one node at a time."""
-    lut, (seed_ids, seeds), routes, forward = policy
-    seed = dict(zip(seed_ids.tolist(), seeds.tolist()))  # Python floats, as in the policy's float ops
-    x_min, th, mid_rho = cfg.x_min, lut.thresholds, lut.mid_rho
-    f_mul, f_div, f_sqrt = forward[_MUL], forward[_DIV], forward[_SQRT]
-    rho: Dict[int, float] = {}
-
-    def choose(node, va: float, vb: Optional[float]) -> int:
-        op, nid = node.op, node.id
-        i, j = routes[nid]  # None for an input operand, whose route is the seed
-        if op is _ADD or op is _SUB:
-            vc = va + vb if op is _ADD else va - vb
-            if vc:
-                # weighted by operand magnitude, so the dominant operand's
-                # route wins when the exponents differ greatly; a route moves
-                # by operand^2/result^2 (squared by one correctly rounded
-                # product), clipped at 1 so the recursion stays bounded where
-                # the frame shrinks
-                wa, wb, qa, qb = abs(va), abs(vb), va / vc, vb / vc
-                qa, qb = qa * qa, qb * qb
-                r = ((seed[nid] if i is None else rho[i] * (qa if qa < 1.0 else 1.0)) * wa
-                     + (seed[nid] if j is None else rho[j] * (qb if qb < 1.0 else 1.0)) * wb
-                     ) / (wa + wb)
-        elif op is _SQRT:
-            vc = va  # sqrt(va) is 0 where va is
-            if vc:
-                r = seed[nid] if i is None else rho[i] * f_sqrt
-        else:
-            vc = va * vb if op is _MUL else va / vb
-            if vc:
-                f = f_mul if op is _MUL else f_div
-                r = ((seed[nid] if i is None else rho[i] * f)
-                     + (seed[nid] if j is None else rho[j] * f)) / 2.0
-        if not vc:  # an exact-zero result has no relative-error frame
-            rho[nid] = 0.0
-            return x_min
-        k = bisect_left(th[op], r)
-        rho[nid] = mid_rho[op][k]
-        return x_min + k
-
-    result = run(graph, choose, input_values, input_precision, params)
-    gsigma = {nid: -cfg.alpha * r if r else 0.0 for nid, r in rho.items()}
-    return result, PrecisionPlan({nid: result.precision_array[nid] for nid in rho}, gsigma)
-
-
-def _online_pass(cfg: UtilityConfig, lut: XoptLut, forward: dict) -> Callable:
-    """The policy of :func:`_online_run` as the ``decide`` of a
-    :func:`graph.run_lanes` rule: one (level, op kind) group's precisions
-    and rho over numpy columns, from its operands, its results rounded to
-    nearest, its operands' rho and its input operands' seeds, with the same
-    float operations in the same order."""
-    x_min, th, mids = cfg.x_min, lut.arrays, lut.mid_arrays
-
-    def decide(op, a, b, y, ra, rb, sa, sb):
-        if op is _ADD or op is _SUB:
-            wa, wb, qa, qb = np.abs(a), np.abs(b), a / y, b / y
-            ra, rb = ra * np.minimum(qa * qa, 1.0), rb * np.minimum(qb * qb, 1.0)
-        else:
-            f = forward[op]
-            ra, rb = ra * f, None if op is _SQRT else rb * f
-        if sa is not None:  # an input operand's rho reads 0, and its route is the seed
-            ra += sa
-        if sb is not None:
-            rb += sb
-        if op is _ADD or op is _SUB:
-            r = (ra * wa + rb * wb) / (wa + wb)
-        else:
-            r = ra if rb is None else (ra + rb) / 2.0
-        k = np.searchsorted(th[op], r)
-        zero = y == 0.0  # sqrt(a) is 0 where a is
-        k[zero] = 0
-        return k + x_min, np.where(zero, 0.0, mids[op][k])
-
-    return decide
+    yield from run_lanes(graph, ((None, vals) for vals in lanes), scalar, input_precision,
+                         params, (decide, (seed_ids, seeds), planned))
 
 
 def fixed_plan(graph: ExprGraph, x: int) -> PrecisionPlan:

@@ -20,6 +20,7 @@ from varprec.graph import (
     ExprGraph,
     GraphExecutionError,
     OpKind,
+    StoredInputs,
     execute,
     execute_lanes,
     predicted_errors,
@@ -1272,6 +1273,19 @@ class TestFloatKernel:
                 list(execute_lanes(zfg.graph, [fixed_plan(zfg.graph, 16)] * lanes,
                                    [vals] * lanes, zfg.input_precisions()))
             assert len(runs) == (0 if kernel else lanes)
+
+    def test_stored_inputs_refuse_mutation(self):
+        # a lane's floats are stored once, so its values cannot change after:
+        # an input set on it would run on the kernel at its old value
+        zfg = build_zf_graph(4, 4)
+        g, ip = zfg.graph, zfg.input_precisions()
+        vals = zfg.input_values(gen_channel(np.random.default_rng(1), 4, 4))
+        lane = StoredInputs(g, vals, ip)
+        with pytest.raises(TypeError):
+            lane[g.inputs[0]] = Fraction(3)
+        assert not hasattr(lane, "update") and dict(lane) == vals
+        plan = fixed_plan(g, 24)
+        assert execute(g, plan, lane, ip) == execute(g, plan, dict(lane), ip) == execute(g, plan, vals, ip)
 
     def test_a_node_recorded_after_a_pass_takes_the_kernel(self):
         # the kernel's layout of the graph follows its growth: after a pass,

@@ -816,6 +816,27 @@ class TestOnlineLanes:
         assert len(runs) == 1 and repr(plan.gsigma) == repr(want.gsigma)
         assert sorted(set(plan.gsigma.values())) == [-math.inf, 0.0]
 
+    def test_one_edit_of_the_update_reaches_both_drivers(self, monkeypatch):
+        # the rho update is written once: scaled by EPS**2, one bit up, it
+        # moves a 4x4 kernel lane's plan and a scalar lane's plan alike
+        zfg = build_zf_graph(4, 4)
+        vals, ip = zfg.input_values(gen_channel(np.random.default_rng(3), 4, 4)), zfg.input_precisions()
+        cfg = UtilityConfig(1e-9, 2, 64)
+
+        def plans():
+            runs = _counted_runs(monkeypatch)
+            kernel = online_vpc(zfg.graph, cfg, CM, vals, 10, ip)[1]
+            with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", math.inf):
+                scalar = online_vpc(zfg.graph, cfg, CM, vals, 10, ip)[1]
+            assert len(runs) == 1
+            return repr(kernel), repr(scalar)
+
+        (kernel, scalar), rho = plans(), optimizer._rho
+        monkeypatch.setattr(optimizer, "_rho", lambda *args: rho(*args) * EPS ** 2)
+        moved_kernel, moved_scalar = plans()
+        assert kernel == scalar and moved_kernel == moved_scalar
+        assert moved_kernel != kernel and moved_scalar != scalar
+
 
 class TestArrays:
     """Results and plans keep id-ordered arrays; the dicts built from them
