@@ -26,7 +26,6 @@ from .errormodel import (
     propagate_full_precision,
     w_moments,
 )
-from .graph import StoredInputs
 from .mimo import (
     CM,
     SimConfig,
@@ -256,8 +255,7 @@ def cmd_histogram(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     zfg = build_zf_graph(cfg.k_users, cfg.n_t)
     h = gen_channel(np.random.default_rng(seed), cfg.k_users, cfg.n_t)
-    lane = StoredInputs(zfg.graph, zfg.input_values(h), zfg.input_precisions(cfg.storage_bits))
-    _, (run,) = online_alpha(zfg, cfg, [lane], args.target_avg)
+    _, (run,) = online_alpha(zfg, cfg, [zfg.input_values(h, cfg.storage_bits)], args.target_avg)
     if run is None:
         print("error: the online plan cannot be computed on this channel", file=sys.stderr)
         return 1

@@ -127,8 +127,8 @@ class ExprGraph:
         return self.record(_INPUT)
 
     def mark_output(self, node_id: int) -> None:
-        if not 0 <= node_id < len(self.nodes):
-            raise ValueError(f"unknown node id {node_id}")
+        if type(node_id) is not int or not 0 <= node_id < len(self.nodes):  # true is no 1
+            raise ValueError(f"unknown node id {node_id!r}")
         if node_id in self._explicit_outputs:
             raise ValueError(f"node {node_id} is already an output")
         self._explicit_outputs.append(node_id)
@@ -422,27 +422,23 @@ def _tables(graph: ExprGraph) -> tuple:
     order, then each group in level order, so a group writes one slice:
     (groups as (op, start, stop, first operand columns, second operand
     columns or None, whether some first operand is an input, whether some
-    second one is), each id's column, the operations' columns in id order
-    and their ids, and per column whether its first, or second, operand is
-    an input)."""
+    second one is), each id's column, the operations' columns in id order,
+    their ids, and each column's id)."""
     by_group = graph.table(_groups)
     keys = sorted(by_group)  # by level, then by the op kind's name
-    order = graph.inputs + [nid for key in keys for nid, _, _ in by_group[key]]
+    order = np.array(graph.inputs + [nid for key in keys for nid, _, _ in by_group[key]],
+                     dtype=np.intp)
     n_in = len(graph.inputs)
-    pos = np.empty(len(order), dtype=np.intp)
-    pos[order] = np.arange(len(order))
-    first, second = np.zeros(len(order), dtype=bool), np.zeros(len(order), dtype=bool)
+    pos = np.argsort(order)  # the inverse permutation: each id's column
     groups, start = [], n_in
     for (_, op), rows in zip(keys, map(by_group.get, keys)):
         stop = start + len(rows)
         i = pos[[r[1] for r in rows]]
         j = None if op is _SQRT else pos[[r[2] for r in rows]]
-        first[start:stop] = i < n_in
-        if j is not None:
-            second[start:stop] = j < n_in
-        groups.append((op, start, stop, i, j, first[start:stop].any(), second[start:stop].any()))
+        groups.append((op, start, stop, i, j, (i < n_in).any(),
+                       j is not None and (j < n_in).any()))
         start = stop
-    return groups, pos, pos[graph.op_ids], np.array(graph.op_ids, dtype=np.intp), first, second
+    return groups, pos, pos[graph.op_ids], np.array(graph.op_ids, dtype=np.intp), order
 
 
 def _plan_row(graph: ExprGraph, plan, max_x: int) -> Optional[np.ndarray]:
@@ -550,7 +546,7 @@ def _lane_result(graph: ExprGraph, tables, v, x, max_x: int,
     zero divisor and a negative root leave it too), so that node gives
     run's error.  None where a precision above ``max_x``, which the kernel
     does not round, comes first."""
-    _, pos, _, op_ids, _, _ = tables
+    _, pos, _, op_ids, _ = tables
     v, x = v[pos] + 0.0, x[pos]  # in id order, and -0.0 is 0.0
     r, a = params.block_bits << (params.exponent_bits - 2), np.abs(v)
     bad = np.flatnonzero(~(a < 2.0 ** r) | ((0 < a) & (a < 2.0 ** -r)))  # a nan too
@@ -584,22 +580,22 @@ def _kernel_pass(graph: ExprGraph, part: list, input_precision, params,
     its scalar path; None where the kernel takes no lane of the pass.
 
     Without a rule each lane runs its plan, and its output is its
-    :class:`ExecutionResult`.  A rule ``(decide, seed, finish)`` decides
+    :class:`ExecutionResult`.  A rule ``(decide, seeds, finish)`` decides
     each group just before the group is rounded: ``decide(op, a, b, y, ra,
     rb, sa, sb)`` gives the group's precisions and one state value per
     node from its operands ``a`` and ``b``, its results rounded to nearest
     ``y``, its operands' state ``ra`` and ``rb`` (0 at an input), and
-    ``sa`` and ``sb``, the node's seed ((ids, seeds) in ``seed``) where
-    that operand is an input and 0 elsewhere, or None where no operand in
-    that place is an input (``b``, ``rb`` and ``sb`` are None for sqrt).  A
-    lane's output is then ``finish(result, its precisions, its state)``,
-    both in ``graph.op_ids`` order.  A seed that is not finite keeps the
-    pass off the kernel; see :func:`_lane_result` for failing lanes.
+    ``sa`` and ``sb``, its seeds from ``seeds``, a row by node id per
+    operand place (0 where that operand is not an input), or None where no
+    operand in that place is an input (``b``, ``rb`` and ``sb`` are None
+    for sqrt).  A lane's output is then ``finish(result, its precisions,
+    its state)``, both in ``graph.op_ids`` order.  A seed that is not finite
+    keeps the pass off the kernel; see :func:`_lane_result` for failing lanes.
     """
     f = params.block_bits
     if 2 * f * (1 << (params.exponent_bits - 2)) > 970 or not _wide(graph, len(part)):
         return None
-    tables = groups, pos, cols, _, first, second = graph.table(_tables)
+    tables = groups, pos, cols, _, order = graph.table(_tables)
     max_x = min(KERNEL_MAX_X, (params.max_blocks - 1) * f)
     lanes = range(len(part))
     if rule is None:
@@ -609,12 +605,10 @@ def _kernel_pass(graph: ExprGraph, part: list, input_precision, params,
         if not _wide(graph, len(lanes)):
             return None
     else:
-        decide, seed, finish = rule
-        by_col = np.zeros(len(pos))
-        by_col[pos[seed[0]]] = seed[1]
-        if not np.isfinite(by_col).all():  # a nan route, seed times zero weight,
+        decide, seeds, finish = rule
+        if not np.isfinite(seeds).all():  # a nan route, seed times zero weight,
             return None  # sorts last in searchsorted and first in bisect_left
-        seed_a, seed_b = np.where(first, by_col, 0.0)[:, None], np.where(second, by_col, 0.0)[:, None]
+        seed_a, seed_b = (row.take(order)[:, None] for row in seeds)  # by column
     ins = {l: _lane_inputs(graph, part[l][1], input_precision, params) for l in lanes}
     col = {l: c for c, l in enumerate(l for l, got in ins.items() if got is not None)}
     if not col:
@@ -666,8 +660,9 @@ def run_lanes(graph: ExprGraph, items: Iterable[tuple], scalar: Callable, input_
     a pass of :data:`KERNEL_MAX_LANES` at a time: the float64 kernel's where
     it takes the lane, or run's :class:`GraphExecutionError` where the lane
     fails there (see :func:`execute_lanes` for plans and :func:`_kernel_pass`
-    for a ``rule``), and otherwise, the lane whole, ``scalar(plan, input
-    values)``'s or the :class:`GraphExecutionError` that it raises."""
+    for a ``rule``, whose seeds are rows by node id), and otherwise, the
+    lane whole, ``scalar(plan, input values)``'s or the
+    :class:`GraphExecutionError` that it raises."""
     items = iter(items)
     while part := list(islice(items, KERNEL_MAX_LANES)):
         lane = _kernel_pass(graph, part, input_precision, params, rule)

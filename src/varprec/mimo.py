@@ -178,7 +178,8 @@ class ZfGraph:
     w_refs: List[List[CRef]]          # n_t x k precoder
     one_node: int                     # the constant 1, dividend of each 1/pivot
 
-    def input_values(self, h: ChannelMatrix) -> Dict[int, Fraction]:
+    def input_values(self, h: ChannelMatrix, storage_bits: int = 53) -> StoredInputs:
+        """The channel's input lane, stored at ``input_precisions(storage_bits)``."""
         vals: Dict[int, Fraction] = {}
         for i in range(self.k_users):
             for j in range(self.n_t):
@@ -186,7 +187,7 @@ class ZfGraph:
                 vals[r.re.node] = h.re[i][j]
                 vals[r.im.node] = h.im[i][j]
         vals[self.one_node] = Fraction(1)
-        return vals
+        return StoredInputs(self.graph, vals, self.input_precisions(storage_bits))
 
     def input_precisions(self, storage_bits: int = 53) -> Dict[int, int]:
         prec = {nid: storage_bits for nid in self.graph.inputs}
@@ -459,8 +460,9 @@ def _plan_cfg(cfg: SimConfig, alpha: float) -> UtilityConfig:
 @dataclass
 class SweepInputs:
     """What every cell of a sweep shares: the recorded precoder, the paired
-    channels, their inputs stored once, and their reference precoders,
-    computed when first read (by the BER and :func:`reference_rate`)."""
+    channels, their inputs stored once, and their complex matrices and
+    reference precoders, computed when first read (the references by the
+    BER and :func:`reference_rate`)."""
 
     zfg: ZfGraph
     channels: List[ChannelMatrix]
@@ -470,14 +472,16 @@ class SweepInputs:
     def refs(self) -> List[np.ndarray]:
         return [zf_reference(h, self.zfg)[0] for h in self.channels]
 
+    @functools.cached_property
+    def _matrices(self) -> List[np.ndarray]:  # each channel as a complex matrix
+        return [h.as_complex() for h in self.channels]
+
 
 def sweep_inputs(cfg: SimConfig) -> SweepInputs:
     """A sweep's inputs, with the channels generated from the seed."""
     zfg, rng = build_zf_graph(cfg.k_users, cfg.n_t), np.random.default_rng(cfg.seed)
     channels = [gen_channel(rng, cfg.k_users, cfg.n_t) for _ in range(cfg.trials)]
-    ip = zfg.input_precisions(cfg.storage_bits)
-    return SweepInputs(zfg, channels, [StoredInputs(zfg.graph, zfg.input_values(h), ip)
-                                       for h in channels])
+    return SweepInputs(zfg, channels, [zfg.input_values(h, cfg.storage_bits) for h in channels])
 
 
 def _online_runs(zfg: ZfGraph, cfg: SimConfig, alpha: float,
@@ -493,8 +497,8 @@ def online_alpha(zfg: ZfGraph, cfg: SimConfig, probe: Sequence[Mapping[int, Frac
                  target: float) -> Tuple[float, list]:
     """Calibrated alpha of the online planner, and each probe lane's
     (result, plan) at it (None where the plan fails).  ``probe`` holds the
-    probe channels' input values; as :class:`StoredInputs` at
-    ``cfg.storage_bits``, no anchor stores them again.  A plan depends on
+    probe channels' input values; as ``zfg.input_values(h, cfg.storage_bits)``
+    gives them, no anchor stores them again.  A plan depends on
     alpha only through its output anchor x, so the walk runs on x in
     [x_min, x_max]: up from round(target) while the plans' mean average over
     ``probe`` is below ``target``, then down while the one at x - 1 still
@@ -557,7 +561,7 @@ def sweep_cell(cfg: SimConfig, inputs: SweepInputs, scheme: str, ti: int) -> Swe
     n_bits = 2 * cfg.k_users * cfg.ber_symbols
     rates, avgs, totals = [], [], []
     errors = failures = 0
-    for t, (h, (result, plan)) in enumerate(zip(channels, runs)):
+    for t, (h_cx, (result, plan)) in enumerate(zip(inputs._matrices, runs)):
         if plan is not None:
             a, tot = cell_metrics or plan_metrics(zfg.graph, plan, CM)
             avgs.append(a)
@@ -567,7 +571,6 @@ def sweep_cell(cfg: SimConfig, inputs: SweepInputs, scheme: str, ti: int) -> Swe
             rates.append(0.0)
             errors += n_bits
             continue
-        h_cx = h.as_complex()
         w = zfg.w_matrix(result)
         rates.append(sum_rate(h_cx, w, cfg.snr_db))
         if cfg.ber_symbols:
@@ -608,8 +611,8 @@ def pareto_sweep(cfg: SimConfig, inputs: Optional[SweepInputs] = None) -> List[S
 
 def reference_rate(cfg: SimConfig, inputs: SweepInputs) -> float:
     """Mean reference-precision sum rate over a sweep's inputs' channels."""
-    return float(np.mean([sum_rate(h.as_complex(), w, cfg.snr_db)
-                          for h, w in zip(inputs.channels, inputs.refs)]))
+    return float(np.mean([sum_rate(h, w, cfg.snr_db)
+                          for h, w in zip(inputs._matrices, inputs.refs)]))
 
 
 def precision_histogram(zfg: ZfGraph, plan) -> Dict[Tuple[int, str], int]:

@@ -67,8 +67,9 @@ class PrecisionPlan:
     """Each operation's precision, and its G_sigma where the planner gives
     one, as dicts by node id built when first read (in ``reverse`` id order
     if so made); ``==`` and ``repr`` read them.  A planner keeps int64
-    ``xs``, and G_sigma as a dict or an array, in the order of ``ids``, its
-    graph's ``op_ids``.  Once read, ``assignment`` is the plan: ``xs`` goes."""
+    ``xs`` in the order of ``ids``, its graph's ``op_ids``, and G_sigma as
+    an array in that order or as a dict it shares, copied when first read.
+    Once read, ``assignment`` is the plan: ``xs`` goes."""
 
     assignment: Dict[int, int]
     gsigma: Optional[Dict[int, float]]
@@ -85,7 +86,7 @@ class PrecisionPlan:
             got, self.xs = dict(zip(ids[::step], self.xs[::step].tolist())), None
         elif name == "gsigma":
             g = self._gsigma
-            got = dict(zip(self.ids, g.tolist())) if isinstance(g, np.ndarray) else g
+            got = g if g is None else dict(g if isinstance(g, dict) else zip(self.ids, g.tolist()))
         else:
             raise AttributeError(name)
         self.__dict__[name] = got
@@ -132,33 +133,32 @@ def _ladder(x_min: int, x_max: int, weights: Tuple[float, ...]):
 
 
 def _ids(graph: ExprGraph) -> tuple:
-    """(``graph.op_ids``, their part tags, {op: its positions among them}),
-    a table of the graph."""
+    """(``graph.op_ids``, their part tags, {op: its positions among them},
+    the ids as an index array), a table of the graph."""
     ids, by_op = graph.op_ids, {}
     for k, nid in enumerate(ids):
         by_op.setdefault(graph.nodes[nid].op, []).append(k)
-    return ids, [graph.nodes[i].part for i in ids], {op: np.array(k) for op, k in by_op.items()}
+    return (ids, [graph.nodes[i].part for i in ids], {op: np.array(k) for op, k in by_op.items()},
+            np.array(ids, dtype=np.intp))
 
 
 def _reverse_sweep(graph: ExprGraph, e_b: int):
     """What both planners know before alpha and values: G_sigma of every
-    node in reverse id order; the non-input ids in that order, with per op
-    kind their positions among them and their G_sigma; (id, op, sink,
-    EPS ** (2 * bit offset)) of each node with an input operand, the offset
-    of its longest path (length, add, sub and sqrt crossings, sink id); per
-    node id its operand ids (sqrt's one twice) and whether each is an input;
-    and those seeds' ids, rung slots (see :func:`online_lanes`) and factors,
-    as arrays."""
+    node, by id in reverse order; per op kind the positions of its nodes
+    in ``graph.op_ids`` and their G_sigma; (id, op, sink, EPS ** (2 * bit
+    offset)) of each node with an input operand, the offset of its longest
+    path (length, add, sub and sqrt crossings, sink id); and per input
+    operand, as arrays, its cell in the rows of seeds of
+    :func:`online_lanes` (its operand place * the node count + its node's
+    id), and its seed's rung slot (see there) and factor."""
     entries, consumers = graph.entries, graph.consumers
     out_set = set(graph.outputs)
     back = {op: speculation_factor(op.value, "backward", e_b) for op in DEFAULT_WEIGHTS}
     add_rate, sub_rate = ops_per_bit("add", e_b), ops_per_bit("sub", e_b)
     gsig: Dict[int, float] = {}
     longest: Dict[int, Tuple[int, int, int, int, int]] = {}
-    ids, by_op, seeds = [], {}, []
-    routes = [(i, i if j is None else j, i is not None and entries[i][1] is _INPUT,
-               j is not None and entries[j][1] is _INPUT) for _, _, i, j in entries]
-    for node in reversed(graph.nodes):
+    ops, seeds, cells = list(DEFAULT_WEIGHTS), [], []
+    for node, op, i, j in reversed(entries):
         terms = [-GSIGMA_UNIT] if node.id in out_set else []
         best = None if consumers[node.id] else (0, 0, 0, 0, node.id)
         for cid in consumers[node.id]:
@@ -170,23 +170,24 @@ def _reverse_sweep(graph: ExprGraph, e_b: int):
                         n_sqrt + (c is _SQRT), sink)
         g = min(terms, default=0.0)  # sensitivities are negative: min = most demanding
         gsig[node.id], longest[node.id] = g, best
-        if node.op is not _INPUT:
-            by_op.setdefault(node.op, []).append((len(ids), g))
-            ids.append(node.id)
-        if any(entries[o][1] is _INPUT for o in node.operands):
+        ins = [p * len(entries) + node.id for p, o in enumerate((i, j))
+               if o is not None and entries[o][1] is _INPUT]
+        if ins:
             off = seed_bit_offset(*best[1:4], add_rate, sub_rate)
             try:
                 factor = EPS ** (2.0 * off)
             except OverflowError:  # the seeds of a shorter chain overflow to inf too
                 factor = math.inf
-            seeds.append((node.id, node.op, best[4], factor))
-    groups = [(op, *map(np.array, zip(*pos_g))) for op, pos_g in by_op.items()]
-    ops = list(DEFAULT_WEIGHTS)
-    slots = [6 * ops.index(op) + (ops.index(entries[sink][1]) if sink in out_set else 5)
-             for _, op, sink, _ in seeds]
-    arrays = [np.array([s[0] for s in seeds], dtype=np.intp), np.array(slots, dtype=np.intp),
-              np.array([s[3] for s in seeds], dtype=float)]
-    return gsig, ids, groups, seeds, routes, arrays
+            sink = best[4]
+            seeds.append((node.id, op, sink, factor))
+            slot = 6 * ops.index(op) + (ops.index(entries[sink][1]) if sink in out_set else 5)
+            cells += [(c, slot, factor) for c in ins]
+    ids, _, by_op, _ = graph.table(_ids)
+    by_id = np.array([gsig[nid] for nid in ids])
+    groups = [(op, pos, by_id[pos]) for op, pos in by_op.items()]
+    by_cell = list(zip(*cells)) or [(), (), ()]  # cells, slots, factors
+    arrays = [np.array(a, dtype=t) for a, t in zip(by_cell, (np.intp, np.intp, float))]
+    return gsig, groups, seeds, arrays
 
 
 def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
@@ -204,12 +205,12 @@ def offline_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     one ``searchsorted`` per op kind.
     """
     arrays = XoptLut(cm, cfg).arrays
-    gsig, ids, groups, *_ = graph.table(_reverse_sweep, e_b)
-    xs = np.empty(len(ids), dtype=np.int64)
+    gsig, groups, *_ = graph.table(_reverse_sweep, e_b)
+    xs = np.empty(len(graph.op_ids), dtype=np.int64)
     for op, pos, g in groups:
         xs[pos] = np.searchsorted(arrays[op], -g / cfg.alpha, "left")
-    # the dict lists the ids in reverse, as the sweep meets them
-    return PrecisionPlan(None, dict(gsig), graph.op_ids, xs[::-1] + cfg.x_min, reverse=True)
+    xs += cfg.x_min  # the dicts list the ids in reverse, as the sweep meets them
+    return PrecisionPlan(None, gsig, graph.op_ids, xs, reverse=True)
 
 
 def seed_bit_offset(n_add: int, n_sub: int, n_sqrt: int, add_rate: int,
@@ -237,10 +238,11 @@ def online_vpc(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     :func:`_rho` of its operands' values and rho, or of its seed where an
     operand is an input; its decision is one bisection in the ladder, and
     its rho is then the midpoint of its rung.  Midpoints are tables per
-    ladder, seeds per call, seed offsets and input operands per graph and
-    ``e_b``.  Each node executes at its decided precision before any
-    consumer is decided.  The reported G_sigma is ``-alpha * rho`` (0.0 at
-    exact-zero results).
+    ladder, seed offsets and input operands per graph and ``e_b``, and the
+    seeds two rows by node id per call, one per operand place.  Each node
+    executes at its decided precision before any consumer is decided.  The
+    plan holds the precisions as an int64 row in ``graph.op_ids`` order,
+    and the reported G_sigma is ``-alpha * rho`` (0.0 at exact-zero results).
     """
     out, = online_lanes(graph, cfg, cm, [input_values], e_b, input_precision, params)
     if isinstance(out, GraphExecutionError):
@@ -272,7 +274,7 @@ def _rho(op, a, b, y, ra, rb, sa, sb, forward, clip):
         ra, rb = ra * f, None if op is _SQRT else rb * f
     if sa is not None:
         ra += sa
-    if sb is not None:
+    if sb is not None and rb is not None:  # rb is None for sqrt
         rb += sb
     if op is _ADD or op is _SUB:
         # weighted by operand magnitude, so the dominant operand's route
@@ -309,15 +311,17 @@ def online_lanes(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
     # seed's slot is 6 * its op kind's place in DEFAULT_WEIGHTS + its sink's, or + 5
     at = [bisect_left(t, GSIGMA_UNIT / cfg.alpha) for t in lut.thresholds.values()]
     at.append((cfg.x_max - x_min) // 2)
-    *_, routes, (seed_ids, slots, factors) = graph.table(_reverse_sweep, e_b)
+    *_, (cells, slots, factors) = graph.table(_reverse_sweep, e_b)
     with np.errstate(over="ignore"):  # a seed beyond float range is inf, as a float product is
         seeds = np.array([m[k] for m in lut.mid_rho.values() for k in at])[slots] * factors
+    rows = np.zeros((2, len(graph.nodes)))  # by id, per operand place: 0 where not an input
+    rows.put(cells, seeds)  # at a cell of the rows read flat
     forward = {op: speculation_factor(op.value, "forward", e_b) for op in (_MUL, _DIV, _SQRT)}
 
-    def scalar(_, vals):  # a lane whole, one node at a time, with a dict plan
-        seed = dict(zip(seed_ids.tolist(), seeds.tolist()))  # Python floats, as run's values
+    def scalar(_, vals):  # a lane whole, one node at a time
+        seed_a, seed_b = rows.tolist()  # Python floats, as run's values
         rho = [0.0] * len(graph.nodes)  # an input's reads 0, as in a kernel column
-        th, mids = lut.thresholds, lut.mid_rho
+        th, mids, entries = lut.thresholds, lut.mid_rho, graph.entries
 
         def choose(node, a: float, b: Optional[float]) -> int:
             op, nid = node.op, node.id
@@ -325,16 +329,15 @@ def online_lanes(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
                 a * b if op is _MUL else a / b  # sqrt(a) is 0 where a is
             if not y:  # an exact-zero result has no relative-error frame: rho 0
                 return x_min
-            i, j, a_in, b_in = routes[nid]
-            s = seed.get(nid)
-            k = bisect_left(th[op], _rho(op, a, b, y, rho[i], rho[j], s if a_in else None,
-                                         s if b_in else None, forward, _clip))
+            _, _, i, j = entries[nid]
+            k = bisect_left(th[op], _rho(op, a, b, y, rho[i], rho[i if j is None else j],
+                                         seed_a[nid], seed_b[nid], forward, _clip))
             rho[nid] = mids[op][k]
             return x_min + k
 
-        result, ids = run(graph, choose, vals, input_precision, params), graph.op_ids
-        return result, PrecisionPlan({nid: result.precision_array[nid] for nid in ids},
-                                     {nid: -cfg.alpha * rho[nid] if rho[nid] else 0.0 for nid in ids})
+        result, ids = run(graph, choose, vals, input_precision, params), graph.table(_ids)[3]
+        return planned(result, np.array(result.precision_array, dtype=np.int64)[ids],
+                       np.array(rho)[ids])
 
     def decide(op, a, b, y, ra, rb, sa, sb):  # a group of a kernel pass, over numpy columns
         k = np.searchsorted(lut.arrays[op], _rho(op, a, b, y, ra, rb, sa, sb, forward, np.minimum))
@@ -342,13 +345,13 @@ def online_lanes(graph: ExprGraph, cfg: UtilityConfig, cm: ComplexityModel,
         k[zero] = 0
         return k + x_min, np.where(zero, 0.0, lut.mid_arrays[op][k])
 
-    def planned(res, xs, rho):  # a kernel lane's plan, from its columns in id order
-        gsigma = np.zeros_like(rho)  # -alpha * rho, and 0.0 where rho is (alpha may be inf)
-        np.multiply(-cfg.alpha, rho, out=gsigma, where=rho != 0.0)
-        return res, PrecisionPlan(gsigma=gsigma, ids=graph.op_ids, xs=xs)
+    def planned(res, xs, rho):  # a lane's plan, from its precisions and own rho in id order
+        # G_sigma is -alpha * rho, in place, and 0.0 where rho is (alpha may be inf)
+        np.multiply(-cfg.alpha, rho, out=rho, where=rho != 0.0)
+        return res, PrecisionPlan(gsigma=rho, ids=graph.op_ids, xs=xs)
 
     yield from run_lanes(graph, ((None, vals) for vals in lanes), scalar, input_precision,
-                         params, (decide, (seed_ids, seeds), planned))
+                         params, (decide, rows, planned))
 
 
 def fixed_plan(graph: ExprGraph, x: int) -> PrecisionPlan:
@@ -358,7 +361,7 @@ def fixed_plan(graph: ExprGraph, x: int) -> PrecisionPlan:
 def random_blockwise_plan(graph: ExprGraph, rng: np.random.Generator,
                           x_min: int, x_max: int) -> PrecisionPlan:
     """One uniformly drawn precision per part tag (all nodes must be tagged)."""
-    ids, parts, _ = graph.table(_ids)
+    ids, parts, *_ = graph.table(_ids)
     if None in parts:
         raise ValueError(f"node {ids[parts.index(None)]} has no part tag")
     draw = {p: int(rng.integers(x_min, x_max + 1)) for p in sorted(set(parts))}
@@ -369,7 +372,7 @@ def plan_metrics(graph: ExprGraph, plan, cm: ComplexityModel) -> Tuple[float, fl
     """(complexity-weighted average precision, total complexity), summed per
     op kind (over a planner's array as it is): exact while every term is an
     integer-valued float below 2**53."""
-    ids, _, by_op = graph.table(_ids)
+    ids, _, by_op, _ = graph.table(_ids)
     xs = plan.row(ids) if isinstance(plan, PrecisionPlan) else None
     got = list(map(getattr(plan, "assignment", plan).__getitem__, ids)) if xs is None else None
     total = wsum = 0.0

@@ -183,6 +183,19 @@ class TestRecord:
                 g.mark_output(bad)
         assert g.outputs == [s]
 
+    def test_mark_output_rejects_ids_that_are_not_ints(self):
+        # as record does for operands: 1.5 and 2.0 are no node, true is no
+        # 1, and a numpy integer is refused too
+        g = ExprGraph()
+        a, b = g.add_input(), g.add_input()
+        s = g.record("add", [a, b])
+        for bad in (1.5, 2.0, True, np.int64(2)):
+            with pytest.raises(ValueError, match="unknown node id"):
+                g.mark_output(bad)
+        assert g.outputs == [s] and g._explicit_outputs == []
+        g.mark_output(s)
+        assert execute(g, {s: 20}, {a: Fraction(1), b: Fraction(3)}).output_fractions() == [4]
+
     def test_mark_output_rejects_a_repeat(self):
         # a repeated output would be lost by the JSON-lines round trip,
         # which keeps one output index per node
@@ -927,9 +940,10 @@ class TestHotPath:
         # execute takes the float64 kernel for the 4x4 precoder at fixed 24
         # bits and gives the integer run's digest: ebfp.apply stores the
         # inputs only, the integer run is never entered, and no law of the
-        # error model runs before the variance pass
+        # error model runs before the variance pass (a plain dict, whose
+        # inputs each call stores)
         zfg = build_zf_graph(4, 4)
-        vals = zfg.input_values(gen_channel(np.random.default_rng(3), 4, 4))
+        vals = dict(zfg.input_values(gen_channel(np.random.default_rng(3), 4, 4)))
         calls = []
         stored = ebfp.apply
         monkeypatch.setattr(ebfp, "apply", lambda *args: calls.append(args[0]) or stored(*args))
@@ -955,9 +969,9 @@ class TestHotPath:
         # executing the 4x4 precoder at fixed 24 bits and reading its floats
         # and W builds no EbfpNumber beyond those that store its inputs;
         # values, read afterwards, are the integer run's, by field equality
-        # and by repr
+        # and by repr (a plain dict, whose inputs each call stores)
         zfg = build_zf_graph(4, 4)
-        vals = zfg.input_values(gen_channel(np.random.default_rng(3), 4, 4))
+        vals = dict(zfg.input_values(gen_channel(np.random.default_rng(3), 4, 4)))
         ip, plan = zfg.input_precisions(), fixed_plan(zfg.graph, 24).assignment
         built, init = [], EbfpNumber.__init__
         monkeypatch.setattr(EbfpNumber, "__init__",

@@ -160,6 +160,20 @@ class TestReference:
         w_np = hc.conj().T @ np.linalg.inv(hc @ hc.conj().T)
         assert np.abs(w - w_np).max() < 1e-9
 
+    def test_a_channels_lane_is_stored_once(self, monkeypatch):
+        # input_values stores the channel's inputs for the kernel: a second
+        # execute on the same lane, at the same storage, stores none again
+        zfg = build_zf_graph(4, 4)
+        lane = zfg.input_values(gen_channel(np.random.default_rng(3), 4, 4))
+        ip, plan, calls = zfg.input_precisions(), fixed_plan(zfg.graph, 24), []
+        first = execute(zfg.graph, plan, lane, ip)
+        stored = graph_module.round_to_precision
+        monkeypatch.setattr(graph_module, "round_to_precision",
+                            lambda *args: calls.append(1) or stored(*args))
+        assert execute(zfg.graph, plan, lane, ip) == first and calls == []
+        assert execute(zfg.graph, plan, dict(lane), ip) == first
+        assert len(calls) == len(zfg.graph.inputs)  # a plain dict is stored per call
+
     def test_residual_small(self):
         zfg = build_zf_graph(3, 4)
         h = gen_channel(np.random.default_rng(4), 3, 4)
@@ -301,6 +315,19 @@ class TestSweep:
             assert sweep_cell(cfg, inputs, scheme, 1).failures == 0
         assert sweep_cell(cfg, inputs, "online", 0).failures == 0
         assert calls == []
+
+    def test_each_channel_is_converted_once(self, monkeypatch):
+        # every cell and the reference rate read the sweep's complex
+        # matrices: one as_complex per channel, and one more per reference
+        cfg = SimConfig(n_t=2, k_users=2, trials=3, seed=4, sweep=(6, 12))
+        inputs, calls = sweep_inputs(cfg), []
+        convert = ChannelMatrix.as_complex
+        monkeypatch.setattr(ChannelMatrix, "as_complex",
+                            lambda self: calls.append(self) or convert(self))
+        pareto_sweep(cfg, inputs)
+        assert calls == inputs.channels
+        mimo.reference_rate(cfg, inputs)
+        assert calls == inputs.channels * 2  # zf_reference's condition number
 
     def test_fixed_cell_scores_its_plan_once(self, monkeypatch):
         # a fixed plan is the same in every trial: one plan_metrics call,

@@ -367,6 +367,19 @@ class TestOfflineSweep:
         again = offline_vpc(g, CFG, CM)
         assert (again.assignment, again.gsigma) == want
 
+    def test_a_plans_gsigma_is_its_own(self):
+        # plans share the sweep's G_sigma dict until one is read: a change
+        # to one plan's reaches neither another plan's nor the sweep's
+        g = build_zf_graph(2, 2).graph
+        first, second = offline_vpc(g, CFG, CM), offline_vpc(g, CFG, CM)
+        sweep = g.table(optimizer._reverse_sweep, 10)[0]
+        want = list(sweep.items())
+        first.gsigma[g.op_ids[0]] = 1.0
+        del first.gsigma[g.op_ids[1]]
+        assert list(first.gsigma.items()) != want
+        assert list(second.gsigma.items()) == want == list(sweep.items())
+        assert g.table(optimizer._reverse_sweep, 10)[0] is sweep
+
     def test_sweep_is_freed_with_its_graph(self):
         g = implicit_output_graph()
         offline_vpc(g, CFG, CM)
@@ -541,7 +554,7 @@ def reference_online_vpc(graph, cfg, input_values, e_b=10, input_precision=53):
     final_x = final_step_precision(graph, cfg, CM)
     mid = (cfg.x_min + cfg.x_max) // 2
     seed = {nid: midpoint(final_x.get(sink, mid), op) * factor
-            for nid, op, sink, factor in graph.table(optimizer._reverse_sweep, e_b)[3]}
+            for nid, op, sink, factor in graph.table(optimizer._reverse_sweep, e_b)[2]}
     fixed_forward = {op: speculation_factor(op.value, "forward", e_b)
                      for op in (OpKind.MUL, OpKind.DIV, OpKind.SQRT)}
     rho = {}
@@ -732,7 +745,7 @@ class TestOnlineLanes:
             t = g.record("add", [t, t])
         g.mark_output(t)
         cfg, vals = UtilityConfig(1e-9, 2, 64), {x: Fraction(3)}
-        (nid, op, sink, factor), = g.table(optimizer._reverse_sweep, 5)[3]
+        (nid, op, sink, factor), = g.table(optimizer._reverse_sweep, 5)[2]
         lut, k = XoptLut(CM, cfg), final_step_precision(g, cfg, CM)[sink] - cfg.x_min
         assert factor == 0.5 and lut.mid_rho[op][k] * factor == lut.thresholds[op][k - 1]
         want = _scalar_outcome(g, cfg, vals, 5, 53)
@@ -775,7 +788,7 @@ class TestOnlineLanes:
             t = g.record("sub", [t, y])
         g.mark_output(t)
         cfg = UtilityConfig(1e-9, 2, 40)
-        assert math.inf in [factor for _, _, _, factor in g.table(optimizer._reverse_sweep, 4)[3]]
+        assert math.inf in [factor for _, _, _, factor in g.table(optimizer._reverse_sweep, 4)[2]]
         assert sorted(offline_vpc(g, cfg, CM, 4).assignment) == g.non_input_ids()
         lanes = [{x: Fraction(3), y: Fraction(0)}, {x: Fraction(3), y: Fraction(1, 3)}]
         want = [_scalar_outcome(g, cfg, v, 4, 53) for v in lanes]
@@ -912,6 +925,24 @@ class TestArrays:
         g.record("mul", [2, g.record("sqrt", [0])])
         assert all(p.row(g.op_ids) is None for p in made) and len(g.op_ids) == n + 2
         assert [(list(p.assignment.items()), p.gsigma) for p in made] == want
+
+    def test_every_planner_gives_a_row_on_its_graph(self, monkeypatch):
+        # each planner keeps its precisions as an int64 row in op_ids order,
+        # the online planner on the kernel and through its scalar driver
+        zfg, vals, ip, cfg = self.precoder()
+        g = zfg.graph
+        runs = _counted_runs(monkeypatch)
+        plans = [fixed_plan(g, 24), offline_vpc(g, cfg, CM),
+                 random_blockwise_plan(g, np.random.default_rng(1), 4, 30),
+                 online_vpc(g, cfg, CM, vals, 10, ip)[1]]
+        with mock.patch.object(graph_module, "KERNEL_MIN_WIDTH", math.inf):
+            plans.append(online_vpc(g, cfg, CM, vals, 10, ip)[1])
+        assert len(runs) == 1  # the last plan's, on the scalar driver
+        rows = [plan.row(g.op_ids) for plan in plans]
+        assert all(row is not None and row.dtype == np.int64 for row in rows)
+        for plan, row in zip(plans, rows):
+            assert plan.assignment == dict(zip(g.op_ids, row.tolist()))
+        assert plans[3] == plans[4] and repr(plans[3]) == repr(plans[4])
 
     def test_a_plan_read_is_its_dict(self):
         # once read, the dict is the plan: a change to it is what runs and
